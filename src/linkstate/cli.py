@@ -20,6 +20,7 @@ from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
+    _is_entry_list,
     apply_diff,
     decode,
     decode_diff,
@@ -37,12 +38,6 @@ def _read(path: str) -> str:
 # -- inspect rendering ---------------------------------------------------------------
 
 
-def _is_entry(obj: Any) -> bool:
-    return isinstance(obj, dict) and (OBJECT_NAME_KEY in obj or CLASS_NAME_KEY in obj) and set(
-        obj
-    ) <= {OBJECT_NAME_KEY, CLASS_NAME_KEY, SESSION_STATE_KEY}
-
-
 def _render(node: Any, indent: str, out: list[str]) -> None:
     if isinstance(node, dict):
         if not node:
@@ -56,7 +51,7 @@ def _render(node: Any, indent: str, out: list[str]) -> None:
                 out.append(f"{indent}{key}: {encode(value)}")
         return
     if isinstance(node, list):
-        if node and all(_is_entry(e) for e in node):
+        if _is_entry_list(node):
             for entry in node:
                 name = entry.get(OBJECT_NAME_KEY, "")
                 cls = entry.get(CLASS_NAME_KEY, "")

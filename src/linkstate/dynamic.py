@@ -27,7 +27,7 @@ from .errors import (
     UnknownName,
 )
 from .linkable import LinkableObject
-from .statetree import DynamicState, DynamicStateList, StateNode, normalize_entry_items
+from .statetree import DynamicState, DynamicStateList, StateNode, normalize_entry_items, to_plain
 
 log = logging.getLogger(__name__)
 
@@ -172,7 +172,7 @@ class LinkableHashMap(LinkableObject):
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
         try:
-            items, order = normalize_entry_items(state)
+            items, order = normalize_entry_items(to_plain(state))
         except TypeError:
             log.warning("LinkableHashMap: ignoring non-list state %r", type(state).__name__)
             return
@@ -206,7 +206,8 @@ class LinkableHashMap(LinkableObject):
                     obj.set_session_state(it.state, remove_missing)
             if order is not None:
                 known = [n for n in order if n in self._children]
-                desired = known + [n for n in self._children if n not in set(known)]
+                head = set(known)
+                desired = known + [n for n in self._children if n not in head]
             else:
                 desired = [n for n in mentioned if n in self._children]
                 desired += [n for n in self._children if n not in mentioned]
@@ -372,7 +373,7 @@ class LinkableDynamicObject(LinkableObject):
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
         try:
-            items, _ = normalize_entry_items(state)
+            items, _ = normalize_entry_items(to_plain(state))
         except TypeError:
             log.warning("LinkableDynamicObject: ignoring non-list state %r", type(state).__name__)
             return

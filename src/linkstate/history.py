@@ -7,6 +7,10 @@ diffs back to the root; the resulting flush sees no difference against the
 log's own snapshot and records nothing, which is what keeps undo from
 re-recording itself.
 
+The log's snapshot of the root is plain JSON, diffed without conversion.
+state_at, jump_to and verify replay the forward diffs on one working copy
+of the baseline, updated in place; stored steps are never modified.
+
 Exported logs are version-1 JSON documents (docs/history-format.md).
 """
 
@@ -28,11 +32,12 @@ from .errors import (
 from .linkable import LinkableObject
 from .statetree import (
     StateNode,
-    apply_diff,
-    diff,
+    _apply_owned,
+    _clone,
+    _diff_plain,
+    _plain_equivalent,
     from_plain,
     is_empty_diff,
-    state_equivalent,
     to_plain,
 )
 
@@ -57,7 +62,7 @@ class HistoryLog:
         self._baseline: StateNode = None
         self._steps: list[HistoryStep] = []
         self._cursor = 0
-        self._last: StateNode = None
+        self._last: Any = None  # plain snapshot of the root, never mutated
         self._capturing = True
         self._next_label = ""
 
@@ -93,7 +98,7 @@ class HistoryLog:
         # how remote sync changes stay out of the local undo log.
         on = bool(on)
         if on and not self._capturing and self._root is not None and not self._root.disposed:
-            self._last = self._root.get_session_state()
+            self._last = to_plain(self._root.get_session_state())
         self._capturing = on
 
     def set_next_label(self, label: str) -> None:
@@ -107,10 +112,11 @@ class HistoryLog:
         if self._root is not None:
             raise AlreadyAttached("this log already records a root")
         root._check_live()
-        current = root.get_session_state()
+        state = root.get_session_state()
+        current = to_plain(state)
         if self._baseline is None and not self._steps:
-            self._baseline = current
-        elif not state_equivalent(self.state_at(self._cursor), current):
+            self._baseline = state
+        elif not _plain_equivalent(self._replay(self._cursor), current):
             raise ValueError("root state does not match the log at its cursor")
         self._root = root
         self._last = current
@@ -134,11 +140,11 @@ class HistoryLog:
     def _record(self) -> None:
         if self._root is None or self._root.disposed or not self._capturing:
             return
-        current = self._root.get_session_state()
-        forward = diff(self._last, current)
+        current = to_plain(self._root.get_session_state())
+        forward = _diff_plain(self._last, current)
         if is_empty_diff(forward):
             return
-        backward = diff(current, self._last)
+        backward = _diff_plain(current, self._last)
         del self._steps[self._cursor :]
         self._steps.append(HistoryStep(forward, backward, int(self._clock()), self._next_label))
         self._next_label = ""
@@ -166,38 +172,43 @@ class HistoryLog:
     def jump_to(self, index: int) -> None:
         """Go to the state after index steps, as one composite application."""
         root = self._require_attached()
-        if not 0 <= index <= len(self._steps):
-            raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
-        target = self.state_at(index)
-        d = diff(root.get_session_state(), target)
+        target = self._replay(index)
+        d = _diff_plain(to_plain(root.get_session_state()), target)
         if not is_empty_diff(d):
             self._apply(root, d)
         self._cursor = index
 
     def _apply(self, root: LinkableObject, d: Any) -> None:
         root.set_session_state(d, remove_missing=True)
-        self._last = root.get_session_state()
+        self._last = to_plain(root.get_session_state())
 
     def state_at(self, index: int) -> StateNode:
         """Value-level replay: baseline advanced by the first index steps."""
-        if not 0 <= index <= len(self._steps):
-            raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
-        state = self._baseline
-        for step in self._steps[:index]:
-            state = apply_diff(state, step.forward, remove_missing=True)
-        return state
+        return from_plain(self._replay(index))
 
     def verify(self) -> list[int]:
         """Replay every step and test its inverse; returns bad step indices."""
         bad = []
-        state = self._baseline
-        for i, step in enumerate(self._steps):
-            advanced = apply_diff(state, step.forward, remove_missing=True)
-            reverted = apply_diff(advanced, step.backward, remove_missing=True)
-            if not state_equivalent(reverted, state):
+
+        def check(i: int, step: HistoryStep, state: Any) -> None:
+            advanced = _apply_owned(_clone(state), step.forward, True)
+            if not _plain_equivalent(_apply_owned(advanced, step.backward, True), state):
                 bad.append(i)
-            state = advanced
+
+        self._replay(len(self._steps), check)
         return bad
+
+    def _replay(self, index: int, check: Callable[[int, HistoryStep, Any], None] | None = None) -> Any:
+        """Plain state after the first index steps, built on one working copy
+        of the baseline; check, if given, sees each step and the state before it."""
+        if not 0 <= index <= len(self._steps):
+            raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
+        state = to_plain(self._baseline)
+        for i, step in enumerate(self._steps[:index]):
+            if check is not None:
+                check(i, step, state)
+            state = _apply_owned(state, step.forward, True)
+        return state
 
     # -- persistence ------------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 A state node is one of: None, bool, int/float (finite), str, a Sequence
 (plain list), a Mapping (plain dict with string keys), or a DynamicStateList
 (an ordered list of DynamicState entries describing dynamically created
-objects). Values are treated as immutable; every API hands out fresh copies.
+objects). Values are treated as immutable; every public API hands out fresh
+copies. Only the private ``_apply_owned`` mutates: it updates a plain tree
+its caller owns (history replay, the client and relay shadows) in place.
 
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
@@ -20,12 +22,11 @@ states. See docs/diff-format.md for the encoding; the short version:
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 from .errors import ParseError
 
@@ -42,6 +43,7 @@ RESERVED_ENTRY_KEYS = frozenset((OBJECT_NAME_KEY, CLASS_NAME_KEY, SESSION_STATE_
 REMOVED_MARKER = "__removed__"
 ORDER_MARKER = "__order__"
 VALUE_MARKER = "__value__"
+_DIFF_ITEM_KEYS = RESERVED_ENTRY_KEYS | {REMOVED_MARKER}
 
 
 @dataclass
@@ -121,9 +123,12 @@ def _canonical_number(x):
 def to_plain(node: StateNode) -> Any:
     """Convert to plain JSON-ready data. DynamicState entries become the
     three-key wire form with keys in reserved order."""
-    if isinstance(node, bool) or node is None or isinstance(node, str):
+    # Mappings first: they are the most common container in a snapshot.
+    if isinstance(node, dict):
+        return {k: to_plain(v) for k, v in node.items()}
+    if node is None or isinstance(node, (str, int)):  # bool is an int
         return node
-    if isinstance(node, (int, float)):
+    if isinstance(node, float):
         return _canonical_number(node)
     if isinstance(node, DynamicStateList):
         return [
@@ -136,17 +141,15 @@ def to_plain(node: StateNode) -> Any:
         ]
     if isinstance(node, list):
         return [to_plain(x) for x in node]
-    if isinstance(node, dict):
-        return {k: to_plain(v) for k, v in node.items()}
     if isinstance(node, DynamicState):
         raise TypeError("a bare DynamicState is not a state node; wrap it in a DynamicStateList")
     raise TypeError(f"not a state node: {type(node).__name__}")
 
 
-def _entry_shaped(obj: Any) -> bool:
+def _entry_shaped(obj: Any, keys: frozenset = RESERVED_ENTRY_KEYS) -> bool:
     return (
         isinstance(obj, dict)
-        and set(obj) <= RESERVED_ENTRY_KEYS
+        and set(obj) <= keys
         and (OBJECT_NAME_KEY in obj or CLASS_NAME_KEY in obj)
         and isinstance(obj.get(OBJECT_NAME_KEY, ""), str)
         and isinstance(obj.get(CLASS_NAME_KEY, ""), str)
@@ -259,12 +262,15 @@ def diff(old: StateNode, new: StateNode) -> Any:
 
 
 def _replacement(v: Any) -> Any:
+    v = _clone(v)
     if isinstance(v, dict):
         return {VALUE_MARKER: v}
     return v
 
 
 def _diff_plain(a: Any, b: Any) -> Any:
+    # Payloads taken from b are copied, so the diff shares nothing with b and
+    # stays intact when the caller later updates b in place.
     if _plain_equivalent(a, b):
         return {}
     if isinstance(a, dict) and isinstance(b, dict):
@@ -322,7 +328,7 @@ def _diff_entry_list(a: list, b: list) -> list:
     for e, p in zip(b, partners):
         n = e.get(OBJECT_NAME_KEY, "")
         cls = e.get(CLASS_NAME_KEY, "")
-        st = e.get(SESSION_STATE_KEY)
+        st = _clone(e.get(SESSION_STATE_KEY))
         if p is not None and cls == "" and a[p].get(CLASS_NAME_KEY, "") != "":
             # Demotion to a by-name reference. A bare reference entry reads as
             # a mention on an existing target, so tombstone the old one first.
@@ -355,7 +361,7 @@ def apply_diff(base: StateNode, d: Any, remove_missing: bool = False) -> StateNo
     fresh value. remove_missing controls whether DynamicStateList entries not
     mentioned by the diff are dropped (True) or retained (False); explicit
     removal markers are honored either way."""
-    return from_plain(_apply_plain(to_plain(base), to_plain(d), remove_missing))
+    return from_plain(_apply_owned(to_plain(base), to_plain(d), remove_missing))
 
 
 def _is_removal(v: Any) -> bool:
@@ -363,74 +369,88 @@ def _is_removal(v: Any) -> bool:
 
 
 def _entry_diff_item(x: Any) -> bool:
-    if not isinstance(x, dict):
-        return False
-    if ORDER_MARKER in x:
+    if isinstance(x, dict) and ORDER_MARKER in x:
         return set(x) == {ORDER_MARKER}
-    return (
-        set(x) <= RESERVED_ENTRY_KEYS | {REMOVED_MARKER}
-        and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
-        and isinstance(x.get(OBJECT_NAME_KEY, ""), str)
-        and isinstance(x.get(CLASS_NAME_KEY, ""), str)
-    )
+    return _entry_shaped(x, _DIFF_ITEM_KEYS)
 
 
 def _is_entry_diff(d: Any) -> bool:
     return isinstance(d, list) and bool(d) and all(_entry_diff_item(x) for x in d)
 
 
+def _unique_names(entries: list) -> list:
+    # The check from_plain makes when it types an entry list, so plain trees
+    # built here never hold what a DynamicStateList would reject.
+    names = [e[OBJECT_NAME_KEY] for e in entries if e.get(OBJECT_NAME_KEY, "")]
+    if len(names) != len(set(names)):
+        raise ValueError("duplicate entry names in DynamicStateList")
+    return entries
+
+
+def _clone(v: Any) -> Any:
+    """Copy a plain JSON tree. Entry lists come out in the three-key form
+    from_plain gives them and are rejected for the names it rejects."""
+    if isinstance(v, dict):
+        return {k: _clone(x) for k, x in v.items()}
+    if isinstance(v, list):
+        if _is_entry_list(v):
+            return _unique_names(
+                [
+                    {
+                        OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
+                        CLASS_NAME_KEY: e.get(CLASS_NAME_KEY, ""),
+                        SESSION_STATE_KEY: _clone(e.get(SESSION_STATE_KEY)),
+                    }
+                    for e in v
+                ]
+            )
+        return [_clone(x) for x in v]
+    return v
+
+
 def _materialize(d: Any) -> Any:
     """Read a diff node as a full value (used where the base has nothing to
-    merge into). Removal markers vanish; order markers are dropped."""
+    merge into). Removal markers vanish; order markers are dropped. The
+    result is a copy: it shares nothing with d."""
     if isinstance(d, dict):
         if set(d) == {VALUE_MARKER}:
-            return copy.deepcopy(d[VALUE_MARKER])
+            return _clone(d[VALUE_MARKER])
         return {k: _materialize(v) for k, v in d.items() if not _is_removal(v)}
     if isinstance(d, list):
         if _is_entry_diff(d):
-            out = []
-            for item in d:
-                if ORDER_MARKER in item or item.get(REMOVED_MARKER) is True:
-                    continue
-                out.append(
-                    {
-                        OBJECT_NAME_KEY: item.get(OBJECT_NAME_KEY, ""),
-                        CLASS_NAME_KEY: item.get(CLASS_NAME_KEY, ""),
-                        SESSION_STATE_KEY: _materialize(item[SESSION_STATE_KEY])
-                        if SESSION_STATE_KEY in item
-                        else None,
-                    }
-                )
-            return out
-        return [copy.deepcopy(x) for x in d]
+            items, _ = normalize_entry_items(d)
+            return _unique_names([_new_entry(it) for it in items if not it.removed])
+        return _clone(d)
     return d
 
 
-def _apply_plain(base: Any, d: Any, remove_missing: bool) -> Any:
+def _apply_owned(base: Any, d: Any, remove_missing: bool) -> Any:
+    """Apply the plain diff d to the plain tree base, which the caller owns
+    and which is updated in place; only the returned tree is meaningful
+    afterwards. d is only read and shares nothing with the result."""
     if isinstance(d, dict):
         if not d:
-            return copy.deepcopy(base)
-        if set(d) == {VALUE_MARKER}:
-            return copy.deepcopy(d[VALUE_MARKER])
+            return base
+        if len(d) == 1 and VALUE_MARKER in d:
+            return _clone(d[VALUE_MARKER])
         if isinstance(base, dict):
-            out = dict(copy.deepcopy(base))
             for k, sub in d.items():
                 if _is_removal(sub):
-                    out.pop(k, None)
-                elif k in out:
-                    out[k] = _apply_plain(out[k], sub, remove_missing)
+                    base.pop(k, None)
+                elif k in base:
+                    base[k] = _apply_owned(base[k], sub, remove_missing)
                 else:
-                    out[k] = _materialize(sub)
-            return out
+                    base[k] = _materialize(sub)
+            return base
         # Mismatched site: the merge has nothing to merge into.
         return _materialize(d)
     if isinstance(d, list):
         if _is_entry_diff(d) and (_is_entry_list(base) or base == []):
-            return _apply_entry_diff(base if isinstance(base, list) else [], d, remove_missing)
+            return _apply_entry_diff(base, d, remove_missing)
         if d == [] and _is_entry_list(base):
             # Empty full state over dynamic entries: the flag decides whether
             # the unmentioned entries survive, same as the live containers.
-            return [] if remove_missing else copy.deepcopy(base)
+            return [] if remove_missing else base
         return _materialize(d)
     return d
 
@@ -447,17 +467,17 @@ class EntryItem:
     state: Any = None
 
 
-def normalize_entry_items(state: Any) -> tuple[list[EntryItem], list | None]:
-    """Normalize a DynamicStateList-shaped state or diff into items plus an
-    optional order marker. Accepts typed values (DynamicStateList entries)
-    and raw wire dicts alike; non-items are skipped with a diagnostic.
+def normalize_entry_items(plain: Any) -> tuple[list[EntryItem], list | None]:
+    """Normalize a plain DynamicStateList-shaped state or diff (to_plain of
+    a typed value, or raw wire dicts) into items plus an optional order
+    marker; non-items are skipped with a diagnostic. Item states are
+    subtrees of plain, not copies.
 
     A reference-shaped item (empty className, null/absent state) counts as a
     pure mention: has_state is False so nothing gets applied over the target.
     """
-    plain = to_plain(state)
     if not isinstance(plain, list):
-        raise TypeError(f"not a dynamic entry list: {type(state).__name__}")
+        raise TypeError(f"not a dynamic entry list: {type(plain).__name__}")
     items: list[EntryItem] = []
     order: list | None = None
     for x in plain:
@@ -498,21 +518,24 @@ def normalize_entry_items(state: Any) -> tuple[list[EntryItem], list | None]:
     return items, order
 
 
-def _apply_entry_diff(base: list, d: list, remove_missing: bool) -> list:
+def _new_entry(it: EntryItem) -> dict:
+    state = _materialize(it.state) if it.has_state else None
+    return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
+
+
+def _apply_entry_diff(entries: list, d: list, remove_missing: bool) -> list:
+    # Entries are updated in place, created ones appended, and the survivors
+    # returned in a new list in their final order.
     items, order = normalize_entry_items(d)
 
-    entries = [
-        [e.get(OBJECT_NAME_KEY, ""), e.get(CLASS_NAME_KEY, ""), copy.deepcopy(e.get(SESSION_STATE_KEY))]
-        for e in base
-    ]
-    by_name = {e[0]: i for i, e in enumerate(entries) if e[0]}
-    anon_slots = [i for i, e in enumerate(entries) if not e[0]]
+    names = [e.get(OBJECT_NAME_KEY, "") for e in entries]
+    by_name = {n: i for i, n in enumerate(names) if n}
+    anon_slots = [i for i, n in enumerate(names) if not n]
     # Anonymous mentions claim the leading slots, anonymous removals the tail.
     n_anon_mentions = sum(1 for it in items if not it.name and not it.removed)
 
     removed_idx: set[int] = set()
-    mentioned: list[int] = []  # entry indices in mention order
-    created: list[list] = []
+    mentioned: dict[int, None] = {}  # insertion-ordered set: mention order
     anon_mention_i = 0
     anon_removed_i = 0
 
@@ -538,32 +561,27 @@ def _apply_entry_diff(base: list, d: list, remove_missing: bool) -> list:
             # Creation needs the className key (possibly empty: a reference
             # entry). A bare mention of an unknown entry is skipped.
             if it.has_class_key:
-                created.append([it.name, it.class_name, _materialize(it.state) if it.has_state else None])
-                mentioned.append(len(entries) + len(created) - 1)
+                entries.append(_new_entry(it))
+                mentioned[len(entries) - 1] = None
             continue
-        if it.has_class_key and it.class_name and it.class_name != entries[t][1]:
-            entries[t] = [it.name, it.class_name, _materialize(it.state) if it.has_state else None]
+        e = entries[t]
+        if it.has_class_key and it.class_name and it.class_name != e.get(CLASS_NAME_KEY, ""):
+            entries[t] = _new_entry(it)
         elif it.has_state:
-            entries[t][2] = _apply_plain(entries[t][2], it.state, remove_missing)
-        if t not in mentioned:
-            mentioned.append(t)
+            e[SESSION_STATE_KEY] = _apply_owned(e.get(SESSION_STATE_KEY), it.state, remove_missing)
+        mentioned[t] = None
 
-    all_entries = entries + created
-    survivors = [i for i in range(len(all_entries)) if i not in removed_idx]
-    mentioned_set = set(mentioned)
-
+    survivors = [i for i in range(len(entries)) if i not in removed_idx]
     if order is not None:
-        by_final_name = {all_entries[i][0]: i for i in survivors if all_entries[i][0]}
+        by_final_name = {entries[i][OBJECT_NAME_KEY]: i for i in survivors if entries[i].get(OBJECT_NAME_KEY, "")}
         head = [by_final_name[n] for n in order if n in by_final_name]
-        final = head + [i for i in survivors if i not in set(head)]
+        in_head = set(head)
+        final = head + [i for i in survivors if i not in in_head]
     else:
-        final = [i for i in mentioned if i in set(survivors)]
-        final += [i for i in survivors if i not in mentioned_set]
+        final = [i for i in mentioned if i not in removed_idx]
+        final += [i for i in survivors if i not in mentioned]
 
     if remove_missing:
-        final = [i for i in final if i in mentioned_set]
+        final = [i for i in final if i in mentioned]
 
-    return [
-        {OBJECT_NAME_KEY: all_entries[i][0], CLASS_NAME_KEY: all_entries[i][1], SESSION_STATE_KEY: all_entries[i][2]}
-        for i in final
-    ]
+    return _unique_names([entries[i] for i in final])

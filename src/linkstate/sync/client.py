@@ -4,7 +4,8 @@ Echo avoidance works through bookkeeping rather than flags on the wire:
 `_published` is the state the relay has been told about, and every applied
 remote message (including the Ack echo of our own diffs) advances it. A flush
 therefore publishes exactly diff(_published, current), which is empty when
-the only changes since the last flush came from the relay.
+the only changes since the last flush came from the relay. The engine owns
+`_published` outright: it is held as plain JSON and advanced in place.
 
 Re-applying our own Ack is deliberate. Between our send and its echo the
 relay may have ordered someone else's diff first; replaying the echo puts our
@@ -20,7 +21,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import StateNode, apply_diff, diff, is_empty_diff
+from ..statetree import _apply_owned, _diff_plain, is_empty_diff, to_plain
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -53,9 +54,8 @@ class ClientEngine:
 
         self.joined = False
         self.last_server_seq = 0
-        self._applying_remote = False
         self._dirty = False
-        self._published: StateNode = self.root.get_session_state()
+        self._published: Any = to_plain(self.root.get_session_state())
         self._pending: deque[list] = deque()  # [diff, lastSentMs]
         self._buffer: dict[int, Message] = {}
         self._gap_since_ms: int | None = None
@@ -107,8 +107,8 @@ class ClientEngine:
             return
         if self._dirty:
             self._dirty = False
-            current = self.root.get_session_state()
-            d = diff(self._published, current)
+            current = to_plain(self.root.get_session_state())
+            d = _diff_plain(self._published, current)
             if not is_empty_diff(d):
                 self._published = current
                 self._pending.append([d, now_ms])
@@ -170,25 +170,18 @@ class ClientEngine:
                     break
         else:
             self.stats["recvDiffs"] += 1
-        self._apply_remote(msg.payload, remove_missing=False)
-        self._published = apply_diff(self._published, msg.payload, remove_missing=False)
+        # the set below schedules _mark_dirty; the publish diff will be empty
+        # for pure remote changes because _published advances in step
+        self.root.set_session_state(msg.payload, remove_missing=False)
+        self._published = _apply_owned(self._published, msg.payload, False)
 
     def _full_reset(self, msg: Message) -> None:
         self.joined = True
         self._hello_sent_ms = None
         self.last_server_seq = msg.server_seq
         self._gap_since_ms = None
-        self._apply_remote(msg.payload, remove_missing=True)
-        self._published = self.root.get_session_state()
+        self.root.set_session_state(msg.payload, remove_missing=True)
+        self._published = to_plain(self.root.get_session_state())
         # pending diffs stay queued: the retransmit path replays any local
         # edits the relay never saw, and duplicates are harmless under the
         # last-writer-wins order
-
-    def _apply_remote(self, payload: Any, remove_missing: bool) -> None:
-        self._applying_remote = True
-        try:
-            self.root.set_session_state(payload, remove_missing=remove_missing)
-        finally:
-            self._applying_remote = False
-        # the triggers above scheduled _mark_dirty; the publish diff will be
-        # empty for pure remote changes because _published advances in step

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import StateNode, apply_diff, encode, to_plain
+from ..statetree import StateNode, _apply_owned, encode, to_plain
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -81,9 +81,11 @@ class Relay:
 
         session.members.setdefault(msg.sender_id, None)
         try:
-            # keep the authoritative tree as plain JSON values so it can go
-            # straight onto the wire in Welcome/FullState replies
-            session.state = to_plain(apply_diff(session.state, msg.payload, remove_missing=False))
+            # The authoritative tree is plain JSON so it can go straight onto
+            # the wire. Welcome/FullState replies already handed out may still
+            # be encoding it, so the diff goes onto a copy that replaces it
+            # only once the apply has succeeded.
+            session.state = _apply_owned(to_plain(session.state), to_plain(msg.payload), False)
         except (TypeError, ValueError) as e:
             raise MalformedMessage(f"diff payload does not apply: {e}") from e
         session.server_seq += 1
