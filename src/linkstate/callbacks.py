@@ -9,6 +9,14 @@ Recursion is prohibited per callback, not per collection: a callback that
 re-triggers its own collection is skipped for the nested pass while the
 collection's other callbacks still run.
 
+Each collection also carries one cache slot for a value derived from its
+owner's state (a LinkableObject keeps its plain snapshot there). trigger()
+clears the slot eagerly, before the delay check, and walks up the parent
+collections clearing theirs, stopping at one already clear: a slot is only
+filled after the slots below it, so the ones above a clear slot are clear
+too. The trigger counter cannot stand in for this, because a delayed parent
+counts only at resume() and a read during the delay would see stale state.
+
 Set LINKSTATE_TRACE=1 to emit one trace line per callback invocation on
 stderr.
 """
@@ -21,6 +29,10 @@ import threading
 from typing import Callable
 
 from .errors import Disposed, DuplicateCallback, ReentrantFlush, ResumeWithoutDelay, UnknownHandle
+
+
+STALE = object()
+"""Marks an empty cache slot (None is a valid cached value)."""
 
 
 def _trace(kind: str, fn: Callable) -> None:
@@ -110,6 +122,7 @@ class CallbackCollection:
         self._counter = 0
         self._disposed = False
         self._thread = threading.get_ident()
+        self._cache = STALE
 
     # -- introspection ------------------------------------------------------
 
@@ -177,10 +190,19 @@ class CallbackCollection:
     def trigger(self) -> None:
         self._check_live()
         assert threading.get_ident() == self._thread, "callback collection used across threads"
+        self._drop_cache()
         if self._delay > 0:
             self._pending = True
             return
         self._run_now(set())
+
+    def _drop_cache(self) -> None:
+        todo = [self]
+        while todo:
+            c = todo.pop()
+            if c._cache is not STALE:
+                c._cache = STALE
+                todo.extend(c._parents)
 
     def delay(self) -> None:
         self._check_live()

@@ -27,7 +27,15 @@ from .errors import (
     UnknownName,
 )
 from .linkable import LinkableObject
-from .statetree import DynamicState, DynamicStateList, StateNode, normalize_entry_items, to_plain
+from .statetree import (
+    CLASS_NAME_KEY,
+    OBJECT_NAME_KEY,
+    SESSION_STATE_KEY,
+    DynamicStateList,
+    StateNode,
+    normalize_entry_items,
+    to_plain,
+)
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +82,7 @@ class LinkableHashMap(LinkableObject):
         super().__init__(scheduler)
         self._registry = registry
         self._classes: dict[str, str] = {}
+        self._entries: dict[str, dict] = {}  # entry dicts of the last snapshot, by name
         self.child_list_callbacks = CallbackCollection(self.callbacks.scheduler)
         self.last_object_added: tuple[str, LinkableObject] | None = None
         self.last_object_removed: tuple[str, LinkableObject] | None = None
@@ -163,11 +172,23 @@ class LinkableHashMap(LinkableObject):
     # -- session state -------------------------------------------------------------
 
     def get_session_state(self) -> StateNode:
-        self._check_live()
-        return DynamicStateList(
-            DynamicState(name, self._classes[name], child.get_session_state())
-            for name, child in self._children.items()
-        )
+        # An empty entry list reads back as a plain list; keep the typed form.
+        return super().get_session_state() or DynamicStateList()
+
+    def _build_snapshot(self) -> list:
+        # An entry whose child snapshot is unchanged is the same dict as in
+        # the last snapshot, so diffs skip it with one identity check.
+        last = self._entries
+        entries = {}
+        for name, child in self._children.items():
+            state = child._snapshot()
+            cls = self._classes[name]
+            e = last.get(name)
+            if e is None or e[SESSION_STATE_KEY] is not state or e[CLASS_NAME_KEY] != cls:
+                e = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: state}
+            entries[name] = e
+        self._entries = entries
+        return list(entries.values())
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
@@ -362,13 +383,15 @@ class LinkableDynamicObject(LinkableObject):
     # -- session state -----------------------------------------------------------------
 
     def get_session_state(self) -> StateNode:
-        self._check_live()
+        return super().get_session_state() or DynamicStateList()
+
+    def _build_snapshot(self) -> list:
         if self._local_class:
             target = self._children[self._TARGET]
-            return DynamicStateList([DynamicState("", self._local_class, target.get_session_state())])
+            return [{OBJECT_NAME_KEY: "", CLASS_NAME_KEY: self._local_class, SESSION_STATE_KEY: target._snapshot()}]
         if self._global_name:
-            return DynamicStateList([DynamicState(self._global_name, "", None)])
-        return DynamicStateList([])
+            return [{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}]
+        return []
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()

@@ -7,9 +7,18 @@ diffs back to the root; the resulting flush sees no difference against the
 log's own snapshot and records nothing, which is what keeps undo from
 re-recording itself.
 
-The log's snapshot of the root is plain JSON, diffed without conversion.
-state_at, jump_to and verify replay the forward diffs on one working copy
-of the baseline, updated in place; stored steps are never modified.
+The log reads the root's cached plain snapshot (see linkable), so a record
+costs the changed path plus one identity check per entry of an entry list,
+not a walk of the whole tree. It keeps the snapshot recorded after each
+step: snapshots are never mutated and share every unchanged subtree, so a
+kept state costs one root list plus the changed path. A snapshot is kept
+only while the root matches the log's state at the cursor: edits absorbed
+while capture is paused (or made before an undo in the same frame) put the
+root off the log, and the states recorded after that are not kept. state_at
+and jump_to read the kept state; where none is kept (that case, or a log
+read from JSON), they replay the forward diffs from the nearest kept state
+on one copy, updated in place. verify always replays from the baseline.
+Stored steps are never modified.
 
 Exported logs are version-1 JSON documents (docs/history-format.md).
 """
@@ -43,6 +52,8 @@ from .statetree import (
 
 FORMAT_VERSION = 1
 
+_MISSING = object()
+
 
 @dataclass
 class HistoryStep:
@@ -59,10 +70,15 @@ class HistoryLog:
         self._clock = clock_ms or (lambda: int(time.time() * 1000))
         self._root: LinkableObject | None = None
         self._recorder = None
-        self._baseline: StateNode = None
         self._steps: list[HistoryStep] = []
+        # _states[i]: the plain state after i steps, or _MISSING where none is
+        # kept; _states[0] is the baseline, None until the log has one.
+        self._states: list[Any] = [None]
         self._cursor = 0
         self._last: Any = None  # plain snapshot of the root, never mutated
+        # Whether _last is equivalent to the kept _states[_cursor], so that
+        # the snapshot recorded next is the log's state after its step.
+        self._on_log = False
         self._capturing = True
         self._next_label = ""
 
@@ -78,7 +94,7 @@ class HistoryLog:
 
     @property
     def baseline(self) -> StateNode:
-        return self._baseline
+        return from_plain(self._states[0])
 
     @property
     def can_undo(self) -> bool:
@@ -98,7 +114,7 @@ class HistoryLog:
         # how remote sync changes stay out of the local undo log.
         on = bool(on)
         if on and not self._capturing and self._root is not None and not self._root.disposed:
-            self._last = to_plain(self._root.get_session_state())
+            self._track(self._root)
         self._capturing = on
 
     def set_next_label(self, label: str) -> None:
@@ -112,14 +128,17 @@ class HistoryLog:
         if self._root is not None:
             raise AlreadyAttached("this log already records a root")
         root._check_live()
-        state = root.get_session_state()
-        current = to_plain(state)
-        if self._baseline is None and not self._steps:
-            self._baseline = state
-        elif not _plain_equivalent(self._replay(self._cursor), current):
-            raise ValueError("root state does not match the log at its cursor")
+        current = root._snapshot()
+        if self._states[0] is None and not self._steps:
+            self._states = [current]
+        else:
+            at_cursor = self._replay(self._cursor)
+            if not _plain_equivalent(at_cursor, current):
+                raise ValueError("root state does not match the log at its cursor")
+            self._states[self._cursor] = at_cursor
         self._root = root
         self._last = current
+        self._on_log = True
         self._recorder = root.callbacks.add_grouped_callback(self._record)
 
     def detach(self) -> None:
@@ -140,13 +159,15 @@ class HistoryLog:
     def _record(self) -> None:
         if self._root is None or self._root.disposed or not self._capturing:
             return
-        current = to_plain(self._root.get_session_state())
+        current = self._root._snapshot()
         forward = _diff_plain(self._last, current)
         if is_empty_diff(forward):
             return
         backward = _diff_plain(current, self._last)
         del self._steps[self._cursor :]
+        del self._states[self._cursor + 1 :]
         self._steps.append(HistoryStep(forward, backward, int(self._clock()), self._next_label))
+        self._states.append(current if self._on_log else _MISSING)
         self._next_label = ""
         self._cursor = len(self._steps)
         self._last = current
@@ -157,56 +178,67 @@ class HistoryLog:
         root = self._require_attached()
         if self._cursor == 0:
             raise NothingToUndo("already at the beginning of the log")
-        step = self._steps[self._cursor - 1]
-        self._apply(root, step.backward)
+        root.set_session_state(self._steps[self._cursor - 1].backward, remove_missing=True)
         self._cursor -= 1
+        self._track(root)
 
     def redo(self) -> None:
         root = self._require_attached()
         if self._cursor >= len(self._steps):
             raise NothingToRedo("already at the end of the log")
-        step = self._steps[self._cursor]
-        self._apply(root, step.forward)
+        root.set_session_state(self._steps[self._cursor].forward, remove_missing=True)
         self._cursor += 1
+        self._track(root)
 
     def jump_to(self, index: int) -> None:
         """Go to the state after index steps, as one composite application."""
         root = self._require_attached()
         target = self._replay(index)
-        d = _diff_plain(to_plain(root.get_session_state()), target)
+        d = _diff_plain(root._snapshot(), target)
         if not is_empty_diff(d):
-            self._apply(root, d)
+            root.set_session_state(d, remove_missing=True)
         self._cursor = index
+        self._track(root)
 
-    def _apply(self, root: LinkableObject, d: Any) -> None:
-        root.set_session_state(d, remove_missing=True)
-        self._last = to_plain(root.get_session_state())
+    def _track(self, root: LinkableObject) -> None:
+        # Take the root's snapshot as the one the next record diffs against,
+        # and note whether it is still the log's state at the cursor.
+        self._last = root._snapshot()
+        kept = self._states[self._cursor]
+        self._on_log = kept is not _MISSING and is_empty_diff(_diff_plain(kept, self._last))
 
     def state_at(self, index: int) -> StateNode:
-        """Value-level replay: baseline advanced by the first index steps."""
+        """The state after the first index steps, as a fresh value."""
         return from_plain(self._replay(index))
 
     def verify(self) -> list[int]:
-        """Replay every step and test its inverse; returns bad step indices."""
+        """Replay every step from the baseline and test its inverse; returns
+        bad step indices. A step whose forward diff does not reach the state
+        kept after it is bad too."""
         bad = []
-
-        def check(i: int, step: HistoryStep, state: Any) -> None:
-            advanced = _apply_owned(_clone(state), step.forward, True)
-            if not _plain_equivalent(_apply_owned(advanced, step.backward, True), state):
+        state = _clone(self._states[0])
+        for i, step in enumerate(self._steps):
+            reached = _apply_owned(_clone(state), step.forward, True)
+            kept = self._states[i + 1]
+            ok = kept is _MISSING or _plain_equivalent(reached, kept)
+            if not (ok and _plain_equivalent(_apply_owned(reached, step.backward, True), state)):
                 bad.append(i)
-
-        self._replay(len(self._steps), check)
+            state = _apply_owned(state, step.forward, True)
         return bad
 
-    def _replay(self, index: int, check: Callable[[int, HistoryStep, Any], None] | None = None) -> Any:
-        """Plain state after the first index steps, built on one working copy
-        of the baseline; check, if given, sees each step and the state before it."""
+    def _replay(self, index: int) -> Any:
+        """Plain state after the first index steps. A kept state is returned
+        as it is, to be read only; otherwise the nearest kept state before
+        index is copied once and the steps after it applied in place."""
         if not 0 <= index <= len(self._steps):
             raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
-        state = to_plain(self._baseline)
-        for i, step in enumerate(self._steps[:index]):
-            if check is not None:
-                check(i, step, state)
+        start = index
+        while self._states[start] is _MISSING:
+            start -= 1
+        if start == index:
+            return self._states[index]
+        state = _clone(self._states[start])
+        for step in self._steps[start:index]:
             state = _apply_owned(state, step.forward, True)
         return state
 
@@ -215,7 +247,7 @@ class HistoryLog:
     def export_json(self) -> str:
         payload = {
             "version": FORMAT_VERSION,
-            "baseline": to_plain(self._baseline),
+            "baseline": self._states[0],
             "cursor": self._cursor,
             "steps": [
                 {
@@ -248,7 +280,7 @@ class HistoryLog:
         if not 0 <= cursor <= len(steps_data):
             raise ParseError(f"cursor {cursor} outside [0, {len(steps_data)}]")
         log = cls(clock_ms)
-        log._baseline = from_plain(data.get("baseline"))
+        log._states = [to_plain(from_plain(data.get("baseline")))] + [_MISSING] * len(steps_data)
         log._cursor = cursor
         for i, raw in enumerate(steps_data):
             if not isinstance(raw, dict) or "forward" not in raw or "backward" not in raw:

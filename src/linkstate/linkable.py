@@ -9,6 +9,15 @@ Applying a session state is merge-style everywhere: Mappings apply key-wise,
 unknown keys are ignored with a diagnostic (forward compatibility), and
 anything else replaces. A whole composite application runs under
 delay/resume, so observers see at most one effective trigger.
+
+Every object caches its state as a plain snapshot (statetree's plain form)
+in its callback collection's cache slot. A snapshot is built from the
+children's snapshots, so an unchanged subtree is the same object in every
+snapshot that contains it, and it is never mutated. Any state change
+triggers the object's callbacks, which drops the cached snapshots of the
+object and its ancestors; the next read rebuilds only that path. Classes
+say how to build their snapshot in _build_snapshot(); the public
+get_session_state() is a fresh typed copy of it.
 """
 
 from __future__ import annotations
@@ -17,18 +26,26 @@ import copy
 import logging
 from typing import Any, Callable
 
-from .callbacks import CallbackCollection, FrameScheduler
+from .callbacks import STALE, CallbackCollection, FrameScheduler
 from .errors import CycleDetected, Disposed, DuplicateName, TypeMismatch
 from .statetree import (
     REMOVED_MARKER,
     VALUE_MARKER,
     StateNode,
     apply_diff,
+    from_plain,
     state_equivalent,
+    to_plain,
     validate_node,
 )
 
 log = logging.getLogger(__name__)
+
+_IMMUTABLE = (type(None), bool, int, float, str)
+
+
+def _copy(value: StateNode) -> StateNode:
+    return value if type(value) in _IMMUTABLE else copy.deepcopy(value)
 
 
 class LinkableObject:
@@ -115,6 +132,9 @@ class LinkableObject:
         for name, obj in list(self._children.items()):
             if obj is child:
                 del self._children[name]
+                # The hook notifies observers at once, before the trigger
+                # below, so they must not read the cached snapshot.
+                self.callbacks._drop_cache()
                 self._on_child_removed(name, child)
                 self.callbacks.trigger()
                 return
@@ -139,9 +159,21 @@ class LinkableObject:
     # -- session state ----------------------------------------------------------------
 
     def get_session_state(self) -> StateNode:
-        """Fresh Mapping of child states; shares no mutable structure."""
+        """Fresh copy of the state; shares no mutable structure."""
         self._check_live()
-        return {name: child.get_session_state() for name, child in self._children.items()}
+        return from_plain(self._snapshot())
+
+    def _snapshot(self) -> Any:
+        """The cached plain state. Shared and never mutated: callers read it
+        and must copy before changing anything."""
+        cache = self.callbacks
+        snap = cache._cache
+        if snap is STALE:
+            snap = cache._cache = self._build_snapshot()
+        return snap
+
+    def _build_snapshot(self) -> Any:
+        return {name: child._snapshot() for name, child in self._children.items()}
 
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         """Apply a full or partial state. Unknown keys are ignored with a
@@ -191,8 +223,7 @@ class LinkableVariable(LinkableObject):
         validate_node(default)
         if not self._accepts(default):
             raise ValueError(f"default value {default!r} fails the verifier")
-        self._value = copy.deepcopy(default)
-        self._default = copy.deepcopy(default)
+        self._value = _copy(default)
 
     @property
     def last_verify_failed(self) -> bool:
@@ -213,7 +244,7 @@ class LinkableVariable(LinkableObject):
 
     def get_state(self) -> StateNode:
         self._check_live()
-        return copy.deepcopy(self._value)
+        return _copy(self._value)
 
     def set_state(self, value: StateNode) -> None:
         """Merge-apply value onto the current state (Mappings merge key-wise,
@@ -222,7 +253,10 @@ class LinkableVariable(LinkableObject):
 
     def get_session_state(self) -> StateNode:
         self._check_live()
-        return copy.deepcopy(self._value)
+        return _copy(self._value)
+
+    def _build_snapshot(self) -> Any:
+        return to_plain(self._value)
 
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         self._check_live()
@@ -240,7 +274,7 @@ class LinkableVariable(LinkableObject):
         self._last_verify_failed = False
         if state_equivalent(self._value, new_value):
             return
-        self._value = copy.deepcopy(new_value)
+        self._value = new_value  # apply_diff returned a fresh value
         self.callbacks.trigger()
 
     def dispose(self) -> None:

@@ -7,6 +7,13 @@ objects). Values are treated as immutable; every public API hands out fresh
 copies. Only the private ``_apply_owned`` mutates: it updates a plain tree
 its caller owns (history replay, the client and relay shadows) in place.
 
+Live objects cache their state as plain snapshots (linkable). Snapshots are
+shared, not owned: an unchanged subtree is the same object in the snapshots
+before and after an edit, so nothing may mutate one; a caller that wants to
+apply a diff to a snapshot copies it with ``_clone`` first. ``_diff_plain``
+relies on the sharing: it is one walk that answers ``{}`` for an identical
+pair at once, and for a mapping or entry list whose walk finds no change.
+
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
 
@@ -149,7 +156,7 @@ def to_plain(node: StateNode) -> Any:
 def _entry_shaped(obj: Any, keys: frozenset = RESERVED_ENTRY_KEYS) -> bool:
     return (
         isinstance(obj, dict)
-        and set(obj) <= keys
+        and obj.keys() <= keys
         and (OBJECT_NAME_KEY in obj or CLASS_NAME_KEY in obj)
         and isinstance(obj.get(OBJECT_NAME_KEY, ""), str)
         and isinstance(obj.get(CLASS_NAME_KEY, ""), str)
@@ -159,7 +166,7 @@ def _entry_shaped(obj: Any, keys: frozenset = RESERVED_ENTRY_KEYS) -> bool:
 def _is_entry_list(obj: Any) -> bool:
     # Non-empty: an empty array cannot be told apart from an empty Sequence,
     # so it decodes as a Sequence and the two compare as equivalent.
-    return isinstance(obj, list) and bool(obj) and all(_entry_shaped(x) for x in obj)
+    return isinstance(obj, list) and bool(obj) and all(map(_entry_shaped, obj))
 
 
 def from_plain(obj: Any) -> StateNode:
@@ -269,11 +276,14 @@ def _replacement(v: Any) -> Any:
 
 
 def _diff_plain(a: Any, b: Any) -> Any:
-    # Payloads taken from b are copied, so the diff shares nothing with b and
-    # stays intact when the caller later updates b in place.
-    if _plain_equivalent(a, b):
+    # One walk: equal subtrees come back as {} (an identical one at once),
+    # and payloads taken from b are copied, so the diff shares nothing with
+    # b and stays intact when the caller later updates b in place.
+    if a is b:
         return {}
-    if isinstance(a, dict) and isinstance(b, dict):
+    if isinstance(a, dict):
+        if not isinstance(b, dict):
+            return _replacement(b)
         out: dict = {}
         for k in a:
             if k not in b:
@@ -286,72 +296,107 @@ def _diff_plain(a: Any, b: Any) -> Any:
             else:
                 out[k] = _replacement(v)
         return out
-    if _is_entry_list(a) and (_is_entry_list(b) or b == []):
+    if _is_entry_list(a) and (b == [] or _entry_list_beside(b, a)):
         return _diff_entry_list(a, b)
-    return _replacement(b)
+    return {} if _plain_equivalent(a, b) else _replacement(b)
 
 
-def _diff_entry_list(a: list, b: list) -> list:
+def _entry_list_beside(b: Any, a: list) -> bool:
+    # _is_entry_list(b) for a b that shares entries with the entry list a:
+    # an entry of a at the same position needs no second look.
+    return (
+        isinstance(b, list)
+        and bool(b)
+        and all(x is y or _entry_shaped(x) for x, y in zip(b, a))
+        and all(map(_entry_shaped, b[len(a) :]))
+    )
+
+
+def _diff_entry_list(a: list, b: list) -> Any:
     # Named entries match by name; the k-th anonymous entry of a matches the
     # k-th anonymous entry of b. Removal markers come first (targeting the
     # tail anonymous slots), then one item per new entry in new order.
-    a_names = {}
-    a_anon = []
-    for i, e in enumerate(a):
-        n = e.get(OBJECT_NAME_KEY, "")
-        if n:
-            a_names[n] = i
-        else:
-            a_anon.append(i)
-
-    matched_a = set()
-    partners = []  # index into a (or None) for each entry of b
-    anon_used = 0
-    for e in b:
-        n = e.get(OBJECT_NAME_KEY, "")
-        if n:
-            p = a_names.get(n)
-        elif anon_used < len(a_anon):
-            p = a_anon[anon_used]
-            anon_used += 1
-        else:
-            p = None
-        partners.append(p)
-        if p is not None:
-            matched_a.add(p)
-
+    # Returns {} when the lists are equivalent.
+    a_order = [e.get(OBJECT_NAME_KEY, "") for e in a]
+    b_order = [e.get(OBJECT_NAME_KEY, "") for e in b]
     out: list = []
-    for i, e in enumerate(a):
-        if i not in matched_a:
-            out.append({OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""), REMOVED_MARKER: True})
+    unique = _names_unique(a_order)
+    if a_order == b_order and unique:
+        # The same entries in the same order: entry i matches entry i.
+        partners: Any = range(len(b))
+        changed = reordered = False
+    elif not unique and _plain_equivalent(a, b):
+        # Repeated names (no typed list holds them) defeat matching by name,
+        # but equal lists still diff to nothing.
+        return {}
+    else:
+        a_names = {}
+        a_anon = []
+        for i, n in enumerate(a_order):
+            if n:
+                a_names[n] = i
+            else:
+                a_anon.append(i)
+        matched_a = set()
+        partners = []  # index into a (or None) for each entry of b
+        anon_used = 0
+        for n in b_order:
+            if n:
+                p = a_names.get(n)
+            elif anon_used < len(a_anon):
+                p = a_anon[anon_used]
+                anon_used += 1
+            else:
+                p = None
+            partners.append(p)
+            if p is not None:
+                matched_a.add(p)
+        for i, n in enumerate(a_order):
+            if i not in matched_a:
+                out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
+        old_surviving = [a_order[i] for i in sorted(matched_a)]
+        new_surviving = [n for n, p in zip(b_order, partners) if p is not None]
+        reordered = old_surviving != new_surviving
+        changed = reordered or bool(out)
 
-    for e, p in zip(b, partners):
-        n = e.get(OBJECT_NAME_KEY, "")
+    for e, n, p in zip(b, b_order, partners):
+        if p is not None and a[p] is e:
+            out.append({OBJECT_NAME_KEY: n})
+            continue
         cls = e.get(CLASS_NAME_KEY, "")
-        st = _clone(e.get(SESSION_STATE_KEY))
+        st = e.get(SESSION_STATE_KEY)
         if p is not None and cls == "" and a[p].get(CLASS_NAME_KEY, "") != "":
             # Demotion to a by-name reference. A bare reference entry reads as
             # a mention on an existing target, so tombstone the old one first.
             out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: st})
+            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: _clone(st)})
+            changed = True
             continue
         if p is None or a[p].get(CLASS_NAME_KEY, "") != cls:
             # Created or recreated under a different class: full entry.
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: st})
+            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: _clone(st)})
+            changed = True
             continue
         sub = _diff_plain(a[p].get(SESSION_STATE_KEY), st)
         if sub == {}:
             out.append({OBJECT_NAME_KEY: n})
+            # Entries written with different key sets are not equivalent.
+            changed = changed or a[p].keys() != e.keys()
         else:
             out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: sub})
+            changed = True
 
-    old_surviving = [a[i].get(OBJECT_NAME_KEY, "") for i in sorted(matched_a)]
-    new_surviving = [e.get(OBJECT_NAME_KEY, "") for e, p in zip(b, partners) if p is not None]
     # The marker is name-based, so it can only be written when every entry is
     # named; anonymous order is carried by mention order alone.
-    if old_surviving != new_surviving and all(e.get(OBJECT_NAME_KEY, "") for e in b):
-        out.append({ORDER_MARKER: [e[OBJECT_NAME_KEY] for e in b]})
-    return out
+    if reordered and all(b_order):
+        out.append({ORDER_MARKER: b_order})
+    return out if changed else {}
+
+
+def _names_unique(names: list) -> bool:
+    named = set(names)
+    named.discard("")
+    return len(named) == len(names) - names.count("")
 
 
 # --- apply --------------------------------------------------------------------
@@ -494,6 +539,9 @@ def normalize_entry_items(plain: Any) -> tuple[list[EntryItem], list | None]:
         name = x.get(OBJECT_NAME_KEY, "")
         if not isinstance(name, str):
             log.warning("ignoring entry with non-string name: %r", x)
+            continue
+        if len(x) == 1 and OBJECT_NAME_KEY in x:
+            items.append(EntryItem(name))  # a bare mention, the common item
             continue
         if x.get(REMOVED_MARKER) is True:
             items.append(EntryItem(name=name, removed=True))

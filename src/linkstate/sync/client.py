@@ -11,6 +11,11 @@ Re-applying our own Ack is deliberate. Between our send and its echo the
 relay may have ordered someone else's diff first; replaying the echo puts our
 write after theirs exactly as the relay did, so every participant settles on
 the same last-writer-wins result.
+
+A flush diffs `_published` against the root's cached snapshot (see linkable),
+so an unchanged subtree costs one identity check. The snapshot is shared and
+never mutated, so `_published` is never set to it: the flush advances
+`_published` by applying the diff it sends.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_owned, _diff_plain, is_empty_diff, to_plain
+from ..statetree import _apply_owned, _clone, _diff_plain, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -55,7 +60,7 @@ class ClientEngine:
         self.joined = False
         self.last_server_seq = 0
         self._dirty = False
-        self._published: Any = to_plain(self.root.get_session_state())
+        self._published: Any = _clone(self.root._snapshot())
         self._pending: deque[list] = deque()  # [diff, lastSentMs]
         self._buffer: dict[int, Message] = {}
         self._gap_since_ms: int | None = None
@@ -107,10 +112,9 @@ class ClientEngine:
             return
         if self._dirty:
             self._dirty = False
-            current = to_plain(self.root.get_session_state())
-            d = _diff_plain(self._published, current)
+            d = _diff_plain(self._published, self.root._snapshot())
             if not is_empty_diff(d):
-                self._published = current
+                self._published = _apply_owned(self._published, d, False)
                 self._pending.append([d, now_ms])
                 self.stats["sentDiffs"] += 1
                 self._send(Message("Diff", self.session_id, self.client_id, 0, d))
@@ -181,7 +185,7 @@ class ClientEngine:
         self.last_server_seq = msg.server_seq
         self._gap_since_ms = None
         self.root.set_session_state(msg.payload, remove_missing=True)
-        self._published = to_plain(self.root.get_session_state())
+        self._published = _clone(self.root._snapshot())
         # pending diffs stay queued: the retransmit path replays any local
         # edits the relay never saw, and duplicates are harmless under the
         # last-writer-wins order

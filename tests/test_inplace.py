@@ -209,13 +209,39 @@ def _count_outermost(monkeypatch, names):
     return calls
 
 
+def _count_history_clones(monkeypatch):
+    copies = []
+    real = statetree._clone
+    monkeypatch.setattr(history, "_clone", lambda v: copies.append(1) or real(v))
+    return copies
+
+
 @pytest.mark.parametrize("which", ["first", "last"])
 def test_state_at_converts_once_whatever_the_step(monkeypatch, which):
+    # A recorded log keeps the state after each step: reading one is a
+    # single typed conversion, with no copy and no replay.
     _, log = _recorded_log(5, steps=30)
     k = 1 if which == "first" else len(log.steps)
-    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain"])
+    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply_owned"])
+    copies = _count_history_clones(monkeypatch)
     log.state_at(k)
-    assert calls == {"to_plain": 1, "from_plain": 1}
+    assert calls == {"to_plain": 0, "from_plain": 1, "_apply_owned": 0}
+    assert copies == []
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+def test_state_at_on_an_imported_log_copies_the_baseline_once(monkeypatch, which):
+    # A log read from JSON keeps only its baseline, so it replays as before:
+    # one copy of the baseline, k in-place applies, one typed conversion.
+    _, recorded = _recorded_log(5, steps=30)
+    log = history.HistoryLog.import_json(recorded.export_json())
+    k = 1 if which == "first" else len(log.steps)
+    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply_owned"])
+    copies = _count_history_clones(monkeypatch)
+    out = log.state_at(k)
+    assert calls == {"to_plain": 0, "from_plain": 1, "_apply_owned": k}
+    assert copies == [1]
+    assert encode(out) == encode(recorded.state_at(k))
 
 
 # --- (c) simulator reports stay byte-identical ------------------------------------------
