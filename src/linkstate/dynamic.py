@@ -34,7 +34,6 @@ from .statetree import (
     DynamicStateList,
     StateNode,
     normalize_entry_items,
-    to_plain,
 )
 
 log = logging.getLogger(__name__)
@@ -193,7 +192,7 @@ class LinkableHashMap(LinkableObject):
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
         try:
-            items, order = normalize_entry_items(to_plain(state))
+            items, order = normalize_entry_items(state)
         except TypeError:
             log.warning("LinkableHashMap: ignoring non-list state %r", type(state).__name__)
             return
@@ -396,7 +395,7 @@ class LinkableDynamicObject(LinkableObject):
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
         try:
-            items, _ = normalize_entry_items(to_plain(state))
+            items, _ = normalize_entry_items(state)
         except TypeError:
             log.warning("LinkableDynamicObject: ignoring non-list state %r", type(state).__name__)
             return

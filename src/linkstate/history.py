@@ -16,9 +16,9 @@ only while the root matches the log's state at the cursor: edits absorbed
 while capture is paused (or made before an undo in the same frame) put the
 root off the log, and the states recorded after that are not kept. state_at
 and jump_to read the kept state; where none is kept (that case, or a log
-read from JSON), they replay the forward diffs from the nearest kept state
-on one copy, updated in place. verify always replays from the baseline.
-Stored steps are never modified.
+read from JSON), they apply the forward diffs to the nearest kept state.
+verify always replays from the baseline. An apply never mutates its base,
+so replay copies nothing; stored steps and kept states are never modified.
 
 Exported logs are version-1 JSON documents (docs/history-format.md).
 """
@@ -41,8 +41,7 @@ from .errors import (
 from .linkable import LinkableObject
 from .statetree import (
     StateNode,
-    _apply_owned,
-    _clone,
+    _apply,
     _diff_plain,
     _plain_equivalent,
     from_plain,
@@ -216,20 +215,20 @@ class HistoryLog:
         bad step indices. A step whose forward diff does not reach the state
         kept after it is bad too."""
         bad = []
-        state = _clone(self._states[0])
+        state = self._states[0]
         for i, step in enumerate(self._steps):
-            reached = _apply_owned(_clone(state), step.forward, True)
+            reached = _apply(state, step.forward, True)
             kept = self._states[i + 1]
             ok = kept is _MISSING or _plain_equivalent(reached, kept)
-            if not (ok and _plain_equivalent(_apply_owned(reached, step.backward, True), state)):
+            if not (ok and _plain_equivalent(_apply(reached, step.backward, True), state)):
                 bad.append(i)
-            state = _apply_owned(state, step.forward, True)
+            state = reached
         return bad
 
     def _replay(self, index: int) -> Any:
-        """Plain state after the first index steps. A kept state is returned
-        as it is, to be read only; otherwise the nearest kept state before
-        index is copied once and the steps after it applied in place."""
+        """Plain state after the first index steps, to be read only: a kept
+        state as it is, or the nearest kept state before index with the
+        steps after it applied."""
         if not 0 <= index <= len(self._steps):
             raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
         start = index
@@ -237,9 +236,9 @@ class HistoryLog:
             start -= 1
         if start == index:
             return self._states[index]
-        state = _clone(self._states[start])
+        state = self._states[start]
         for step in self._steps[start:index]:
-            state = _apply_owned(state, step.forward, True)
+            state = _apply(state, step.forward, True)
         return state
 
     # -- persistence ------------------------------------------------------------------

@@ -4,15 +4,17 @@ A state node is one of: None, bool, int/float (finite), str, a Sequence
 (plain list), a Mapping (plain dict with string keys), or a DynamicStateList
 (an ordered list of DynamicState entries describing dynamically created
 objects). Values are treated as immutable; every public API hands out fresh
-copies. Only the private ``_apply_owned`` mutates: it updates a plain tree
-its caller owns (history replay, the client and relay shadows) in place.
+copies. Nothing here mutates a tree it is given: the private ``_apply``
+returns a new version of its base that shares every subtree the diff does
+not touch (path copying), so history replay and the client and relay
+shadows apply diffs without copying the whole tree first.
 
 Live objects cache their state as plain snapshots (linkable). Snapshots are
 shared, not owned: an unchanged subtree is the same object in the snapshots
-before and after an edit, so nothing may mutate one; a caller that wants to
-apply a diff to a snapshot copies it with ``_clone`` first. ``_diff_plain``
-relies on the sharing: it is one walk that answers ``{}`` for an identical
-pair at once, and for a mapping or entry list whose walk finds no change.
+before and after an edit, so nothing may mutate one (``_apply`` leaves it
+as it was). ``_diff_plain`` relies on the sharing: it is one walk that
+answers ``{}`` for an identical pair at once, and for a mapping or entry
+list whose walk finds no change.
 
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
@@ -278,7 +280,7 @@ def _replacement(v: Any) -> Any:
 def _diff_plain(a: Any, b: Any) -> Any:
     # One walk: equal subtrees come back as {} (an identical one at once),
     # and payloads taken from b are copied, so the diff shares nothing with
-    # b and stays intact when the caller later updates b in place.
+    # b: a caller may change a diff it was handed without touching b.
     if a is b:
         return {}
     if isinstance(a, dict):
@@ -406,21 +408,11 @@ def apply_diff(base: StateNode, d: Any, remove_missing: bool = False) -> StateNo
     fresh value. remove_missing controls whether DynamicStateList entries not
     mentioned by the diff are dropped (True) or retained (False); explicit
     removal markers are honored either way."""
-    return from_plain(_apply_owned(to_plain(base), to_plain(d), remove_missing))
+    return from_plain(_apply(to_plain(base), to_plain(d), remove_missing))
 
 
 def _is_removal(v: Any) -> bool:
     return isinstance(v, dict) and v.get(REMOVED_MARKER) is True
-
-
-def _entry_diff_item(x: Any) -> bool:
-    if isinstance(x, dict) and ORDER_MARKER in x:
-        return set(x) == {ORDER_MARKER}
-    return _entry_shaped(x, _DIFF_ITEM_KEYS)
-
-
-def _is_entry_diff(d: Any) -> bool:
-    return isinstance(d, list) and bool(d) and all(_entry_diff_item(x) for x in d)
 
 
 def _unique_names(entries: list) -> list:
@@ -458,45 +450,45 @@ def _materialize(d: Any) -> Any:
     merge into). Removal markers vanish; order markers are dropped. The
     result is a copy: it shares nothing with d."""
     if isinstance(d, dict):
-        if set(d) == {VALUE_MARKER}:
+        if len(d) == 1 and VALUE_MARKER in d:
             return _clone(d[VALUE_MARKER])
         return {k: _materialize(v) for k, v in d.items() if not _is_removal(v)}
     if isinstance(d, list):
-        if _is_entry_diff(d):
-            items, _ = normalize_entry_items(d)
-            return _unique_names([_new_entry(it) for it in items if not it.removed])
-        return _clone(d)
+        return _apply(None, d, False)  # nothing to merge into
     return d
 
 
-def _apply_owned(base: Any, d: Any, remove_missing: bool) -> Any:
-    """Apply the plain diff d to the plain tree base, which the caller owns
-    and which is updated in place; only the returned tree is meaningful
-    afterwards. d is only read and shares nothing with the result."""
+def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
+    """Apply the plain diff d to the plain tree base. Neither is changed:
+    the result shares every subtree of base that d leaves alone (a mapping
+    is copied once before its keys change, an entry list gets a new dict
+    only for the entries d changes) and nothing with d."""
     if isinstance(d, dict):
         if not d:
             return base
         if len(d) == 1 and VALUE_MARKER in d:
             return _clone(d[VALUE_MARKER])
         if isinstance(base, dict):
+            out = dict(base)
             for k, sub in d.items():
                 if _is_removal(sub):
-                    base.pop(k, None)
-                elif k in base:
-                    base[k] = _apply_owned(base[k], sub, remove_missing)
+                    out.pop(k, None)
+                elif k in out:
+                    out[k] = _apply(out[k], sub, remove_missing)
                 else:
-                    base[k] = _materialize(sub)
-            return base
+                    out[k] = _materialize(sub)
+            return out
         # Mismatched site: the merge has nothing to merge into.
         return _materialize(d)
     if isinstance(d, list):
-        if _is_entry_diff(d) and (_is_entry_list(base) or base == []):
-            return _apply_entry_diff(base, d, remove_missing)
+        parsed = _entry_diff(d)
+        if parsed is not None:
+            return _apply_entry_diff(base, *parsed, remove_missing)
         if d == [] and _is_entry_list(base):
             # Empty full state over dynamic entries: the flag decides whether
             # the unmentioned entries survive, same as the live containers.
             return [] if remove_missing else base
-        return _materialize(d)
+        return _clone(d)
     return d
 
 
@@ -512,58 +504,58 @@ class EntryItem:
     state: Any = None
 
 
-def normalize_entry_items(plain: Any) -> tuple[list[EntryItem], list | None]:
-    """Normalize a plain DynamicStateList-shaped state or diff (to_plain of
-    a typed value, or raw wire dicts) into items plus an optional order
-    marker; non-items are skipped with a diagnostic. Item states are
-    subtrees of plain, not copies.
-
-    A reference-shaped item (empty className, null/absent state) counts as a
-    pure mention: has_state is False so nothing gets applied over the target.
-    """
-    if not isinstance(plain, list):
-        raise TypeError(f"not a dynamic entry list: {type(plain).__name__}")
+def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem], list | None] | None:
+    """One pass over an entry list or diff: its items (states are subtrees
+    of d, not copies) and its order marker, if any. An item is a dict whose
+    name and class are strings; strict (an entry diff) also wants it
+    entry-shaped with at most a removal marker added, and an order marker
+    alone, and returns None at the first other element, which lenient skips
+    with a diagnostic. A reference-shaped item (empty className, null or
+    absent state) is a pure mention: has_state is False."""
     items: list[EntryItem] = []
     order: list | None = None
-    for x in plain:
-        if not isinstance(x, dict):
-            log.warning("ignoring non-object item in dynamic state list: %r", x)
-            continue
-        if ORDER_MARKER in x:
-            o = x[ORDER_MARKER]
-            if isinstance(o, list) and all(isinstance(n, str) for n in o):
-                order = o
-            else:
-                log.warning("ignoring malformed order marker: %r", x)
-            continue
-        name = x.get(OBJECT_NAME_KEY, "")
-        if not isinstance(name, str):
-            log.warning("ignoring entry with non-string name: %r", x)
-            continue
-        if len(x) == 1 and OBJECT_NAME_KEY in x:
-            items.append(EntryItem(name))  # a bare mention, the common item
-            continue
-        if x.get(REMOVED_MARKER) is True:
-            items.append(EntryItem(name=name, removed=True))
-            continue
-        cls = x.get(CLASS_NAME_KEY, "")
-        if not isinstance(cls, str):
-            log.warning("ignoring entry with non-string class: %r", x)
-            continue
-        has_class_key = CLASS_NAME_KEY in x
-        has_state_key = SESSION_STATE_KEY in x
-        st = x.get(SESSION_STATE_KEY)
-        reference_shaped = cls == "" and st is None
-        items.append(
-            EntryItem(
-                name=name,
-                has_class_key=has_class_key,
-                class_name=cls,
-                has_state=has_state_key and not reference_shaped,
-                state=st,
-            )
-        )
+    for x in d:
+        if isinstance(x, dict):
+            if ORDER_MARKER in x and (len(x) == 1 or not strict):
+                o = x[ORDER_MARKER]
+                if isinstance(o, list) and all(isinstance(n, str) for n in o):
+                    order = o
+                else:
+                    log.warning("ignoring malformed order marker: %r", x)
+                continue
+            name = x.get(OBJECT_NAME_KEY, "")
+            cls = x.get(CLASS_NAME_KEY, "")
+            if isinstance(name, str) and isinstance(cls, str):
+                if len(x) == 1 and OBJECT_NAME_KEY in x:
+                    items.append(EntryItem(name))  # a bare mention, the common item
+                    continue
+                if not strict or (x.keys() <= _DIFF_ITEM_KEYS and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)):
+                    st = x.get(SESSION_STATE_KEY)
+                    has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
+                    removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
+                    items.append(EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st))
+                    continue
+        if strict:
+            return None
+        log.warning("ignoring malformed item in dynamic state list: %r", x)
     return items, order
+
+
+def _entry_diff(d: Any) -> tuple[list[EntryItem], list | None] | None:
+    """The items and order marker of d, or None if d is not an entry diff."""
+    return _entry_items(d, True) if isinstance(d, list) and d else None
+
+
+def normalize_entry_items(state: Any) -> tuple[list[EntryItem], list | None]:
+    """Normalize a DynamicStateList, or a plain state or diff shaped like
+    one, into items plus an optional order marker; non-items are skipped
+    with a diagnostic. Only a typed list is converted; a plain one is read
+    as it is."""
+    if isinstance(state, DynamicStateList):
+        state = to_plain(state)
+    if not isinstance(state, list):
+        raise TypeError(f"not a dynamic entry list: {type(state).__name__}")
+    return _entry_items(state, False)
 
 
 def _new_entry(it: EntryItem) -> dict:
@@ -571,14 +563,22 @@ def _new_entry(it: EntryItem) -> dict:
     return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
 
 
-def _apply_entry_diff(entries: list, d: list, remove_missing: bool) -> list:
-    # Entries are updated in place, created ones appended, and the survivors
-    # returned in a new list in their final order.
-    items, order = normalize_entry_items(d)
-
-    names = [e.get(OBJECT_NAME_KEY, "") for e in entries]
-    by_name = {n: i for i, n in enumerate(names) if n}
-    anon_slots = [i for i, n in enumerate(names) if not n]
+def _apply_entry_diff(base: Any, items: list[EntryItem], order: list | None, remove_missing: bool) -> list:
+    # A base that is not an entry list (a non-list reads as [None]) gives the
+    # entries the items name. Otherwise a new list of the survivors in their
+    # final order: entries the items change are new dicts, created ones are
+    # appended, the rest are base's own.
+    by_name: dict[str, int] = {}
+    anon_slots: list[int] = []
+    for i, e in enumerate(base if isinstance(base, list) else [None]):
+        if not _entry_shaped(e):
+            return _unique_names([_new_entry(it) for it in items if not it.removed])
+        n = e.get(OBJECT_NAME_KEY, "")
+        if n:
+            by_name[n] = i
+        else:
+            anon_slots.append(i)
+    entries = list(base)
     # Anonymous mentions claim the leading slots, anonymous removals the tail.
     n_anon_mentions = sum(1 for it in items if not it.name and not it.removed)
 
@@ -616,7 +616,7 @@ def _apply_entry_diff(entries: list, d: list, remove_missing: bool) -> list:
         if it.has_class_key and it.class_name and it.class_name != e.get(CLASS_NAME_KEY, ""):
             entries[t] = _new_entry(it)
         elif it.has_state:
-            e[SESSION_STATE_KEY] = _apply_owned(e.get(SESSION_STATE_KEY), it.state, remove_missing)
+            entries[t] = {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it.state, remove_missing)}
         mentioned[t] = None
 
     survivors = [i for i in range(len(entries)) if i not in removed_idx]

@@ -4,8 +4,9 @@ Echo avoidance works through bookkeeping rather than flags on the wire:
 `_published` is the state the relay has been told about, and every applied
 remote message (including the Ack echo of our own diffs) advances it. A flush
 therefore publishes exactly diff(_published, current), which is empty when
-the only changes since the last flush came from the relay. The engine owns
-`_published` outright: it is held as plain JSON and advanced in place.
+the only changes since the last flush came from the relay. `_published` is
+plain JSON and never mutated: a remote message yields a new version sharing
+every subtree the message leaves alone.
 
 Re-applying our own Ack is deliberate. Between our send and its echo the
 relay may have ordered someone else's diff first; replaying the echo puts our
@@ -13,9 +14,9 @@ write after theirs exactly as the relay did, so every participant settles on
 the same last-writer-wins result.
 
 A flush diffs `_published` against the root's cached snapshot (see linkable),
-so an unchanged subtree costs one identity check. The snapshot is shared and
-never mutated, so `_published` is never set to it: the flush advances
-`_published` by applying the diff it sends.
+so an unchanged subtree costs one identity check, and then keeps that
+snapshot as `_published` (equivalent to applying the sent diff), so the next
+flush walks only what changed since.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_owned, _clone, _diff_plain, is_empty_diff
+from ..statetree import _apply, _diff_plain, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -60,7 +61,7 @@ class ClientEngine:
         self.joined = False
         self.last_server_seq = 0
         self._dirty = False
-        self._published: Any = _clone(self.root._snapshot())
+        self._published: Any = self.root._snapshot()
         self._pending: deque[list] = deque()  # [diff, lastSentMs]
         self._buffer: dict[int, Message] = {}
         self._gap_since_ms: int | None = None
@@ -112,9 +113,10 @@ class ClientEngine:
             return
         if self._dirty:
             self._dirty = False
-            d = _diff_plain(self._published, self.root._snapshot())
+            snapshot = self.root._snapshot()
+            d = _diff_plain(self._published, snapshot)
+            self._published = snapshot
             if not is_empty_diff(d):
-                self._published = _apply_owned(self._published, d, False)
                 self._pending.append([d, now_ms])
                 self.stats["sentDiffs"] += 1
                 self._send(Message("Diff", self.session_id, self.client_id, 0, d))
@@ -177,7 +179,7 @@ class ClientEngine:
         # the set below schedules _mark_dirty; the publish diff will be empty
         # for pure remote changes because _published advances in step
         self.root.set_session_state(msg.payload, remove_missing=False)
-        self._published = _apply_owned(self._published, msg.payload, False)
+        self._published = _apply(self._published, msg.payload, False)
 
     def _full_reset(self, msg: Message) -> None:
         self.joined = True
@@ -185,7 +187,7 @@ class ClientEngine:
         self.last_server_seq = msg.server_seq
         self._gap_since_ms = None
         self.root.set_session_state(msg.payload, remove_missing=True)
-        self._published = _clone(self.root._snapshot())
+        self._published = self.root._snapshot()
         # pending diffs stay queued: the retransmit path replays any local
         # edits the relay never saw, and duplicates are harmless under the
         # last-writer-wins order

@@ -4,6 +4,10 @@ The relay never instantiates live objects. It folds incoming diffs into a
 value-level state tree in arrival order, stamps each with the next serverSeq,
 and rebroadcasts. The sender receives its own diff back as an Ack so every
 participant applies the identical totally-ordered stream.
+
+The session state is plain JSON and never mutated: a diff yields a new
+version sharing every entry it leaves alone, so handed-out Welcome and
+FullState payloads stay as they were and a failed apply changes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import StateNode, _apply_owned, encode, to_plain
+from ..statetree import StateNode, _apply, _entry_diff, encode
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -80,13 +84,13 @@ class Relay:
             return [(msg.sender_id, reply)]
 
         session.members.setdefault(msg.sender_id, None)
+        # The root is an entry list: anything but an entry diff or {} would
+        # replace it with a state no client can adopt.
+        if msg.payload != {} and _entry_diff(msg.payload) is None:
+            raise MalformedMessage("a root diff must be an entry diff or {}")
         try:
-            # The authoritative tree is plain JSON so it can go straight onto
-            # the wire. Welcome/FullState replies already handed out may still
-            # be encoding it, so the diff goes onto a copy that replaces it
-            # only once the apply has succeeded.
-            session.state = _apply_owned(to_plain(session.state), to_plain(msg.payload), False)
-        except (TypeError, ValueError) as e:
+            session.state = _apply(session.state, msg.payload, False)
+        except (TypeError, ValueError, RecursionError) as e:
             raise MalformedMessage(f"diff payload does not apply: {e}") from e
         session.server_seq += 1
         session.applied.append((session.server_seq, msg.sender_id, msg.payload))

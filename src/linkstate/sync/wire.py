@@ -51,7 +51,8 @@ def encode_frame(msg: Message) -> bytes:
 def decode_body(body: bytes) -> Message:
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nested deeper than the decoder can follow
         raise MalformedMessage(f"undecodable frame body: {e}") from e
     if not isinstance(data, dict):
         raise MalformedMessage("frame body must be a JSON object")

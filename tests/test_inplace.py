@@ -1,9 +1,10 @@
-"""In-place apply on trees the caller owns: no aliasing, replay cost, same reports.
+"""Path-copying apply: no aliasing, replay cost, same reports.
 
-History replay, the client's published shadow and the relay's working copy
-update a plain tree in place. These tests pin the contract that makes that
-safe: stored diffs, handed-out payloads and public results are never shared
-with a tree that is later mutated.
+History replay, the client's published shadow and the relay's session state
+apply diffs with ``_apply``, which never mutates its base and shares every
+subtree the diff leaves alone. These tests pin the contract that makes that
+safe: stored diffs, handed-out payloads and public results are never
+changed by a later apply, and public results share nothing with their inputs.
 """
 
 import hashlib
@@ -17,14 +18,14 @@ import treegen
 from linkstate import history, statetree
 from linkstate.demo import build_demo_registry
 from linkstate.statetree import (
-    _apply_owned,
+    _apply,
     apply_diff,
     diff,
     encode,
     encode_diff,
     to_plain,
 )
-from linkstate.sync import ClientEngine, Message, Relay, relay as relay_module, run_simulation
+from linkstate.sync import ClientEngine, Message, Relay, client as client_module, relay as relay_module, run_simulation
 
 from graphops import build_random_session, random_edit
 
@@ -113,13 +114,69 @@ def test_owned_apply_matches_public_apply_and_never_aliases_the_diff():
         d_text = encode_diff(d)
         for remove_missing in (False, True):
             expected = encode(apply_diff(a, d, remove_missing))
-            out = _apply_owned(to_plain(a), d, remove_missing)
+            out = _apply(to_plain(a), d, remove_missing)
             assert encode(statetree.from_plain(out)) == expected, f"case {i}"
             assert not _container_ids(out) & _container_ids(d), f"case {i}"
             # the same stored diff applies again to a second copy unchanged
-            again = _apply_owned(to_plain(a), d, remove_missing)
+            again = _apply(to_plain(a), d, remove_missing)
             assert encode(statetree.from_plain(again)) == expected, f"case {i}"
         assert encode_diff(d) == d_text, f"case {i}"
+
+
+def test_apply_never_changes_its_base_or_its_diff():
+    rng = random.Random(4711)
+    for i in range(300):
+        a = to_plain(treegen.random_tree(rng))
+        b = to_plain(treegen.mutate(rng, statetree.from_plain(a)) if i % 3 else treegen.random_tree(rng))
+        d = diff(a, b)
+        a_text, d_text = json.dumps(a), json.dumps(d)
+        for remove_missing in (False, True):
+            out = _apply(a, d, remove_missing)
+            assert json.dumps(a) == a_text and json.dumps(d) == d_text, f"case {i}"
+            assert not _container_ids(out) & _container_ids(d), f"case {i}"
+        assert _apply(a, {}, True) is a
+
+
+def _counters(n, count=0):
+    return [{"objectName": f"c{i:04d}", "className": "ex.Counter", "sessionState": {"count": count}} for i in range(n)]
+
+
+def test_relay_diff_shares_every_entry_it_leaves_alone():
+    relay = Relay()
+    relay.handle(Message("Hello", "s", "a"))
+    relay.handle(Message("Diff", "s", "a", 0, _counters(5000)))
+    welcome = relay.handle(Message("Hello", "s", "b"))[0][1].payload
+    welcome_text = encode(welcome)
+    before = relay.session_state("s")
+    one = [{"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}]
+    assert len(relay.handle(Message("Diff", "s", "a", 0, one))) == 2
+    after = relay.session_state("s")
+    assert len({id(e) for e in before} & {id(e) for e in after}) == 4999
+    by_name = {e["objectName"]: e for e in after}  # a mentioned entry moves first
+    assert by_name["c2500"]["sessionState"] == {"count": 1} and before[2500]["sessionState"] == {"count": 0}
+    assert encode(welcome) == welcome_text
+
+
+def test_client_shadow_is_the_flushed_snapshot_and_a_flush_walks_only_the_edit(monkeypatch):
+    sent = []
+    engine = ClientEngine("a", "s", build_demo_registry(), sent.append)
+    engine.on_message(Message("Welcome", "s", "server", 0, _counters(1000)), 0)
+    engine.flush(0)
+    assert engine._published is engine.root._snapshot()
+    calls = []
+    real = statetree._diff_plain
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(statetree, "_diff_plain", counted)
+    monkeypatch.setattr(client_module, "_diff_plain", counted)
+    engine.root.get_object("c0500").count.set_state(7)
+    engine.flush(1)
+    assert engine._published is engine.root._snapshot()
+    assert sent[-1].kind == "Diff" and sent[-1].payload[500]["sessionState"] == {"count": 7}
+    assert len(calls) <= 10
 
 
 def test_relay_never_mutates_a_state_it_handed_out():
@@ -145,10 +202,10 @@ def test_relay_failed_apply_leaves_the_state_untouched(monkeypatch):
     text = encode(state)
 
     def apply_then_fail(base, d, remove_missing):
-        _apply_owned(base, d, remove_missing)  # mutates the working copy
+        _apply(base, d, remove_missing)  # the whole apply runs, then fails
         raise ValueError("late failure")
 
-    monkeypatch.setattr(relay_module, "_apply_owned", apply_then_fail)
+    monkeypatch.setattr(relay_module, "_apply", apply_then_fail)
     bad = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 7}}]
     assert relay.handle(Message("Diff", "s", "a", 0, bad)) == []
     assert relay.session_state("s") is state
@@ -209,10 +266,18 @@ def _count_outermost(monkeypatch, names):
     return calls
 
 
-def _count_history_clones(monkeypatch):
+def _count_state_copies(monkeypatch, log):
+    """Copies of a whole state the log keeps, such as its baseline."""
     copies = []
     real = statetree._clone
-    monkeypatch.setattr(history, "_clone", lambda v: copies.append(1) or real(v))
+
+    def counted(v):
+        if any(v is s for s in log._states):
+            copies.append(1)
+        return real(v)
+
+    monkeypatch.setattr(statetree, "_clone", counted)
+    monkeypatch.setattr(history, "_clone", counted, raising=False)
     return copies
 
 
@@ -222,25 +287,28 @@ def test_state_at_converts_once_whatever_the_step(monkeypatch, which):
     # single typed conversion, with no copy and no replay.
     _, log = _recorded_log(5, steps=30)
     k = 1 if which == "first" else len(log.steps)
-    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply_owned"])
-    copies = _count_history_clones(monkeypatch)
+    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply"])
+    copies = _count_state_copies(monkeypatch, log)
     log.state_at(k)
-    assert calls == {"to_plain": 0, "from_plain": 1, "_apply_owned": 0}
+    assert calls == {"to_plain": 0, "from_plain": 1, "_apply": 0}
     assert copies == []
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
 def test_state_at_on_an_imported_log_copies_the_baseline_once(monkeypatch, which):
-    # A log read from JSON keeps only its baseline, so it replays as before:
-    # one copy of the baseline, k in-place applies, one typed conversion.
+    # A log read from JSON keeps only its baseline, so it replays: k applies
+    # onto the baseline itself, which they leave as it was, and one typed
+    # conversion; the baseline is no longer copied first.
     _, recorded = _recorded_log(5, steps=30)
     log = history.HistoryLog.import_json(recorded.export_json())
+    baseline_text = json.dumps(log._states[0])
     k = 1 if which == "first" else len(log.steps)
-    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply_owned"])
-    copies = _count_history_clones(monkeypatch)
+    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply"])
+    copies = _count_state_copies(monkeypatch, log)
     out = log.state_at(k)
-    assert calls == {"to_plain": 0, "from_plain": 1, "_apply_owned": k}
-    assert copies == [1]
+    assert calls == {"to_plain": 0, "from_plain": 1, "_apply": k}
+    assert copies == []
+    assert json.dumps(log._states[0]) == baseline_text
     assert encode(out) == encode(recorded.state_at(k))
 
 

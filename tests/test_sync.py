@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import random
+import sys
 
 import pytest
 
@@ -64,6 +65,16 @@ class TestWire:
         with pytest.raises(MalformedMessage):
             decode_frame(len(bad_seq).to_bytes(4, "big") + bad_seq)
 
+    def test_frame_nested_deeper_than_the_decoder_follows_is_malformed(self):
+        depth = sys.getrecursionlimit() + 100
+        body = ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":0,"payload":' + "[" * depth + "]" * depth + "}").encode()
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(MalformedMessage):
+            decode_frame(frame)
+        framer = Framer()
+        with pytest.raises(MalformedMessage):
+            list(framer.feed(frame))
+
 
 class TestRelay:
     def test_first_hello_welcome_empty(self):
@@ -106,6 +117,54 @@ class TestRelay:
             assert out[0][1].server_seq == i + 1
             shadow = to_plain(apply_diff(shadow, d, remove_missing=False))
         assert encode(relay.session_state("s")) == encode(shadow)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"x": 1},
+            {"__value__": []},
+            {"__removed__": True},
+            [],
+            [1, 2],
+            [{"objectName": "x", "className": "ex.Counter", "extra": 1}],
+            [{"objectName": 5, "className": "ex.Counter"}],
+            [{"__order__": ["x"], "objectName": "x"}],
+            None,
+            7,
+            "x",
+        ],
+    )
+    def test_root_diff_that_is_not_an_entry_diff_is_dropped(self, payload):
+        relay = Relay()
+        relay.handle(Message("Hello", "s", "a"))
+        relay.handle(Message("Hello", "s", "b"))
+        d = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}]
+        relay.handle(Message("Diff", "s", "a", 0, d))
+        state = relay.session_state("s")
+        text = encode(state)
+        assert relay.handle(Message("Diff", "s", "a", 0, payload)) == []
+        assert relay.session_state("s") is state and encode(state) == text
+        assert relay.session_seq("s") == 1
+        assert len(relay.applied_log("s")) == 1
+        # the empty diff is still a well-formed root diff
+        assert [m.server_seq for _, m in relay.handle(Message("Diff", "s", "a", 0, {}))] == [2, 2]
+
+    def test_diff_nested_deeper_than_the_recursion_limit_is_dropped(self):
+        relay = Relay()
+        relay.handle(Message("Hello", "s", "a"))
+        d = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}]
+        relay.handle(Message("Diff", "s", "a", 0, d))
+        state = relay.session_state("s")
+        deep = 0
+        for _ in range(sys.getrecursionlimit() + 100):
+            deep = {"k": deep}
+        for payload in (
+            [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": deep}}],
+            [{"objectName": "y", "className": "ex.Counter", "sessionState": deep}],
+        ):
+            assert relay.handle(Message("Diff", "s", "a", 0, payload)) == []
+        assert relay.session_state("s") is state
+        assert relay.session_seq("s") == 1
 
     def test_malformed_dropped_quietly(self):
         relay = Relay()
