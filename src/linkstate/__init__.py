@@ -27,15 +27,12 @@ from .qkeys import (
     load_csv_column,
 )
 from .statetree import (
-    DynamicState,
-    DynamicStateList,
     apply_diff,
     decode,
     decode_diff,
     diff,
     encode,
     encode_diff,
-    from_plain,
     state_equivalent,
     to_plain,
     validate_node,
@@ -44,15 +41,12 @@ from .statetree import (
 __all__ = [
     "errors",
     # state trees
-    "DynamicState",
-    "DynamicStateList",
     "apply_diff",
     "decode",
     "decode_diff",
     "diff",
     "encode",
     "encode_diff",
-    "from_plain",
     "state_equivalent",
     "to_plain",
     "validate_node",

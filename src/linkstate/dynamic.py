@@ -1,13 +1,13 @@
 """Dynamically created objects: class registry, hash map, local/global wrapper.
 
-Applying a DynamicStateList to a LinkableHashMap is deserialize-by-mutation:
+Applying an entry list to a LinkableHashMap is deserialize-by-mutation:
 entries are created, retargeted, updated, reordered and (depending on the
 remove-missing flag) disposed so the map converges to the given state. The
 map is the only object that creates or destroys children at runtime, which is
 what makes whole session trees reconstructible from plain data.
 
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
-DynamicStateList: an anonymous entry with an inline state in local mode, or a
+entry list: an anonymous entry with an inline state in local mode, or a
 named reference entry (empty class, null state) pointing at an entry of the
 root hash map in global mode.
 """
@@ -31,8 +31,6 @@ from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
-    DynamicStateList,
-    StateNode,
     normalize_entry_items,
 )
 
@@ -170,9 +168,8 @@ class LinkableHashMap(LinkableObject):
 
     # -- session state -------------------------------------------------------------
 
-    def get_session_state(self) -> StateNode:
-        # An empty entry list reads back as a plain list; keep the typed form.
-        return super().get_session_state() or DynamicStateList()
+    # An attribute of each class, so the benchmark's tracer can wrap it per class.
+    get_session_state = LinkableObject.get_session_state
 
     def _build_snapshot(self) -> list:
         # An entry whose child snapshot is unchanged is the same dict as in
@@ -381,8 +378,7 @@ class LinkableDynamicObject(LinkableObject):
 
     # -- session state -----------------------------------------------------------------
 
-    def get_session_state(self) -> StateNode:
-        return super().get_session_state() or DynamicStateList()
+    get_session_state = LinkableObject.get_session_state
 
     def _build_snapshot(self) -> list:
         if self._local_class:

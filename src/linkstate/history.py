@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import (
@@ -44,7 +44,6 @@ from .statetree import (
     _apply,
     _diff_plain,
     _plain_equivalent,
-    from_plain,
     is_empty_diff,
     to_plain,
 )
@@ -93,7 +92,7 @@ class HistoryLog:
 
     @property
     def baseline(self) -> StateNode:
-        return from_plain(self._states[0])
+        return to_plain(self._states[0])
 
     @property
     def can_undo(self) -> bool:
@@ -208,7 +207,7 @@ class HistoryLog:
 
     def state_at(self, index: int) -> StateNode:
         """The state after the first index steps, as a fresh value."""
-        return from_plain(self._replay(index))
+        return to_plain(self._replay(index))
 
     def verify(self) -> list[int]:
         """Replay every step from the baseline and test its inverse; returns
@@ -279,7 +278,7 @@ class HistoryLog:
         if not 0 <= cursor <= len(steps_data):
             raise ParseError(f"cursor {cursor} outside [0, {len(steps_data)}]")
         log = cls(clock_ms)
-        log._states = [to_plain(from_plain(data.get("baseline")))] + [_MISSING] * len(steps_data)
+        log._states = [to_plain(data.get("baseline"))] + [_MISSING] * len(steps_data)
         log._cursor = cursor
         for i, raw in enumerate(steps_data):
             if not isinstance(raw, dict) or "forward" not in raw or "backward" not in raw:

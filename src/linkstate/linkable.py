@@ -17,12 +17,11 @@ snapshot that contains it, and it is never mutated. Any state change
 triggers the object's callbacks, which drops the cached snapshots of the
 object and its ancestors; the next read rebuilds only that path. Classes
 say how to build their snapshot in _build_snapshot(); the public
-get_session_state() is a fresh typed copy of it.
+get_session_state() is a fresh copy of it.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 from typing import Any, Callable
 
@@ -32,20 +31,13 @@ from .statetree import (
     REMOVED_MARKER,
     VALUE_MARKER,
     StateNode,
-    apply_diff,
-    from_plain,
-    state_equivalent,
+    _apply,
+    _plain_equivalent,
     to_plain,
     validate_node,
 )
 
 log = logging.getLogger(__name__)
-
-_IMMUTABLE = (type(None), bool, int, float, str)
-
-
-def _copy(value: StateNode) -> StateNode:
-    return value if type(value) in _IMMUTABLE else copy.deepcopy(value)
 
 
 class LinkableObject:
@@ -161,7 +153,7 @@ class LinkableObject:
     def get_session_state(self) -> StateNode:
         """Fresh copy of the state; shares no mutable structure."""
         self._check_live()
-        return from_plain(self._snapshot())
+        return to_plain(self._snapshot())
 
     def _snapshot(self) -> Any:
         """The cached plain state. Shared and never mutated: callers read it
@@ -208,7 +200,8 @@ class LinkableVariable(LinkableObject):
 
     A value rejected by the verifier is dropped silently: the old value stays,
     last_verify_failed flips on, and a diagnostic is logged. Callbacks trigger
-    only when the stored value actually changes.
+    only when the stored value actually changes. The value is kept canonical
+    (statetree.to_plain) and never mutated, so it is its own snapshot.
     """
 
     def __init__(
@@ -223,7 +216,7 @@ class LinkableVariable(LinkableObject):
         validate_node(default)
         if not self._accepts(default):
             raise ValueError(f"default value {default!r} fails the verifier")
-        self._value = _copy(default)
+        self._value = to_plain(default)
 
     @property
     def last_verify_failed(self) -> bool:
@@ -244,23 +237,21 @@ class LinkableVariable(LinkableObject):
 
     def get_state(self) -> StateNode:
         self._check_live()
-        return _copy(self._value)
+        return to_plain(self._value)
 
     def set_state(self, value: StateNode) -> None:
         """Merge-apply value onto the current state (Mappings merge key-wise,
         everything else replaces) and trigger when the result differs."""
         self.set_session_state(value)
 
-    def get_session_state(self) -> StateNode:
-        self._check_live()
-        return _copy(self._value)
+    get_session_state = get_state
 
     def _build_snapshot(self) -> Any:
-        return to_plain(self._value)
+        return self._value
 
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         self._check_live()
-        new_value = apply_diff(self._value, state, remove_missing)
+        new_value = to_plain(_apply(self._value, state, remove_missing))
         try:
             validate_node(new_value)
         except (TypeError, ValueError) as e:
@@ -272,9 +263,9 @@ class LinkableVariable(LinkableObject):
             self._last_verify_failed = True
             return
         self._last_verify_failed = False
-        if state_equivalent(self._value, new_value):
+        if _plain_equivalent(self._value, new_value):
             return
-        self._value = new_value  # apply_diff returned a fresh value
+        self._value = new_value
         self.callbacks.trigger()
 
     def dispose(self) -> None:

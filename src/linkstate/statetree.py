@@ -1,10 +1,13 @@
 """Session-state value trees: canonical JSON codec, equivalence, diff and patch.
 
-A state node is one of: None, bool, int/float (finite), str, a Sequence
-(plain list), a Mapping (plain dict with string keys), or a DynamicStateList
-(an ordered list of DynamicState entries describing dynamically created
-objects). Values are treated as immutable; every public API hands out fresh
-copies. Nothing here mutates a tree it is given: the private ``_apply``
+A state node is plain JSON: None, bool, int/float (finite), str, a list, or
+a dict with string keys. A non-empty list whose items are all entries (dicts
+with only the keys objectName, className and sessionState, and a name or a
+class) is an entry list: an ordered list of dynamically created objects,
+whose non-empty names are unique. Canonical trees write integral floats as
+ints and every entry in the three-key form; ``to_plain`` makes that copy.
+Values are treated as immutable; every public API hands out fresh copies.
+Nothing here mutates a tree it is given: the private ``_apply``
 returns a new version of its base that shares every subtree the diff does
 not touch (path copying), so history replay and the client and relay
 shadows apply diffs without copying the whole tree first.
@@ -24,7 +27,7 @@ states. See docs/diff-format.md for the encoding; the short version:
 * Any other Mapping is a key-wise merge; ``{"__removed__": true}`` deletes
   a key.
 * Scalars and Sequences replace bare.
-* A list of entry-shaped objects edits a DynamicStateList entry-wise, with
+* A list of entry-shaped objects edits an entry list entry-wise, with
   ``{"objectName": n, "__removed__": true}`` removal markers and an optional
   trailing ``{"__order__": [...]}`` flag.
 """
@@ -55,39 +58,11 @@ VALUE_MARKER = "__value__"
 _DIFF_ITEM_KEYS = RESERVED_ENTRY_KEYS | {REMOVED_MARKER}
 
 
-@dataclass
-class DynamicState:
-    """One entry of a DynamicStateList.
-
-    ``session_state is None`` together with an empty ``class_name`` means the
-    entry is a by-name reference to a globally registered object and carries
-    no inline state.
-    """
-
-    object_name: str = ""
-    class_name: str = ""
-    session_state: StateNode = None
-
-
-class DynamicStateList(list):
-    """Ordered list of DynamicState entries; non-empty names must be unique."""
-
-    def __init__(self, entries: Any = ()):
-        entries = list(entries)
-        for e in entries:
-            if not isinstance(e, DynamicState):
-                raise TypeError(f"DynamicStateList entries must be DynamicState, got {type(e).__name__}")
-        names = [e.object_name for e in entries if e.object_name]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate entry names in DynamicStateList")
-        super().__init__(entries)
-
-
 def validate_node(node: StateNode) -> None:
     """Raise TypeError/ValueError if node is not a well-formed state tree.
 
     Numbers must be finite (NaN/Inf have no JSON encoding here), mapping keys
-    must be strings, and non-empty entry names in a DynamicStateList unique.
+    must be strings, and non-empty entry names in an entry list unique.
     """
     if node is None or isinstance(node, (bool, str, int)):
         return
@@ -95,21 +70,9 @@ def validate_node(node: StateNode) -> None:
         if not math.isfinite(node):
             raise ValueError(f"non-finite number in state tree: {node!r}")
         return
-    if isinstance(node, DynamicStateList):
-        names = set()
-        for e in node:
-            if not isinstance(e, DynamicState):
-                raise TypeError("DynamicStateList entry is not a DynamicState")
-            if not isinstance(e.object_name, str) or not isinstance(e.class_name, str):
-                raise TypeError("DynamicState names must be strings")
-            if e.object_name:
-                if e.object_name in names:
-                    raise ValueError(f"duplicate entry name {e.object_name!r}")
-                names.add(e.object_name)
-            if e.session_state is not None:
-                validate_node(e.session_state)
-        return
     if isinstance(node, list):
+        if _is_entry_list(node):
+            _unique_names(node)
         for item in node:
             validate_node(item)
         return
@@ -122,43 +85,39 @@ def validate_node(node: StateNode) -> None:
     raise TypeError(f"not a state node: {type(node).__name__}")
 
 
-def _canonical_number(x):
-    # Integral floats encode as integers so 5.0 and 5 are one canonical value.
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    return x
-
-
 def to_plain(node: StateNode) -> Any:
-    """Convert to plain JSON-ready data. DynamicState entries become the
-    three-key wire form with keys in reserved order."""
+    """Canonical copy of a state tree, sharing nothing with it: integral
+    floats become ints and entry lists come out in the three-key form, with
+    keys in reserved order. Raises ValueError on repeated entry names and
+    TypeError on anything that is not a state node."""
     # Mappings first: they are the most common container in a snapshot.
     if isinstance(node, dict):
         return {k: to_plain(v) for k, v in node.items()}
     if node is None or isinstance(node, (str, int)):  # bool is an int
         return node
     if isinstance(node, float):
-        return _canonical_number(node)
-    if isinstance(node, DynamicStateList):
-        return [
-            {
-                OBJECT_NAME_KEY: e.object_name,
-                CLASS_NAME_KEY: e.class_name,
-                SESSION_STATE_KEY: to_plain(e.session_state),
-            }
-            for e in node
-        ]
+        # Integral floats become ints so 5.0 and 5 are one canonical value.
+        return int(node) if node.is_integer() else node
     if isinstance(node, list):
+        if _is_entry_list(node):
+            return _unique_names(
+                [
+                    {
+                        OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
+                        CLASS_NAME_KEY: e.get(CLASS_NAME_KEY, ""),
+                        SESSION_STATE_KEY: to_plain(e.get(SESSION_STATE_KEY)),
+                    }
+                    for e in node
+                ]
+            )
         return [to_plain(x) for x in node]
-    if isinstance(node, DynamicState):
-        raise TypeError("a bare DynamicState is not a state node; wrap it in a DynamicStateList")
     raise TypeError(f"not a state node: {type(node).__name__}")
 
 
-def _entry_shaped(obj: Any, keys: frozenset = RESERVED_ENTRY_KEYS) -> bool:
+def _entry_shaped(obj: Any) -> bool:
     return (
         isinstance(obj, dict)
-        and obj.keys() <= keys
+        and obj.keys() <= RESERVED_ENTRY_KEYS
         and (OBJECT_NAME_KEY in obj or CLASS_NAME_KEY in obj)
         and isinstance(obj.get(OBJECT_NAME_KEY, ""), str)
         and isinstance(obj.get(CLASS_NAME_KEY, ""), str)
@@ -169,33 +128,6 @@ def _is_entry_list(obj: Any) -> bool:
     # Non-empty: an empty array cannot be told apart from an empty Sequence,
     # so it decodes as a Sequence and the two compare as equivalent.
     return isinstance(obj, list) and bool(obj) and all(map(_entry_shaped, obj))
-
-
-def from_plain(obj: Any) -> StateNode:
-    """Convert plain JSON data to a state node, detecting DynamicStateLists.
-
-    An array becomes a DynamicStateList iff it is non-empty and every element
-    is an object whose keys are a subset of the reserved entry keys and
-    include objectName or className.
-    """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (int, float)):
-        return _canonical_number(obj)
-    if isinstance(obj, list):
-        if _is_entry_list(obj):
-            return DynamicStateList(
-                DynamicState(
-                    object_name=e.get(OBJECT_NAME_KEY, ""),
-                    class_name=e.get(CLASS_NAME_KEY, ""),
-                    session_state=from_plain(e[SESSION_STATE_KEY]) if SESSION_STATE_KEY in e else None,
-                )
-                for e in obj
-            )
-        return [from_plain(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: from_plain(v) for k, v in obj.items()}
-    raise TypeError(f"not JSON data: {type(obj).__name__}")
 
 
 def _reject_constant(name: str):
@@ -217,7 +149,7 @@ def decode(text: str) -> StateNode:
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e}") from e
-    return from_plain(data)
+    return to_plain(data)
 
 
 def encode_diff(d: Any) -> str:
@@ -226,7 +158,7 @@ def encode_diff(d: Any) -> str:
 
 
 def decode_diff(text: str) -> Any:
-    """Parse a diff tree. Markers are kept verbatim; no entry typing happens."""
+    """Parse a diff tree. Markers and short entries are kept as written."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
@@ -236,8 +168,8 @@ def decode_diff(text: str) -> Any:
 # --- equivalence --------------------------------------------------------------
 
 def state_equivalent(a: StateNode, b: StateNode) -> bool:
-    """Structural equivalence: Mapping key order is ignored, entry order in a
-    DynamicStateList is significant, numbers compare exactly (but 5 == 5.0),
+    """Structural equivalence: Mapping key order is ignored, entry order in an
+    entry list is significant, numbers compare exactly (but 5 == 5.0),
     and bool never equals a number."""
     return _plain_equivalent(to_plain(a), to_plain(b))
 
@@ -271,7 +203,7 @@ def diff(old: StateNode, new: StateNode) -> Any:
 
 
 def _replacement(v: Any) -> Any:
-    v = _clone(v)
+    v = to_plain(v)
     if isinstance(v, dict):
         return {VALUE_MARKER: v}
     return v
@@ -328,7 +260,7 @@ def _diff_entry_list(a: list, b: list) -> Any:
         partners: Any = range(len(b))
         changed = reordered = False
     elif not unique and _plain_equivalent(a, b):
-        # Repeated names (no typed list holds them) defeat matching by name,
+        # Repeated names (no applied tree holds them) defeat matching by name,
         # but equal lists still diff to nothing.
         return {}
     else:
@@ -371,12 +303,12 @@ def _diff_entry_list(a: list, b: list) -> Any:
             # Demotion to a by-name reference. A bare reference entry reads as
             # a mention on an existing target, so tombstone the old one first.
             out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: _clone(st)})
+            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: to_plain(st)})
             changed = True
             continue
         if p is None or a[p].get(CLASS_NAME_KEY, "") != cls:
             # Created or recreated under a different class: full entry.
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: _clone(st)})
+            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: to_plain(st)})
             changed = True
             continue
         sub = _diff_plain(a[p].get(SESSION_STATE_KEY), st)
@@ -405,10 +337,10 @@ def _names_unique(names: list) -> bool:
 
 def apply_diff(base: StateNode, d: Any, remove_missing: bool = False) -> StateNode:
     """Apply a diff (or any partial session state) to a value, returning a
-    fresh value. remove_missing controls whether DynamicStateList entries not
-    mentioned by the diff are dropped (True) or retained (False); explicit
-    removal markers are honored either way."""
-    return from_plain(_apply(to_plain(base), to_plain(d), remove_missing))
+    fresh canonical value. remove_missing controls whether entries of an
+    entry list not mentioned by the diff are dropped (True) or retained
+    (False); explicit removal markers are honored either way."""
+    return to_plain(_apply(base, d, remove_missing))
 
 
 def _is_removal(v: Any) -> bool:
@@ -416,33 +348,10 @@ def _is_removal(v: Any) -> bool:
 
 
 def _unique_names(entries: list) -> list:
-    # The check from_plain makes when it types an entry list, so plain trees
-    # built here never hold what a DynamicStateList would reject.
     names = [e[OBJECT_NAME_KEY] for e in entries if e.get(OBJECT_NAME_KEY, "")]
     if len(names) != len(set(names)):
-        raise ValueError("duplicate entry names in DynamicStateList")
+        raise ValueError("duplicate entry names in an entry list")
     return entries
-
-
-def _clone(v: Any) -> Any:
-    """Copy a plain JSON tree. Entry lists come out in the three-key form
-    from_plain gives them and are rejected for the names it rejects."""
-    if isinstance(v, dict):
-        return {k: _clone(x) for k, x in v.items()}
-    if isinstance(v, list):
-        if _is_entry_list(v):
-            return _unique_names(
-                [
-                    {
-                        OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
-                        CLASS_NAME_KEY: e.get(CLASS_NAME_KEY, ""),
-                        SESSION_STATE_KEY: _clone(e.get(SESSION_STATE_KEY)),
-                    }
-                    for e in v
-                ]
-            )
-        return [_clone(x) for x in v]
-    return v
 
 
 def _materialize(d: Any) -> Any:
@@ -451,7 +360,7 @@ def _materialize(d: Any) -> Any:
     result is a copy: it shares nothing with d."""
     if isinstance(d, dict):
         if len(d) == 1 and VALUE_MARKER in d:
-            return _clone(d[VALUE_MARKER])
+            return to_plain(d[VALUE_MARKER])
         return {k: _materialize(v) for k, v in d.items() if not _is_removal(v)}
     if isinstance(d, list):
         return _apply(None, d, False)  # nothing to merge into
@@ -467,7 +376,7 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
         if not d:
             return base
         if len(d) == 1 and VALUE_MARKER in d:
-            return _clone(d[VALUE_MARKER])
+            return to_plain(d[VALUE_MARKER])
         if isinstance(base, dict):
             out = dict(base)
             for k, sub in d.items():
@@ -488,13 +397,13 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
             # Empty full state over dynamic entries: the flag decides whether
             # the unmentioned entries survive, same as the live containers.
             return [] if remove_missing else base
-        return _clone(d)
+        return to_plain(d)
     return d
 
 
 @dataclass
 class EntryItem:
-    """Normalized form of one DynamicStateList diff/state item."""
+    """Normalized form of one entry list diff/state item."""
 
     name: str = ""
     removed: bool = False
@@ -547,12 +456,8 @@ def _entry_diff(d: Any) -> tuple[list[EntryItem], list | None] | None:
 
 
 def normalize_entry_items(state: Any) -> tuple[list[EntryItem], list | None]:
-    """Normalize a DynamicStateList, or a plain state or diff shaped like
-    one, into items plus an optional order marker; non-items are skipped
-    with a diagnostic. Only a typed list is converted; a plain one is read
-    as it is."""
-    if isinstance(state, DynamicStateList):
-        state = to_plain(state)
+    """Normalize an entry list, or a diff shaped like one, into items plus
+    an optional order marker; non-items are skipped with a diagnostic."""
     if not isinstance(state, list):
         raise TypeError(f"not a dynamic entry list: {type(state).__name__}")
     return _entry_items(state, False)

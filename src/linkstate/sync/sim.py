@@ -20,7 +20,7 @@ from ..demo import build_demo_registry
 from ..dynamic import LinkableDynamicObject, LinkableHashMap
 from ..errors import LinkstateError, ScriptError, UnknownName
 from ..linkable import LinkableObject, LinkableVariable
-from ..statetree import diff, state_equivalent, to_plain, validate_node
+from ..statetree import diff, state_equivalent, validate_node
 from .client import ClientEngine
 from .relay import Relay, state_hash
 from .wire import Message, decode_frame, encode_frame
@@ -282,9 +282,10 @@ def _resolve(root: LinkableHashMap, path: list[str]):
     return obj
 
 
-def _apply_edit(root: LinkableHashMap, edit: dict) -> bool:
-    """Returns False when the edit's target no longer exists (a remote change
-    or a resync removed it); scripts continue, the skip is counted."""
+def apply_edit(root: LinkableHashMap, edit: dict) -> bool:
+    """Run one scripted edit on a replica. Returns False when the edit's
+    target no longer exists (a remote change or a resync removed it);
+    scripts continue, the skip is counted."""
     op = edit["op"]
     try:
         if op == "request":
@@ -316,6 +317,42 @@ def _apply_edit(root: LinkableHashMap, edit: dict) -> bool:
     except LinkstateError:
         return False
     return True
+
+
+# -- the end of a run ---------------------------------------------------------------
+
+
+def end_report(relay: Relay, session: str, clients: list[tuple[str, ClientEngine, int]]) -> dict:
+    """The part of a run's report read off its end state, for virtual and
+    realtime runs alike: overall convergence, the relay's sequence number
+    and state hash, one entry per client (given as id, engine and skipped
+    edits) and the diff from the relay's state to each client's that
+    differs."""
+    if session in relay.session_ids():
+        relay_state = relay.session_state(session)
+        relay_seq = relay.session_seq(session)
+    else:
+        relay_state, relay_seq = [], 0
+    report_clients = {}
+    divergences = {}
+    for cid, engine, skipped in clients:
+        state = engine.root.get_session_state()
+        same = state_equivalent(state, relay_state)
+        if not same:
+            divergences[cid] = diff(relay_state, state)
+        report_clients[cid] = {
+            "converged": same,
+            "stateHash": state_hash(state),
+            "lastServerSeq": engine.last_server_seq,
+            "skippedEdits": skipped,
+            **engine.stats,
+        }
+    return {
+        "converged": all(c["converged"] for c in report_clients.values()),
+        "relay": {"serverSeq": relay_seq, "stateHash": state_hash(relay_state)},
+        "clients": report_clients,
+        "divergences": divergences,
+    }
 
 
 # -- the simulation ---------------------------------------------------------------
@@ -360,7 +397,7 @@ class _SimClient:
             self.ensure_tick(self.loop.now + self.interval)
 
     def run_edit(self, edit: dict) -> None:
-        if not _apply_edit(self.engine.root, edit):
+        if not apply_edit(self.engine.root, edit):
             self.skipped_edits += 1
         self.ensure_tick(self.loop.now + self.interval)
 
@@ -429,41 +466,18 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
 
     loop.run()
 
-    if session in relay.session_ids():
-        relay_state = relay.session_state(session)
-        relay_seq = relay.session_seq(session)
-    else:
-        relay_state, relay_seq = [], 0
-
-    report_clients = {}
-    divergences = {}
-    converged = True
-    for spec in script["clients"]:
-        sc = clients[spec["id"]]
-        client_state = sc.engine.root.get_session_state()
-        same = state_equivalent(client_state, relay_state)
-        converged = converged and same
-        if not same:
-            divergences[sc.cid] = diff(to_plain(relay_state), to_plain(client_state))
-        report_clients[sc.cid] = {
-            "converged": same,
-            "stateHash": state_hash(client_state),
-            "lastServerSeq": sc.engine.last_server_seq,
-            "skippedEdits": sc.skipped_edits,
-            **sc.engine.stats,
-        }
-
+    end = end_report(relay, session, [(sc.cid, sc.engine, sc.skipped_edits) for sc in clients.values()])
     trace_hash = "sha256:" + hashlib.sha256("\n".join(trace).encode("utf-8")).hexdigest()
     report = {
         "mode": "virtual",
         "session": session,
         "seed": seed,
-        "converged": converged,
+        "converged": end["converged"],
         "virtualMs": loop.now,
-        "relay": {"serverSeq": relay_seq, "stateHash": state_hash(relay_state)},
-        "clients": report_clients,
+        "relay": end["relay"],
+        "clients": end["clients"],
         "network": counters,
         "traceHash": trace_hash,
-        "divergences": divergences,
+        "divergences": end["divergences"],
     }
     return SimResult(report, trace, relay)

@@ -16,10 +16,9 @@ import time
 
 from ..demo import build_demo_registry
 from ..errors import MalformedMessage
-from ..statetree import state_equivalent
 from .client import ClientEngine
-from .relay import Relay, state_hash
-from .sim import _apply_edit, load_script
+from .relay import Relay
+from .sim import apply_edit, end_report, load_script
 from .wire import Framer, Message, encode_frame
 
 log = logging.getLogger(__name__)
@@ -177,7 +176,8 @@ def run_realtime(script, settle_ms: int = 2000) -> dict:
     """Run a scenario over loopback sockets on the wall clock.
 
     Timing here is best-effort; only the virtual-time simulator promises
-    determinism. The report mirrors the simulator's shape minus trace hashing.
+    determinism. The report mirrors the simulator's shape minus the seed,
+    the virtual clock and the network counters.
     """
     script = load_script(script)
     server = RelayServer()
@@ -207,7 +207,7 @@ def run_realtime(script, settle_ms: int = 2000) -> dict:
                 due = [e for e in pending_edits[spec["id"]] if e["atMs"] <= t]
                 for edit in due:
                     pending_edits[spec["id"]].remove(edit)
-                    if not _apply_edit(sc.engine.root, edit):
+                    if not apply_edit(sc.engine.root, edit):
                         skipped[spec["id"]] += 1
                 sc.engine.flush(t)
                 quiet = quiet and sc.engine.quiescent() and not pending_edits[spec["id"]]
@@ -216,31 +216,10 @@ def run_realtime(script, settle_ms: int = 2000) -> dict:
             time.sleep(interval_s)
 
         with server.lock:
-            if script["session"] in server.relay.session_ids():
-                relay_state = server.relay.session_state(script["session"])
-                relay_seq = server.relay.session_seq(script["session"])
-            else:
-                relay_state, relay_seq = [], 0
-        report_clients = {}
-        converged = True
-        for spec, sc in clients:
-            state = sc.engine.root.get_session_state()
-            same = state_equivalent(state, relay_state)
-            converged = converged and same
-            report_clients[spec["id"]] = {
-                "converged": same,
-                "stateHash": state_hash(state),
-                "lastServerSeq": sc.engine.last_server_seq,
-                "skippedEdits": skipped[spec["id"]],
-                **sc.engine.stats,
-            }
-        return {
-            "mode": "realtime",
-            "session": script["session"],
-            "converged": converged,
-            "relay": {"serverSeq": relay_seq, "stateHash": state_hash(relay_state)},
-            "clients": report_clients,
-        }
+            end = end_report(
+                server.relay, script["session"], [(spec["id"], sc.engine, skipped[spec["id"]]) for spec, sc in clients]
+            )
+        return {"mode": "realtime", "session": script["session"], **end}
     finally:
         for _, sc in clients:
             sc.close()

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import graphops
+from treegen import entry
 from linkstate.demo import Counter, Plot, build_demo_registry
 from linkstate.dynamic import ClassRegistry, LinkableDynamicObject, LinkableHashMap
 from linkstate.errors import (
@@ -16,8 +17,6 @@ from linkstate.errors import (
     UnknownName,
 )
 from linkstate.statetree import (
-    DynamicState,
-    DynamicStateList,
     apply_diff,
     diff,
     encode,
@@ -153,12 +152,10 @@ def test_map_state_is_entry_list_in_order():
     m.request_object("c", "ex.Counter").count.set_state(2)
     m.request_object("l", "ex.Label")
     state = m.get_session_state()
-    assert state == DynamicStateList(
-        [
-            DynamicState("c", "ex.Counter", {"count": 2}),
-            DynamicState("l", "ex.Label", {"text": "", "size": 12}),
-        ]
-    )
+    assert state == [
+        entry("c", "ex.Counter", {"count": 2}),
+        entry("l", "ex.Label", {"text": "", "size": 12}),
+    ]
 
 
 def test_blank_slate_reconstruction_is_exact():
@@ -261,7 +258,7 @@ def test_wrapper_local_mode_roundtrip():
     obj = w.request_local_object("ex.Counter")
     obj.count.set_state(4)
     state = w.get_session_state()
-    assert state == DynamicStateList([DynamicState("", "ex.Counter", {"count": 4})])
+    assert state == [entry("", "ex.Counter", {"count": 4})]
 
     twin = LinkableDynamicObject(reg)
     twin.set_session_state(state)
@@ -282,7 +279,7 @@ def test_wrapper_global_mode_resolves_and_dangles():
     plot = m.request_object("p", "ex.Plot")
 
     assert plot.source.request_global_object("shared") is target
-    assert plot.source.get_session_state() == DynamicStateList([DynamicState("shared", "", None)])
+    assert plot.source.get_session_state() == [entry("shared", "", None)]
 
     m.remove_object("shared")
     assert plot.source.get_object() is None  # dangling
@@ -322,7 +319,7 @@ def test_wrapper_remove_object_and_empty_state():
     w.request_local_object("ex.Counter")
     w.remove_object()
     assert w.get_object() is None
-    assert w.get_session_state() == DynamicStateList([])
+    assert w.get_session_state() == []
     w.remove_object()  # no-op when already empty
 
 

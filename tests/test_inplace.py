@@ -31,11 +31,9 @@ from graphops import build_random_session, random_edit
 
 
 def _container_ids(node, out=None):
-    """ids of every dict and list in a plain or typed tree."""
+    """ids of every dict and list in a tree."""
     out = set() if out is None else out
-    if isinstance(node, statetree.DynamicState):
-        _container_ids(node.session_state, out)
-    elif isinstance(node, dict):
+    if isinstance(node, dict):
         out.add(id(node))
         for v in node.values():
             _container_ids(v, out)
@@ -115,11 +113,11 @@ def test_owned_apply_matches_public_apply_and_never_aliases_the_diff():
         for remove_missing in (False, True):
             expected = encode(apply_diff(a, d, remove_missing))
             out = _apply(to_plain(a), d, remove_missing)
-            assert encode(statetree.from_plain(out)) == expected, f"case {i}"
+            assert encode(out) == expected, f"case {i}"
             assert not _container_ids(out) & _container_ids(d), f"case {i}"
             # the same stored diff applies again to a second copy unchanged
             again = _apply(to_plain(a), d, remove_missing)
-            assert encode(statetree.from_plain(again)) == expected, f"case {i}"
+            assert encode(again) == expected, f"case {i}"
         assert encode_diff(d) == d_text, f"case {i}"
 
 
@@ -127,7 +125,7 @@ def test_apply_never_changes_its_base_or_its_diff():
     rng = random.Random(4711)
     for i in range(300):
         a = to_plain(treegen.random_tree(rng))
-        b = to_plain(treegen.mutate(rng, statetree.from_plain(a)) if i % 3 else treegen.random_tree(rng))
+        b = to_plain(treegen.mutate(rng, a) if i % 3 else treegen.random_tree(rng))
         d = diff(a, b)
         a_text, d_text = json.dumps(a), json.dumps(d)
         for remove_missing in (False, True):
@@ -246,19 +244,21 @@ def test_client_shadow_update_leaves_pending_diffs_intact():
 
 
 def _count_outermost(monkeypatch, names):
+    """Calls of the named statetree functions made while none of them runs,
+    so the copies an apply makes of its diff's payloads are not counted."""
     calls = {name: 0 for name in names}
-    depth = {name: 0 for name in names}
+    depth = [0]
     for name in names:
         real = getattr(statetree, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
-            depth[_name] += 1
-            if depth[_name] == 1:
+            depth[0] += 1
+            if depth[0] == 1:
                 calls[_name] += 1
             try:
                 return _real(*args, **kwargs)
             finally:
-                depth[_name] -= 1
+                depth[0] -= 1
 
         for module in (statetree, history):
             if getattr(module, name, None) is real:
@@ -266,48 +266,29 @@ def _count_outermost(monkeypatch, names):
     return calls
 
 
-def _count_state_copies(monkeypatch, log):
-    """Copies of a whole state the log keeps, such as its baseline."""
-    copies = []
-    real = statetree._clone
-
-    def counted(v):
-        if any(v is s for s in log._states):
-            copies.append(1)
-        return real(v)
-
-    monkeypatch.setattr(statetree, "_clone", counted)
-    monkeypatch.setattr(history, "_clone", counted, raising=False)
-    return copies
-
-
 @pytest.mark.parametrize("which", ["first", "last"])
 def test_state_at_converts_once_whatever_the_step(monkeypatch, which):
     # A recorded log keeps the state after each step: reading one is a
-    # single typed conversion, with no copy and no replay.
+    # single copy, with no replay.
     _, log = _recorded_log(5, steps=30)
     k = 1 if which == "first" else len(log.steps)
-    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply"])
-    copies = _count_state_copies(monkeypatch, log)
+    calls = _count_outermost(monkeypatch, ["to_plain", "_apply"])
     log.state_at(k)
-    assert calls == {"to_plain": 0, "from_plain": 1, "_apply": 0}
-    assert copies == []
+    assert calls == {"to_plain": 1, "_apply": 0}
 
 
 @pytest.mark.parametrize("which", ["first", "last"])
 def test_state_at_on_an_imported_log_copies_the_baseline_once(monkeypatch, which):
     # A log read from JSON keeps only its baseline, so it replays: k applies
-    # onto the baseline itself, which they leave as it was, and one typed
-    # conversion; the baseline is no longer copied first.
+    # onto the baseline itself, which they leave as it was, and one copy of
+    # the result; the baseline is not copied first.
     _, recorded = _recorded_log(5, steps=30)
     log = history.HistoryLog.import_json(recorded.export_json())
     baseline_text = json.dumps(log._states[0])
     k = 1 if which == "first" else len(log.steps)
-    calls = _count_outermost(monkeypatch, ["to_plain", "from_plain", "_apply"])
-    copies = _count_state_copies(monkeypatch, log)
+    calls = _count_outermost(monkeypatch, ["to_plain", "_apply"])
     out = log.state_at(k)
-    assert calls == {"to_plain": 0, "from_plain": 1, "_apply": k}
-    assert copies == []
+    assert calls == {"to_plain": 1, "_apply": k}
     assert json.dumps(log._states[0]) == baseline_text
     assert encode(out) == encode(recorded.state_at(k))
 

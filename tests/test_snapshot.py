@@ -22,12 +22,10 @@ from linkstate.dynamic import LinkableDynamicObject, LinkableHashMap
 from linkstate.linkable import LinkableObject, LinkableVariable
 from linkstate.statetree import (
     _apply,
-    _clone,
     _diff_plain,
     _plain_equivalent,
     diff,
     encode_diff,
-    from_plain,
     to_plain,
 )
 from linkstate.sync import ClientEngine, Message
@@ -36,7 +34,7 @@ from linkstate.sync import ClientEngine, Message
 def _uncached(obj):
     """The plain state of a live object, read through its public accessors."""
     if isinstance(obj, LinkableVariable):
-        return to_plain(obj.get_state())
+        return obj.get_state()
     if isinstance(obj, LinkableHashMap):
         return [
             {
@@ -60,12 +58,9 @@ def _text(plain):
 
 
 def _container_ids(node, out=None):
-    """Ids of every mutable container in a plain or typed tree."""
+    """Ids of every mutable container in a tree."""
     out = set() if out is None else out
-    if isinstance(node, statetree.DynamicState):
-        out.add(id(node))
-        _container_ids(node.session_state, out)
-    elif isinstance(node, dict):
+    if isinstance(node, dict):
         out.add(id(node))
         for v in node.values():
             _container_ids(v, out)
@@ -79,7 +74,7 @@ def _container_ids(node, out=None):
 def _assert_fresh(root, where):
     snap = root._snapshot()
     assert _text(snap) == _text(_uncached(root)), where
-    assert snap == to_plain(root.get_session_state()), where
+    assert snap == root.get_session_state(), where
 
 
 # --- the cache follows every edit -----------------------------------------------
@@ -182,11 +177,11 @@ def test_class_replacement_shows_even_when_the_child_snapshot_is_the_same_object
     assert root._snapshot()[0]["className"] == "b.Zero"
 
 
-def test_empty_containers_keep_their_typed_state():
+def test_empty_containers_read_as_empty_lists():
     root = graphops.new_root()
-    assert isinstance(root.get_session_state(), statetree.DynamicStateList)
+    assert root.get_session_state() == [] and statetree.encode(root.get_session_state()) == "[]"
     plot = root.request_object("p", "ex.Plot")
-    assert isinstance(plot.source.get_session_state(), statetree.DynamicStateList)
+    assert plot.source.get_session_state() == []
     assert root._snapshot()[0]["sessionState"]["source"] == []
 
 
@@ -202,7 +197,7 @@ def test_get_session_state_is_a_fresh_copy_of_the_snapshot():
     assert statetree.encode(first) == statetree.encode(second) == encoded
     assert root._snapshot() is snap  # reading changes nothing
     for entry in first:  # changing the copy leaves the snapshot as it was
-        entry.session_state["label"] = {"text": "changed"} if isinstance(entry.session_state, dict) else 0
+        entry["sessionState"]["label"] = {"text": "changed"} if isinstance(entry["sessionState"], dict) else 0
     first.clear()
     assert root._snapshot() is snap
     assert statetree.encode(snap) == encoded
@@ -214,10 +209,10 @@ def test_get_session_state_is_a_fresh_copy_of_the_snapshot():
 def _diff_pairs(rng, n):
     for i in range(n):
         a = to_plain(treegen.random_tree(rng))
-        b = to_plain(treegen.mutate(rng, from_plain(a)) if i % 2 else treegen.random_tree(rng))
+        b = to_plain(treegen.mutate(rng, a) if i % 2 else treegen.random_tree(rng))
         yield a, b
         yield a, a
-        yield a, _clone(a)
+        yield a, to_plain(a)
 
 
 # Plain entry lists may leave keys out; entries that differ only in which
@@ -241,7 +236,7 @@ def test_diff_is_empty_exactly_when_equivalent_and_round_trips():
         assert (d == {}) == _plain_equivalent(a, b), f"pair {i}"
         for remove_missing in (False, True):
             # applied entries always come out in the three-key form
-            assert _plain_equivalent(_apply(_clone(a), d, remove_missing), _clone(b)), f"pair {i}"
+            assert _plain_equivalent(_apply(to_plain(a), d, remove_missing), to_plain(b)), f"pair {i}"
 
 
 def test_entry_lists_with_a_repeated_name_diff_empty_exactly_when_equal():
@@ -260,7 +255,7 @@ def test_shared_subtrees_diff_like_copies():
             graphops.random_edit(rng, root)
             after = root._snapshot()
             for a, b in ((before, after), (after, before)):
-                assert encode_diff(_diff_plain(a, b)) == encode_diff(_diff_plain(_clone(a), _clone(b))), (
+                assert encode_diff(_diff_plain(a, b)) == encode_diff(_diff_plain(to_plain(a), to_plain(b))), (
                     f"seed {seed} step {step}"
                 )
             before = after
@@ -400,7 +395,7 @@ def test_jump_on_a_recorded_log_replays_nothing(monkeypatch):
     for target in (0, 7, 30, 15, 29):
         log.jump_to(target)
         root.scheduler.flush_frame()
-        assert _plain_equivalent(root._snapshot(), to_plain(log.state_at(target)))
+        assert _plain_equivalent(root._snapshot(), log.state_at(target))
     assert replays == []
     imported = history.HistoryLog.import_json(log.export_json())
     imported.state_at(12)
@@ -423,7 +418,7 @@ def test_kept_states_match_a_replay_after_undo_and_new_branches(seed):
     assert log.verify() == []
     replayed = history.HistoryLog.import_json(log.export_json())
     for k in range(len(log.steps) + 1):
-        assert _plain_equivalent(to_plain(log.state_at(k)), to_plain(replayed.state_at(k))), f"step {k}"
+        assert _plain_equivalent(log.state_at(k), replayed.state_at(k)), f"step {k}"
 
 
 def test_edits_absorbed_off_the_log_keep_kept_states_true_to_the_log():
@@ -457,7 +452,7 @@ def test_edits_absorbed_off_the_log_keep_kept_states_true_to_the_log():
     assert imported.verify() == []
     for k in range(len(log.steps) + 1):
         assert statetree.encode(log.state_at(k)) == statetree.encode(imported.state_at(k)), f"step {k}"
-    assert log.state_at(2)[1].session_state["label"]["text"] == ""
+    assert log.state_at(2)[1]["sessionState"]["label"]["text"] == ""
     for k in (3, 1):
         log.jump_to(k)
         root.scheduler.flush_frame()

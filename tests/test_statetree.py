@@ -1,14 +1,14 @@
 """Codec, equivalence, diff and patch for session-state value trees."""
 
+import json
 import random
 
 import pytest
 
 import treegen
+from treegen import entry
 from linkstate.errors import ParseError
 from linkstate.statetree import (
-    DynamicState,
-    DynamicStateList,
     apply_diff,
     decode,
     diff,
@@ -26,9 +26,9 @@ def test_encode_mapping_preserves_key_order():
 
 
 def test_encode_entry_list_always_three_keys():
-    dsl = DynamicStateList([DynamicState("plot1", "ex.Counter", {"count": 2})])
+    dsl = [entry("plot1", "ex.Counter", {"count": 2})]
     assert encode(dsl) == '[{"objectName":"plot1","className":"ex.Counter","sessionState":{"count":2}}]'
-    ref = DynamicStateList([DynamicState("shared", "", None)])
+    ref = [entry("shared", "", None)]
     assert encode(ref) == '[{"objectName":"shared","className":"","sessionState":null}]'
 
 
@@ -58,33 +58,38 @@ def test_decode_malformed_raises_parse_error():
 
 
 def test_decode_detects_entry_list():
-    node = decode('[{"objectName":"a","className":"ex.Counter","sessionState":{"count":1}}]')
-    assert isinstance(node, DynamicStateList)
-    assert node[0].object_name == "a"
-    assert node[0].class_name == "ex.Counter"
-    assert node[0].session_state == {"count": 1}
+    node = decode('[{"className":"ex.Counter","objectName":"a","sessionState":{"count":1.0}}]')
+    assert node == [entry("a", "ex.Counter", {"count": 1})]
+    assert list(node[0]) == ["objectName", "className", "sessionState"]
+    assert type(node[0]["sessionState"]["count"]) is int
 
 
 def test_decode_extra_key_means_plain_sequence():
     node = decode('[{"objectName":"a","other":1}]')
-    assert not isinstance(node, DynamicStateList)
     assert node == [{"objectName": "a", "other": 1}]
 
 
 def test_decode_empty_array_is_sequence():
     node = decode("[]")
-    assert node == [] and not isinstance(node, DynamicStateList)
+    assert node == [] and type(node) is list
 
 
 def test_decode_mention_only_entry_is_reference():
     node = decode('[{"objectName":"g"}]')
-    assert isinstance(node, DynamicStateList)
-    assert node[0] == DynamicState("g", "", None)
+    assert node == [{"objectName": "g", "className": "", "sessionState": None}]
 
 
 def test_duplicate_entry_names_rejected():
+    twice = [entry("a", "ex.Counter", None), entry("a", "ex.Label", None)]
     with pytest.raises(ValueError):
-        DynamicStateList([DynamicState("a", "ex.Counter", None), DynamicState("a", "ex.Label", None)])
+        decode(json.dumps(twice))
+    with pytest.raises(ValueError):
+        encode(twice)
+    with pytest.raises(ValueError):
+        encode({"k": [{"objectName": "a"}, {"objectName": "a", "className": "ex.Counter"}]})
+    # Anonymous entries repeat the empty name freely.
+    anon = [entry("", "ex.Counter", 1), entry("", "ex.Counter", 2)]
+    assert decode(encode(anon)) == anon
 
 
 # --- equivalence ---------------------------------------------------------------
@@ -94,8 +99,8 @@ def test_equivalence_ignores_mapping_key_order():
 
 
 def test_equivalence_entry_order_significant():
-    a = DynamicStateList([DynamicState("x", "ex.Counter", 1), DynamicState("y", "ex.Counter", 2)])
-    b = DynamicStateList([DynamicState("y", "ex.Counter", 2), DynamicState("x", "ex.Counter", 1)])
+    a = [entry("x", "ex.Counter", 1), entry("y", "ex.Counter", 2)]
+    b = [entry("y", "ex.Counter", 2), entry("x", "ex.Counter", 1)]
     assert not state_equivalent(a, b)
 
 
@@ -109,13 +114,17 @@ def test_equivalence_type_guards():
 
 
 def test_empty_entry_list_equivalent_to_empty_sequence():
-    assert state_equivalent(DynamicStateList([]), [])
+    # One empty array serves both: an emptied entry list is the empty sequence.
+    emptied = apply_diff([entry("a", "ex.Counter", 1)], [{"objectName": "a", "__removed__": True}])
+    assert emptied == [] and state_equivalent(emptied, [])
+    assert diff(emptied, []) == {} and diff([], emptied) == {}
 
 
 def test_entry_list_equivalent_to_its_wire_form():
-    dsl = DynamicStateList([DynamicState("a", "ex.Counter", {"count": 1})])
-    wire = [{"objectName": "a", "className": "ex.Counter", "sessionState": {"count": 1}}]
-    assert state_equivalent(dsl, wire)
+    dsl = [entry("a", "ex.Counter", {"count": 1})]
+    assert state_equivalent(dsl, json.loads(encode(dsl)))
+    # A mention-only entry is a reference entry written short.
+    assert state_equivalent([{"objectName": "g"}], [entry("g", "", None)])
 
 
 # --- diff: frozen cases ----------------------------------------------------------
@@ -147,13 +156,11 @@ def test_diff_replacement_by_scalar_is_bare():
 
 
 def test_diff_entry_removed_plus_mention():
-    old = DynamicStateList(
-        [
-            DynamicState("plot1", "ex.Counter", {"count": 2}),
-            DynamicState("plot2", "ex.Label", {"text": "t", "size": 12}),
-        ]
-    )
-    new = DynamicStateList([DynamicState("plot2", "ex.Label", {"text": "t", "size": 12})])
+    old = [
+        entry("plot1", "ex.Counter", {"count": 2}),
+        entry("plot2", "ex.Label", {"text": "t", "size": 12}),
+    ]
+    new = [entry("plot2", "ex.Label", {"text": "t", "size": 12})]
     assert diff(old, new) == [
         {"objectName": "plot1", "__removed__": True},
         {"objectName": "plot2"},
@@ -161,24 +168,24 @@ def test_diff_entry_removed_plus_mention():
 
 
 def test_diff_entry_state_change_is_partial():
-    old = DynamicStateList([DynamicState("x", "ex.Label", {"text": "a", "size": 12})])
-    new = DynamicStateList([DynamicState("x", "ex.Label", {"text": "b", "size": 12})])
+    old = [entry("x", "ex.Label", {"text": "a", "size": 12})]
+    new = [entry("x", "ex.Label", {"text": "b", "size": 12})]
     assert diff(old, new) == [
         {"objectName": "x", "className": "ex.Label", "sessionState": {"text": "b"}}
     ]
 
 
 def test_diff_class_change_carries_full_state():
-    old = DynamicStateList([DynamicState("x", "ex.Counter", {"count": 1})])
-    new = DynamicStateList([DynamicState("x", "ex.Label", {"text": ""})])
+    old = [entry("x", "ex.Counter", {"count": 1})]
+    new = [entry("x", "ex.Label", {"text": ""})]
     assert diff(old, new) == [
         {"objectName": "x", "className": "ex.Label", "sessionState": {"text": ""}}
     ]
 
 
 def test_diff_reorder_emits_order_marker():
-    old = DynamicStateList([DynamicState("a", "ex.Counter", 1), DynamicState("b", "ex.Counter", 2)])
-    new = DynamicStateList([DynamicState("b", "ex.Counter", 2), DynamicState("a", "ex.Counter", 1)])
+    old = [entry("a", "ex.Counter", 1), entry("b", "ex.Counter", 2)]
+    new = [entry("b", "ex.Counter", 2), entry("a", "ex.Counter", 1)]
     assert diff(old, new) == [
         {"objectName": "b"},
         {"objectName": "a"},
@@ -187,8 +194,8 @@ def test_diff_reorder_emits_order_marker():
 
 
 def test_diff_to_empty_entry_list_is_explicit_removal():
-    old = DynamicStateList([DynamicState("a", "ex.Counter", 1)])
-    d = diff(old, DynamicStateList([]))
+    old = [entry("a", "ex.Counter", 1)]
+    d = diff(old, [])
     assert d == [{"objectName": "a", "__removed__": True}]
     assert state_equivalent(apply_diff(old, d), [])
     # Explicit markers remove even when unmentioned entries are retained.
@@ -198,7 +205,7 @@ def test_diff_to_empty_entry_list_is_explicit_removal():
 # --- apply -------------------------------------------------------------------------
 
 def test_apply_empty_diff_is_noop():
-    for value in (7, {"a": 1}, [1, 2], DynamicStateList([DynamicState("a", "ex.Counter", 1)])):
+    for value in (7, {"a": 1}, [1, 2], [entry("a", "ex.Counter", 1)]):
         assert state_equivalent(apply_diff(value, {}), value)
 
 
@@ -220,38 +227,28 @@ def test_apply_on_mismatched_site_materializes():
 
 
 def test_partial_entry_list_remove_missing_semantics():
-    base = DynamicStateList(
-        [
-            DynamicState("a", "ex.Counter", {"count": 1}),
-            DynamicState("b", "ex.Label", {"text": "x"}),
-        ]
-    )
+    base = [
+        entry("a", "ex.Counter", {"count": 1}),
+        entry("b", "ex.Label", {"text": "x"}),
+    ]
     partial = [{"objectName": "b", "className": "ex.Label", "sessionState": {"text": "y"}}]
 
     kept = apply_diff(base, partial, remove_missing=False)
-    assert state_equivalent(
-        kept,
-        DynamicStateList(
-            [
-                DynamicState("b", "ex.Label", {"text": "y"}),
-                DynamicState("a", "ex.Counter", {"count": 1}),
-            ]
-        ),
-    )
+    assert state_equivalent(kept, [entry("b", "ex.Label", {"text": "y"}), entry("a", "ex.Counter", {"count": 1})])
 
     dropped = apply_diff(base, partial, remove_missing=True)
-    assert state_equivalent(dropped, DynamicStateList([DynamicState("b", "ex.Label", {"text": "y"})]))
+    assert state_equivalent(dropped, [entry("b", "ex.Label", {"text": "y"})])
 
 
 def test_apply_creates_entry_when_class_present():
-    base = DynamicStateList([])
+    base = []
     partial = [{"objectName": "n", "className": "ex.Counter", "sessionState": {"count": 3}}]
     out = apply_diff(base, partial)
-    assert state_equivalent(out, DynamicStateList([DynamicState("n", "ex.Counter", {"count": 3})]))
+    assert state_equivalent(out, [entry("n", "ex.Counter", {"count": 3})])
 
 
 def test_apply_skips_bare_mention_of_unknown_entry():
-    base = DynamicStateList([DynamicState("a", "ex.Counter", 1)])
+    base = [entry("a", "ex.Counter", 1)]
     out = apply_diff(base, [{"objectName": "ghost"}], remove_missing=False)
     assert state_equivalent(out, base)
 

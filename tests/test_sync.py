@@ -9,7 +9,7 @@ import pytest
 
 from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
-from linkstate.statetree import apply_diff, encode, state_equivalent, to_plain
+from linkstate.statetree import apply_diff, encode, state_equivalent
 from linkstate.sync import (
     ClientEngine,
     Framer,
@@ -115,7 +115,7 @@ class TestRelay:
             ]
             out = relay.handle(Message("Diff", "s", "a", 0, d))
             assert out[0][1].server_seq == i + 1
-            shadow = to_plain(apply_diff(shadow, d, remove_missing=False))
+            shadow = apply_diff(shadow, d, remove_missing=False)
         assert encode(relay.session_state("s")) == encode(shadow)
 
     @pytest.mark.parametrize(
@@ -477,14 +477,13 @@ class TestSimulation:
         seqs = []
         for seq, _sender, d in result.relay.applied_log("demo"):
             seqs.append(seq)
-            state = to_plain(apply_diff(state, d, remove_missing=False))
+            state = apply_diff(state, d, remove_missing=False)
         assert seqs == list(range(1, len(seqs) + 1))
-        assert to_plain(result.relay.session_state("demo")) == state
+        assert result.relay.session_state("demo") == state
 
 
 def _by_name(result):
-    plain = to_plain(result.relay.session_state("demo"))
-    return {e["objectName"]: e["sessionState"] for e in plain}
+    return {e["objectName"]: e["sessionState"] for e in result.relay.session_state("demo")}
 
 
 class TestSocketTransport:

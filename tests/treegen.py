@@ -2,11 +2,22 @@
 
 import string
 
-from linkstate.statetree import DynamicState, DynamicStateList
+from linkstate.statetree import _is_entry_list
 
 CLASSES = ["ex.Counter", "ex.Label", "ex.Selection", "ex.Plot"]
 NAMES = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
 KEYS = ["title", "size", "count", "keys", "text", "flag", "items"]
+
+
+class EntryList(list):
+    """A generated entry list. The library reads it as the plain list it is;
+    the class only lets mutate tell an empty entry list from an empty
+    sequence, so both draw from the generator as they always have and the
+    recorded corpora stay the same."""
+
+
+def entry(name, cls, state):
+    return {"objectName": name, "className": cls, "sessionState": state}
 
 
 def random_scalar(rng):
@@ -41,41 +52,39 @@ def random_dsl(rng, depth=2):
     entries = []
     for name in names:
         if rng.random() < 0.1:
-            entries.append(DynamicState(name, "", None))  # global reference
+            entries.append(entry(name, "", None))  # global reference
         else:
-            entries.append(DynamicState(name, rng.choice(CLASSES), random_tree(rng, depth - 1)))
+            entries.append(entry(name, rng.choice(CLASSES), random_tree(rng, depth - 1)))
     if rng.random() < 0.15:
-        entries.append(DynamicState("", rng.choice(CLASSES), random_tree(rng, depth - 1)))
-    return DynamicStateList(entries)
+        entries.append(entry("", rng.choice(CLASSES), random_tree(rng, depth - 1)))
+    return EntryList(entries)
 
 
 def mutate(rng, node, depth=3):
     """Return a tree structurally related to node (local edits, drops, adds)."""
     if depth <= 0 or rng.random() < 0.2:
         return random_tree(rng, 2)
-    if isinstance(node, DynamicStateList):
+    if isinstance(node, EntryList) or _is_entry_list(node):
         out = []
         for e in node:
+            name, cls, st = e.get("objectName", ""), e.get("className", ""), e.get("sessionState")
             r = rng.random()
             if r < 0.2:
                 continue
             if r < 0.5:
-                cls, st = e.class_name, e.session_state
                 if cls and rng.random() < 0.2:
-                    cls = rng.choice([c for c in CLASSES if c != e.class_name])
+                    cls = rng.choice([c for c in CLASSES if c != cls])
                     st = random_tree(rng, depth - 1)
                 elif cls:
                     st = mutate(rng, st, depth - 1)
-                out.append(DynamicState(e.object_name, cls, st))
-            else:
-                out.append(DynamicState(e.object_name, e.class_name, e.session_state))
+            out.append(entry(name, cls, st))
         if rng.random() < 0.3:
-            unused = [n for n in NAMES if n not in {e.object_name for e in out}]
+            unused = [n for n in NAMES if n not in {e["objectName"] for e in out}]
             if unused:
-                out.append(DynamicState(rng.choice(unused), rng.choice(CLASSES), random_tree(rng, depth - 1)))
+                out.append(entry(rng.choice(unused), rng.choice(CLASSES), random_tree(rng, depth - 1)))
         if rng.random() < 0.3:
             rng.shuffle(out)
-        return DynamicStateList(out)
+        return EntryList(out)
     if isinstance(node, dict):
         out = {}
         for key, value in node.items():
