@@ -130,8 +130,18 @@ def _is_entry_list(obj: Any) -> bool:
     return isinstance(obj, list) and bool(obj) and all(map(_entry_shaped, obj))
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number literal in JSON: {name}")
+def _finite(literal: str) -> float:
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number in JSON: {literal}")
+    return x
+
+
+def parse_json(text: str | bytes) -> Any:
+    """json.loads for outside input: NaN and Infinity literals, and float
+    literals beyond the float range (1e999), raise ValueError, since no
+    state tree may hold a non-finite number."""
+    return json.loads(text, parse_constant=_finite, parse_float=_finite)
 
 
 def encode(node: StateNode) -> str:
@@ -144,9 +154,9 @@ def encode(node: StateNode) -> str:
 
 def decode(text: str) -> StateNode:
     """Inverse of encode. Raises ParseError on malformed JSON and ValueError
-    on NaN/Infinity literals."""
+    on NaN/Infinity literals and out-of-range numbers."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = parse_json(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e}") from e
     return to_plain(data)
@@ -160,7 +170,7 @@ def encode_diff(d: Any) -> str:
 def decode_diff(text: str) -> Any:
     """Parse a diff tree. Markers and short entries are kept as written."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return parse_json(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed JSON: {e}") from e
 

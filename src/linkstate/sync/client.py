@@ -189,5 +189,6 @@ class ClientEngine:
         self.root.set_session_state(msg.payload, remove_missing=True)
         self._published = self.root._snapshot()
         # pending diffs stay queued: the retransmit path replays any local
-        # edits the relay never saw, and duplicates are harmless under the
-        # last-writer-wins order
+        # edits the relay never saw. A retransmit the relay did see applies
+        # twice, and can put an older write back over a newer one (a known
+        # limitation, docs/protocol.md)

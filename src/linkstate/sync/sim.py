@@ -5,6 +5,11 @@ parameters. Everything runs on one event heap with a virtual clock and one
 seeded generator, so a (script, seed) pair always produces the same delivery
 trace and the same report, byte for byte. Frames really are encoded and
 decoded at the pipe boundaries; nothing mutable crosses between actors.
+
+The driver (`_drive`) is shared with realtime runs (socket_transport): it
+schedules the joins, the edits at their atMs and each client's flush ticks,
+applies the settle rule and reads the end report. Only the loop's clock and
+the network a client's engine is connected to differ.
 """
 
 from __future__ import annotations
@@ -206,6 +211,8 @@ def _load_edit(cid: str, raw: Any, registry) -> dict:
 
 
 class _Loop:
+    """The driver's event heap on the virtual clock: time jumps to each event."""
+
     def __init__(self):
         self.now = 0
         self._heap: list = []
@@ -217,9 +224,15 @@ class _Loop:
 
     def run(self) -> None:
         while self._heap:
-            t, _, fn = heapq.heappop(self._heap)
-            self.now = t
-            fn()
+            if self._wait(self._heap[0][0]):
+                _, _, fn = heapq.heappop(self._heap)
+                fn()
+
+    def _wait(self, t: int) -> bool:
+        """Move the clock toward t; False when it stopped short, so that the
+        heap is looked at again."""
+        self.now = t
+        return True
 
 
 class _Pipe:
@@ -246,10 +259,7 @@ class _Pipe:
                 f"t={self.loop.now} {self.label} {msg.kind} seq={msg.server_seq} bytes={len(frame)} DROP"
             )
             return
-        if isinstance(self.latency, list):
-            delay = self.rng.randint(self.latency[0], self.latency[1])
-        else:
-            delay = self.latency
+        delay = self.rng.randint(*self.latency) if isinstance(self.latency, list) else self.latency
         arrival = self.loop.now + delay
         if self.fifo:
             arrival = max(arrival, self._last_arrival)
@@ -368,10 +378,13 @@ class SimResult:
         return json.dumps(self.report, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
-class _SimClient:
-    def __init__(self, cid, engine, loop, interval, duration, cap):
+class _ScriptClient:
+    """One scripted client on the driver's loop: its edits, its flush ticks
+    and the settle rule. The network gives it an engine (connect)."""
+
+    def __init__(self, cid, loop, interval, duration, cap):
         self.cid = cid
-        self.engine = engine
+        self.engine: ClientEngine | None = None
         self.loop = loop
         self.interval = interval
         self.duration = duration
@@ -391,10 +404,14 @@ class _SimClient:
         if now < self.duration or (not self.engine.quiescent() and now < self.cap):
             self.ensure_tick(now + self.interval)
 
-    def on_frame(self, msg: Message) -> None:
-        self.engine.on_message(msg, self.loop.now)
+    def wake(self) -> None:
+        """Messages reached the engine: keep ticking until it settles."""
         if not self.engine.quiescent():
             self.ensure_tick(self.loop.now + self.interval)
+
+    def on_frame(self, msg: Message) -> None:
+        self.engine.on_message(msg, self.loop.now)
+        self.wake()
 
     def run_edit(self, edit: dict) -> None:
         if not apply_edit(self.engine.root, edit):
@@ -402,14 +419,33 @@ class _SimClient:
         self.ensure_tick(self.loop.now + self.interval)
 
 
+def _drive(script: dict, loop: _Loop, relay: Relay, connect: Callable[[_ScriptClient], ClientEngine], cap: int) -> dict:
+    """Run a loaded script on loop, virtual or realtime alike: joins at 0,
+    each edit at its atMs, flush ticks until every client settles or the
+    clock passes cap. connect(client) gives each client its engine on the
+    network that reaches relay. Returns end_report's part of the report."""
+    clients = []
+    for spec in script["clients"]:
+        client = _ScriptClient(spec["id"], loop, script["flushIntervalMs"], script["durationMs"], cap)
+        client.engine = connect(client)
+        clients.append(client)
+    # joins first, then edits, then the flush heartbeats
+    for c in clients:
+        loop.at(0, lambda c=c: c.engine.hello(loop.now))
+    for c, spec in zip(clients, script["clients"]):
+        for edit in spec["edits"]:
+            loop.at(edit["atMs"], lambda c=c, e=edit: c.run_edit(e))
+    for c in clients:
+        c.ensure_tick(script["flushIntervalMs"])
+    loop.run()
+    return end_report(relay, script["session"], [(c.cid, c.engine, c.skipped_edits) for c in clients])
+
+
 def run_simulation(script: Any, seed: int = 0) -> SimResult:
     """Run one scripted scenario; returns the report plus the delivery trace."""
     script = load_script(script)
     session = script["session"]
     net = script["net"]
-    duration = script["durationMs"]
-    interval = script["flushIntervalMs"]
-    cap = duration + script["settleCapMs"]
 
     loop = _Loop()
     rng = Random(seed)
@@ -426,7 +462,6 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
     def r2c_drop(now: int) -> bool:
         return any(start <= now < end for start, end in windows)
 
-    clients: dict[str, _SimClient] = {}
     to_client: dict[str, _Pipe] = {}
 
     def relay_receive(msg: Message) -> None:
@@ -435,38 +470,20 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
             if pipe is not None:
                 pipe.send(out)
 
-    registry_factory = build_demo_registry
-    for spec in script["clients"]:
-        cid = spec["id"]
+    def connect(client: _ScriptClient) -> ClientEngine:
+        cid = client.cid
         up = _Pipe(loop, rng, net, f"{cid}->relay", relay_receive, c2r_drop, trace, counters)
-        engine = ClientEngine(
+        to_client[cid] = _Pipe(loop, rng, net, f"relay->{cid}", client.on_frame, r2c_drop, trace, counters)
+        return ClientEngine(
             client_id=cid,
             session_id=session,
-            registry=registry_factory(),
+            registry=build_demo_registry(),
             send=up.send,
             ack_timeout_ms=net["ackTimeoutMs"],
             gap_timeout_ms=net["gapTimeoutMs"],
         )
-        sim_client = _SimClient(cid, engine, loop, interval, duration, cap)
-        clients[cid] = sim_client
-        to_client[cid] = _Pipe(
-            loop, rng, net, f"relay->{cid}", sim_client.on_frame, r2c_drop, trace, counters
-        )
 
-    # joins first, then edits, then the flush heartbeats
-    for spec in script["clients"]:
-        sc = clients[spec["id"]]
-        loop.at(0, lambda sc=sc: sc.engine.hello(loop.now))
-    for spec in script["clients"]:
-        sc = clients[spec["id"]]
-        for edit in spec["edits"]:
-            loop.at(edit["atMs"], lambda sc=sc, e=edit: sc.run_edit(e))
-    for spec in script["clients"]:
-        clients[spec["id"]].ensure_tick(interval)
-
-    loop.run()
-
-    end = end_report(relay, session, [(sc.cid, sc.engine, sc.skipped_edits) for sc in clients.values()])
+    end = _drive(script, loop, relay, connect, script["durationMs"] + script["settleCapMs"])
     trace_hash = "sha256:" + hashlib.sha256("\n".join(trace).encode("utf-8")).hexdigest()
     report = {
         "mode": "virtual",

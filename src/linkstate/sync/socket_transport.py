@@ -1,175 +1,227 @@
-"""Plain TCP transport: a threaded relay server and a realtime script runner.
+"""Plain TCP transport: a single-threaded relay server and a realtime script runner.
 
 The virtual-time simulator is the reference; this module exists so the relay
-can be exercised across real sockets. Each connection gets a reader thread
-that only parses frames and feeds the shared relay under a lock; client
-engines stay single-threaded (the run loop drains an inbox queue).
+can be exercised across real sockets. `RelayServer` is one `selectors` loop
+over nonblocking sockets, matching the single-threaded `Relay` actor inside
+it: each connection has a `Framer` for what it sends and a buffer for what it
+has not yet taken. `SocketClient` reads its own nonblocking socket when
+pumped. `run_realtime` runs the simulator's driver on the wall clock with the
+server and every client polled from that one loop, so a realtime run uses
+the calling thread alone.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
+import selectors
 import socket
-import threading
 import time
+from typing import Callable
 
 from ..demo import build_demo_registry
 from ..errors import MalformedMessage
 from .client import ClientEngine
 from .relay import Relay
-from .sim import apply_edit, end_report, load_script
-from .wire import Framer, Message, encode_frame
+from .sim import _drive, _Loop, load_script
+from .wire import MAX_FRAME_BYTES, Framer, Message, encode_frame
 
 log = logging.getLogger(__name__)
 
+# A peer that still holds more unsent bytes than this when another frame is
+# due has stopped reading; it is closed so that it cannot grow the relay's
+# memory. Checked before the new frame is queued, so one frame of any size the
+# wire admits reaches a peer that reads.
+MAX_UNSENT_BYTES = MAX_FRAME_BYTES
+
+_RECV_BYTES = 65536
+
+
+def _connected(sock: socket.socket) -> socket.socket:
+    # Frames are small and latency-bound: never hold one back for the ACK of
+    # the one before it (Nagle's algorithm).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.setblocking(False)
+    return sock
+
+
+class _Conn:
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.framer = Framer()
+        self.out = bytearray()
+
 
 class RelayServer:
-    """Accepts connections, routes relay output back by client id."""
+    """Accepts connections and routes relay output back by client id, all on
+    the thread that calls poll() or serve_forever()."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()
-        self._relay = Relay()
-        self._lock = threading.Lock()
-        self._routes: dict[str, socket.socket] = {}
-        self._conn_locks: dict[socket.socket, threading.Lock] = {}
-        self._stopping = threading.Event()
-        self._threads: list[threading.Thread] = []
-
-    @property
-    def relay(self) -> Relay:
-        return self._relay
-
-    @property
-    def lock(self) -> threading.Lock:
-        return self._lock
-
-    def start(self) -> None:
-        t = threading.Thread(target=self.serve_forever, name="relay-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
+        self.relay = Relay()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._routes: dict[str, _Conn] = {}
+        self._stopped = False
 
     def serve_forever(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break
-            self._conn_locks[conn] = threading.Lock()
-            t = threading.Thread(target=self._client_loop, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+        while not self._stopped:
+            self.poll(None)
+
+    def poll(self, timeout: float | None) -> None:
+        """One round: wait up to timeout seconds (None: until something
+        happens), then accept, read and write whatever is ready."""
+        for key, events in self._selector.select(timeout):
+            conn = key.data
+            if conn is None:
+                self._accept()
+                continue
+            # fileno() is -1 once the connection was closed earlier this round
+            if events & selectors.EVENT_READ and conn.sock.fileno() != -1:
+                self._read(conn)
+            if events & selectors.EVENT_WRITE and conn.sock.fileno() != -1:
+                self._write(conn)
 
     def stop(self) -> None:
-        self._stopping.set()
-        # shutdown (not just close) is what actually unblocks recv/accept
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns = set(self._routes.values()) | set(self._conn_locks)
-        for conn in conns:
-            for action in (lambda: conn.shutdown(socket.SHUT_RDWR), conn.close):
-                try:
-                    action()
-                except OSError:
-                    pass
-        for t in self._threads:
-            t.join(timeout=2)
+        """Close the listener and every connection; serve_forever() returns."""
+        self._stopped = True
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
 
-    def _client_loop(self, conn: socket.socket) -> None:
-        framer = Framer()
+    def _accept(self) -> None:
         try:
-            while True:
-                data = conn.recv(65536)
-                if not data:
-                    return
-                try:
-                    messages = list(framer.feed(data))
-                except MalformedMessage as e:
-                    log.warning("closing connection on unframeable data: %s", e)
-                    return
-                for msg in messages:
-                    self._handle(msg, conn)
-        except OSError:
+            sock, _ = self._listener.accept()
+        except BlockingIOError:
             return
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        self._selector.register(_connected(sock), selectors.EVENT_READ, _Conn(sock))
 
-    def _handle(self, msg: Message, conn: socket.socket) -> None:
-        with self._lock:
+    def _read(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)
+            return
+        try:
+            messages = list(conn.framer.feed(data))
+        except MalformedMessage as e:
+            log.warning("closing connection on unframeable data: %s", e)
+            self._close(conn)
+            return
+        for msg in messages:
+            if conn.sock.fileno() == -1:
+                return
             self._routes[msg.sender_id] = conn
-            outs = self._relay.handle(msg)
-            targets = [(self._routes.get(cid), out) for cid, out in outs]
-        for target, out in targets:
-            if target is None:
-                continue
-            try:
-                with self._conn_locks.setdefault(target, threading.Lock()):
-                    target.sendall(encode_frame(out))
-            except OSError:
-                log.warning("send to %s failed; peer gone?", out.kind)
+            for cid, out in self.relay.handle(msg):
+                target = self._routes.get(cid)
+                if target is not None and len(target.out) > MAX_UNSENT_BYTES:
+                    log.warning("closing a peer that stopped reading (%d bytes unsent)", len(target.out))
+                    self._close(target)
+                elif target is not None:
+                    target.out += encode_frame(out)
+                    self._write(target)
+
+    def _write(self, conn: _Conn) -> None:
+        try:
+            del conn.out[: conn.sock.send(conn.out)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(conn)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.out else 0)
+        if self._selector.get_key(conn.sock).events != events:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Conn) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        for cid in [cid for cid, c in self._routes.items() if c is conn]:
+            del self._routes[cid]
 
 
 class SocketClient:
-    """One engine bridged onto a TCP connection; pump() stays on one thread."""
+    """One engine bridged onto a TCP connection, driven by pump() on the
+    caller's thread."""
 
     def __init__(self, client_id: str, session_id: str, address, registry=None):
-        self._sock = socket.create_connection(address)
-        self._send_lock = threading.Lock()
-        self._inbox: queue.Queue[Message] = queue.Queue()
+        self._sock = _connected(socket.create_connection(address))
+        self._framer = Framer()
+        self._out = bytearray()
         self.engine = ClientEngine(
             client_id=client_id,
             session_id=session_id,
             registry=registry or build_demo_registry(),
             send=self._send,
         )
-        self._reader = threading.Thread(target=self._read_loop, name=f"read-{client_id}", daemon=True)
-        self._reader.start()
 
     def _send(self, msg: Message) -> None:
-        with self._send_lock:
-            self._sock.sendall(encode_frame(msg))
+        self._out += encode_frame(msg)
+        self._write()
 
-    def _read_loop(self) -> None:
-        framer = Framer()
-        try:
-            while True:
-                data = self._sock.recv(65536)
-                if not data:
-                    return
-                for msg in framer.feed(data):
-                    self._inbox.put(msg)
-        except (OSError, MalformedMessage):
-            return
+    def _write(self) -> None:
+        if self._out:
+            try:
+                del self._out[: self._sock.send(self._out)]
+            except BlockingIOError:
+                pass  # the rest goes out on a later send or pump
+            except OSError:
+                self._out.clear()  # the relay is gone: the bytes are lost, like a dropped frame
 
-    def pump(self, now_ms: int) -> None:
+    def pump(self, now_ms: int) -> int:
+        """Send what is still queued, then hand every message that has
+        arrived to the engine; returns how many there were.
+
+        Unframeable bytes from the relay end the stream as if the relay had
+        closed it: the socket is closed, and later sends are dropped.
+        """
+        self._write()
+        handled = 0
         while True:
             try:
-                msg = self._inbox.get_nowait()
-            except queue.Empty:
-                return
-            self.engine.on_message(msg, now_ms)
+                data = self._sock.recv(_RECV_BYTES)
+                messages = list(self._framer.feed(data))
+            except OSError:  # nothing more for now, or the relay is gone
+                return handled
+            except MalformedMessage as e:
+                log.warning("closing the relay connection on unframeable data: %s", e)
+                self._sock.close()
+                return handled
+            for msg in messages:
+                self.engine.on_message(msg, now_ms)
+                handled += 1
+            if not data:
+                return handled
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._reader.join(timeout=2)
+        self._sock.close()
+
+
+class _WallLoop(_Loop):
+    """The driver's event heap on the wall clock. While it waits for the next
+    event it polls the server, then pumps every client."""
+
+    def __init__(self, server: RelayServer):
+        super().__init__()
+        self._server = server
+        self._start = time.monotonic()
+        self.links: list[tuple[SocketClient, Callable[[], None]]] = []
+
+    def _elapsed_ms(self) -> int:
+        return int((time.monotonic() - self._start) * 1000)
+
+    def _wait(self, t: int) -> bool:
+        self._server.poll(max(0, t - self._elapsed_ms()) / 1000)
+        self.now = self._elapsed_ms()
+        for sc, on_frames in self.links:
+            if sc.pump(self.now):
+                on_frames()
+        return self.now >= t
 
 
 def run_realtime(script, settle_ms: int = 2000) -> dict:
@@ -177,50 +229,22 @@ def run_realtime(script, settle_ms: int = 2000) -> dict:
 
     Timing here is best-effort; only the virtual-time simulator promises
     determinism. The report mirrors the simulator's shape minus the seed,
-    the virtual clock and the network counters.
+    the virtual clock and the network counters. settle_ms takes the place
+    of the script's settleCapMs.
     """
     script = load_script(script)
     server = RelayServer()
-    server.start()
-    clients: list[tuple[dict, SocketClient]] = []
+    loop = _WallLoop(server)
+
+    def connect(client):
+        sc = SocketClient(client.cid, script["session"], server.address)
+        loop.links.append((sc, client.wake))
+        return sc.engine
+
     try:
-        for spec in script["clients"]:
-            clients.append((spec, SocketClient(spec["id"], script["session"], server.address)))
-
-        start = time.monotonic()
-
-        def now_ms() -> int:
-            return int((time.monotonic() - start) * 1000)
-
-        for _, sc in clients:
-            sc.engine.hello(now_ms())
-
-        interval_s = script["flushIntervalMs"] / 1000.0
-        pending_edits = {spec["id"]: list(spec["edits"]) for spec, _ in clients}
-        skipped = {spec["id"]: 0 for spec, _ in clients}
-        deadline = script["durationMs"] + settle_ms
-        while True:
-            t = now_ms()
-            quiet = True
-            for spec, sc in clients:
-                sc.pump(t)
-                due = [e for e in pending_edits[spec["id"]] if e["atMs"] <= t]
-                for edit in due:
-                    pending_edits[spec["id"]].remove(edit)
-                    if not apply_edit(sc.engine.root, edit):
-                        skipped[spec["id"]] += 1
-                sc.engine.flush(t)
-                quiet = quiet and sc.engine.quiescent() and not pending_edits[spec["id"]]
-            if t >= deadline or (t >= script["durationMs"] and quiet):
-                break
-            time.sleep(interval_s)
-
-        with server.lock:
-            end = end_report(
-                server.relay, script["session"], [(spec["id"], sc.engine, skipped[spec["id"]]) for spec, sc in clients]
-            )
+        end = _drive(script, loop, server.relay, connect, script["durationMs"] + settle_ms)
         return {"mode": "realtime", "session": script["session"], **end}
     finally:
-        for _, sc in clients:
+        for sc, _ in loop.links:
             sc.close()
         server.stop()

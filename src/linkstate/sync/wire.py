@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..errors import MalformedMessage
+from ..statetree import parse_json
 
 KINDS = frozenset({"Hello", "Welcome", "Diff", "FullState", "Ack"})
 
@@ -50,9 +51,11 @@ def encode_frame(msg: Message) -> bytes:
 
 def decode_body(body: bytes) -> Message:
     try:
-        data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        # RecursionError: nested deeper than the decoder can follow
+        data = parse_json(body.decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        # ValueError: bad UTF-8, bad JSON, a non-finite number or an integer
+        # too long to convert; RecursionError: nested deeper than the
+        # decoder can follow
         raise MalformedMessage(f"undecodable frame body: {e}") from e
     if not isinstance(data, dict):
         raise MalformedMessage("frame body must be a JSON object")

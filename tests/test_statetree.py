@@ -50,6 +50,10 @@ def test_decode_rejects_non_finite_literals():
         decode("NaN")
     with pytest.raises(ValueError):
         decode('{"x":[1,Infinity]}')
+    with pytest.raises(ValueError):
+        decode("[1e999]")  # beyond the float range: would read as inf
+    with pytest.raises(ValueError):
+        decode('{"x":-1e400}')
 
 
 def test_decode_malformed_raises_parse_error():

@@ -2,14 +2,23 @@
 
 import importlib.resources
 import json
+import os
 import random
+import socket
+import subprocess
 import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
 from linkstate.statetree import apply_diff, encode, state_equivalent
+from linkstate.sync import socket_transport
+from linkstate.sync.socket_transport import RelayServer, SocketClient
+from linkstate.sync.wire import MAX_FRAME_BYTES
 from linkstate.sync import (
     ClientEngine,
     Framer,
@@ -74,6 +83,16 @@ class TestWire:
         framer = Framer()
         with pytest.raises(MalformedMessage):
             list(framer.feed(frame))
+
+    @pytest.mark.parametrize(
+        "number", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" * 5000, id="5000-digit-int")]
+    )
+    def test_numbers_no_state_may_hold_are_malformed(self, number):
+        frame = _frame('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":0,"payload":{"count":' + number + "}}")
+        with pytest.raises(MalformedMessage):
+            decode_frame(frame)
+        with pytest.raises(MalformedMessage):
+            list(Framer().feed(frame))
 
 
 class TestRelay:
@@ -486,6 +505,45 @@ def _by_name(result):
     return {e["objectName"]: e["sessionState"] for e in result.relay.session_state("demo")}
 
 
+def _settle(clients, done, server=None, budget_s=10.0):
+    """Poll the server (when it runs in this process) and pump and flush
+    every client until done() holds; False when the budget runs out."""
+    end = time.monotonic() + budget_s
+    while time.monotonic() < end:
+        if server is not None:
+            server.poll(0.001)
+        now = int(time.monotonic() * 1000)
+        for c in clients:
+            c.pump(now)
+            c.engine.flush(now)
+        if done():
+            return True
+        if server is None:
+            time.sleep(0.001)
+    return False
+
+
+def _closed_by_server(server, sock, budget_s=10.0):
+    """Read and drop what sock receives until the server's end closes it."""
+    sock.setblocking(False)
+    end = time.monotonic() + budget_s
+    while time.monotonic() < end:
+        server.poll(0.001)
+        try:
+            if not sock.recv(1 << 16):
+                return True
+        except BlockingIOError:
+            pass
+        except ConnectionResetError:
+            return True
+    return False
+
+
+def _frame(text):
+    body = text.encode()
+    return len(body).to_bytes(4, "big") + body
+
+
 class TestSocketTransport:
     def test_two_clients_over_loopback(self):
         import time
@@ -493,7 +551,6 @@ class TestSocketTransport:
         from linkstate.sync.socket_transport import RelayServer, SocketClient
 
         server = RelayServer()
-        server.start()
         a = b = None
         try:
             a = SocketClient("a", "s", server.address)
@@ -505,6 +562,7 @@ class TestSocketTransport:
                 t0 = time.monotonic()
                 while time.monotonic() - t0 < ms_budget / 1000:
                     now = int((time.monotonic() - t0) * 1000)
+                    server.poll(0)
                     a.pump(now)
                     b.pump(now)
                     a.engine.flush(now)
@@ -519,8 +577,7 @@ class TestSocketTransport:
             a.engine.root.get_object("c1").count.set_state(41)
             assert settle()
             assert b.engine.root.get_object("c1").count.get_state() == 41
-            with server.lock:
-                relay_state = server.relay.session_state("s")
+            relay_state = server.relay.session_state("s")
             assert state_equivalent(b.engine.root.get_session_state(), relay_state)
         finally:
             for sc in (a, b):
@@ -550,3 +607,156 @@ class TestSocketTransport:
         assert report["mode"] == "realtime"
         assert report["converged"] is True
         assert report["clients"]["a"]["sentDiffs"] >= 1
+
+    def test_a_non_finite_number_does_not_poison_the_session(self):
+        server = RelayServer()
+        raw = socket.create_connection(server.address)
+        late = None
+        try:
+            raw.sendall(
+                _frame(
+                    '{"kind":"Diff","sessionId":"s","senderId":"x","serverSeq":0,"payload":'
+                    '[{"objectName":"c","className":"ex.Counter","sessionState":{"count":NaN}}]}'
+                )
+            )
+            assert _closed_by_server(server, raw)
+            late = SocketClient("late", "s", server.address)
+            assert _settle([late], lambda: late.engine.joined, server)
+            assert late.engine.root.get_names() == []
+        finally:
+            raw.close()
+            if late is not None:
+                late.close()
+            server.stop()
+
+    def test_bad_peers_are_closed_alone_and_the_loop_keeps_serving(self, monkeypatch):
+        monkeypatch.setattr(socket_transport, "MAX_UNSENT_BYTES", 64 * 1024)
+        server = RelayServer()
+        peers = []
+        good = []
+        try:
+            huge = socket.create_connection(server.address)
+            peers.append(huge)
+            huge.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            assert _closed_by_server(server, huge)
+
+            cut = socket.create_connection(server.address)
+            peers.append(cut)
+            cut.sendall(_frame('{"kind":"Hello","sessionId":"s","senderId":"cut"}')[:20])
+            cut.close()
+
+            idle = socket.socket()
+            peers.append(idle)
+            idle.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            idle.connect(server.address)
+            idle.sendall(_frame('{"kind":"Hello","sessionId":"s","senderId":"idle"}'))
+
+            good = [SocketClient(cid, "s", server.address) for cid in ("a", "b")]
+            a, b = good
+            assert _settle(good, lambda: a.engine.joined and b.engine.joined, server)
+            a.engine.root.request_object("t", "ex.Label")
+            # 32 KiB per edit, bounded: the idle peer's kernel buffers fill
+            # first, then its unsent bytes pass the cap
+            for i in range(400):
+                if "idle" not in server._routes:
+                    break
+                a.engine.root.get_object("t").text.set_state(f"{i:05d}" + "x" * 32768)
+                assert _settle(good, lambda: a.engine.quiescent() and b.engine.quiescent(), server)
+            assert "idle" not in server._routes
+            assert _closed_by_server(server, idle)
+
+            b.engine.root.get_object("t").size.set_state(30)
+            assert _settle(good, lambda: a.engine.quiescent() and b.engine.quiescent(), server)
+            assert a.engine.root.get_object("t").size.get_state() == 30
+            relay_state = server.relay.session_state("s")
+            for c in good:
+                assert state_equivalent(c.engine.root.get_session_state(), relay_state)
+        finally:
+            for sock in peers + good:
+                sock.close()
+            server.stop()
+
+    def test_frames_larger_than_the_cap_reach_peers_that_read(self, monkeypatch):
+        monkeypatch.setattr(socket_transport, "MAX_UNSENT_BYTES", 64 * 1024)
+        server = RelayServer()
+        clients = []
+        try:
+            clients = [SocketClient(cid, "s", server.address) for cid in ("a", "b")]
+            a, b = clients
+            assert _settle(clients, lambda: a.engine.joined and b.engine.joined, server)
+            # a 4 MiB Diff, far more than one nonblocking send() takes
+            a.engine.root.request_object("t", "ex.Label")
+            a.engine.root.get_object("t").text.set_state("x" * (4 << 20))
+            assert _settle(clients, lambda: a.engine.quiescent() and b.engine.quiescent(), server)
+            assert len(b.engine.root.get_object("t").text.get_state()) == 4 << 20
+            # and a Welcome of the same size to a late joiner
+            late = SocketClient("late", "s", server.address)
+            clients.append(late)
+            assert _settle(clients, lambda: all(c.engine.quiescent() for c in clients), server)
+            assert sorted(server._routes) == ["a", "b", "late"]
+            relay_state = server.relay.session_state("s")
+            for c in clients:
+                assert state_equivalent(c.engine.root.get_session_state(), relay_state)
+        finally:
+            for c in clients:
+                c.close()
+            server.stop()
+
+    def test_unframeable_relay_stream_ends_like_a_close(self):
+        relay = socket.create_server(("127.0.0.1", 0))
+        client = SocketClient("a", "s", relay.getsockname())
+        conn, _ = relay.accept()
+        try:
+            conn.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            end = time.monotonic() + 10
+            while client._sock.fileno() != -1 and time.monotonic() < end:
+                assert client.pump(0) == 0
+            assert client._sock.fileno() == -1
+            assert client.pump(1) == 0
+            client.engine.flush(2)  # the Hello is dropped, not raised
+        finally:
+            client.close()
+            conn.close()
+            relay.close()
+
+    def test_thirty_two_clients_share_the_one_thread(self):
+        threads = threading.active_count()
+        server = RelayServer()
+        clients = []
+        try:
+            clients = [SocketClient(f"c{i:02d}", "s", server.address) for i in range(32)]
+            assert _settle(clients, lambda: all(c.engine.joined for c in clients), server)
+            assert threading.active_count() == threads
+            writer = clients[0].engine.root
+            writer.request_object("n", "ex.Counter")
+            writer.get_object("n").count.set_state(7)
+            assert _settle(clients, lambda: all(c.engine.quiescent() for c in clients), server)
+            assert [c.engine.root.get_object("n").count.get_state() for c in clients] == [7] * 32
+        finally:
+            for c in clients:
+                c.close()
+            server.stop()
+
+    def test_serve_reports_its_address_and_admits_a_client(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "linkstate.cli", "serve", "--port", "0"],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            text=True,
+        )
+        try:
+            line = proc.stderr.readline()
+            assert line.startswith("relay listening on "), line
+            host, port = line.split()[-1].rsplit(":", 1)
+            client = SocketClient("a", "s", (host, int(port)))
+            try:
+                assert _settle([client], lambda: client.engine.joined)
+            finally:
+                client.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stderr.close()
