@@ -16,6 +16,10 @@ collections clearing theirs, stopping at one already clear: a slot is only
 filled after the slots below it, so the ones above a clear slot are clear
 too. The trigger counter cannot stand in for this, because a delayed parent
 counts only at resume() and a read during the delay would see stale state.
+The walk also notes, on each parent, which child collection it cleared, and
+a collection that triggers itself drops that note: an owner whose own state
+did not change (a hash map whose entries only changed inside) can rebuild
+its value from the noted children alone.
 
 Set LINKSTATE_TRACE=1 to emit one trace line per callback invocation on
 stderr.
@@ -123,6 +127,10 @@ class CallbackCollection:
         self._disposed = False
         self._thread = threading.get_ident()
         self._cache = STALE
+        # The child collections whose cache went stale since this one's was
+        # filled (() for none yet: most never need a set), or None when this
+        # collection itself triggered since.
+        self._stale_children: set | tuple | None = None
 
     # -- introspection ------------------------------------------------------
 
@@ -197,12 +205,25 @@ class CallbackCollection:
         self._run_now(set())
 
     def _drop_cache(self) -> None:
+        self._stale_children = None
+        if self._cache is STALE:
+            return
+        self._cache = STALE
         todo = [self]
         while todo:
             c = todo.pop()
-            if c._cache is not STALE:
-                c._cache = STALE
-                todo.extend(c._parents)
+            for p in c._parents:
+                # Every edge from a newly cleared child is noted, even into
+                # a parent already clear, so the parent can rebuild from the
+                # children that changed alone.
+                noted = p._stale_children
+                if noted == ():
+                    p._stale_children = {c}
+                elif noted is not None:
+                    noted.add(c)
+                if p._cache is not STALE:
+                    p._cache = STALE
+                    todo.append(p)
 
     def delay(self) -> None:
         self._check_live()

@@ -31,6 +31,8 @@ from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
+    EntryItem,
+    _EntryList,
     normalize_entry_items,
 )
 
@@ -79,7 +81,8 @@ class LinkableHashMap(LinkableObject):
         super().__init__(scheduler)
         self._registry = registry
         self._classes: dict[str, str] = {}
-        self._entries: dict[str, dict] = {}  # entry dicts of the last snapshot, by name
+        self._last: list = []  # the last snapshot built
+        self._slots: dict[CallbackCollection, int] = {}  # child collection -> its index there
         self.child_list_callbacks = CallbackCollection(self.callbacks.scheduler)
         self.last_object_added: tuple[str, LinkableObject] | None = None
         self.last_object_removed: tuple[str, LinkableObject] | None = None
@@ -173,18 +176,37 @@ class LinkableHashMap(LinkableObject):
 
     def _build_snapshot(self) -> list:
         # An entry whose child snapshot is unchanged is the same dict as in
-        # the last snapshot, so diffs skip it with one identity check.
-        last = self._entries
-        entries = {}
-        for name, child in self._children.items():
-            state = child._snapshot()
-            cls = self._classes[name]
-            e = last.get(name)
-            if e is None or e[SESSION_STATE_KEY] is not state or e[CLASS_NAME_KEY] != cls:
-                e = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: state}
-            entries[name] = e
-        self._entries = entries
-        return list(entries.values())
+        # the last snapshot, so diffs skip it with one identity check. When
+        # only children changed (the map's own collection did not trigger:
+        # no entry came, went or moved), the last list is copied and only
+        # the entries of those children are looked at. A noted collection
+        # without a slot belongs to a child already removed (a child added
+        # since the last full build triggers the map itself).
+        stale = self.callbacks._stale_children
+        if stale is not None:
+            entries = _EntryList(self._last)
+            for c in stale:
+                i = self._slots.get(c)
+                if i is None:
+                    continue
+                e = entries[i]
+                name = e[OBJECT_NAME_KEY]
+                state = self._children[name]._snapshot()
+                if e[SESSION_STATE_KEY] is not state:
+                    entries[i] = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: e[CLASS_NAME_KEY], SESSION_STATE_KEY: state}
+        else:
+            last = {e[OBJECT_NAME_KEY]: e for e in self._last}
+            entries = _EntryList()
+            for name, child in self._children.items():
+                state = child._snapshot()
+                cls = self._classes[name]
+                e = last.get(name)
+                if e is None or e[SESSION_STATE_KEY] is not state or e[CLASS_NAME_KEY] != cls:
+                    e = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: state}
+                entries.append(e)
+            self._slots = {child.callbacks: i for i, child in enumerate(self._children.values())}
+        self._last = entries
+        return entries
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
@@ -193,10 +215,20 @@ class LinkableHashMap(LinkableObject):
         except TypeError:
             log.warning("LinkableHashMap: ignoring non-list state %r", type(state).__name__)
             return
+        self._set_items(items, order, remove_missing)
+
+    def _set_items(self, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> None:
+        """Apply parsed entry items (see statetree.normalize_entry_items)."""
         self.callbacks.delay()
         try:
             mentioned: dict[str, bool] = {}
             for it in items:
+                if type(it) is str:  # a named pure mention
+                    if it in self._children:
+                        mentioned[it] = True
+                    else:
+                        log.debug("LinkableHashMap: mention of unknown entry %r ignored", it)
+                    continue
                 if it.removed:
                     if it.name in self._children:
                         self.remove_object(it.name)
@@ -383,10 +415,12 @@ class LinkableDynamicObject(LinkableObject):
     def _build_snapshot(self) -> list:
         if self._local_class:
             target = self._children[self._TARGET]
-            return [{OBJECT_NAME_KEY: "", CLASS_NAME_KEY: self._local_class, SESSION_STATE_KEY: target._snapshot()}]
+            return _EntryList(
+                [{OBJECT_NAME_KEY: "", CLASS_NAME_KEY: self._local_class, SESSION_STATE_KEY: target._snapshot()}]
+            )
         if self._global_name:
-            return [{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}]
-        return []
+            return _EntryList([{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}])
+        return _EntryList()
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
@@ -402,6 +436,8 @@ class LinkableDynamicObject(LinkableObject):
                     self.remove_object()
                 return
             for it in items:
+                if type(it) is str:
+                    it = EntryItem(it)
                 if it.removed:
                     if (not it.name and self._local_class) or (it.name and it.name == self._global_name):
                         self.remove_object()

@@ -9,18 +9,26 @@ re-recording itself.
 
 The log reads the root's cached plain snapshot (see linkable), so a record
 costs the changed path plus one identity check per entry of an entry list,
-not a walk of the whole tree. It keeps the snapshot recorded after each
-step: snapshots are never mutated and share every unchanged subtree, so a
-kept state costs one root list plus the changed path. A snapshot is kept
-only while the root matches the log's state at the cursor: edits absorbed
-while capture is paused (or made before an undo in the same frame) put the
-root off the log, and the states recorded after that are not kept. state_at
-and jump_to read the kept state; where none is kept (that case, or a log
-read from JSON), they apply the forward diffs to the nearest kept state.
-verify always replays from the baseline. An apply never mutates its base,
-so replay copies nothing; stored steps and kept states are never modified.
+not a walk of the whole tree. The snapshots and every state an apply
+builds from them hold trusted built entry lists (statetree._EntryList), so
+neither a record's diffs nor a replay check any entry's shape; a log read
+from JSON starts from a plain baseline, which its first apply checks.
 
-Exported logs are version-1 JSON documents (docs/history-format.md).
+The log keeps the snapshot recorded after each step: snapshots are never
+mutated and share every unchanged subtree, so a kept state costs one root
+list plus the changed path. A snapshot is kept only while the root matches
+the log's state at the cursor: edits absorbed while capture is paused (or
+made before an undo in the same frame) put the root off the log, and the
+states recorded after that are not kept. state_at and jump_to read the
+kept state; where none is kept (that case, or a log read from JSON), they
+apply the forward diffs to the nearest kept state. verify always replays
+from the baseline. An apply never mutates its base, so replay copies
+nothing; stored steps and kept states are never modified.
+
+Exported logs are version-1 JSON documents (docs/history-format.md). An
+import parses with statetree.parse_json, so a log holding a number no state
+may hold (NaN, Infinity, 1e999) is a ParseError, not a log that cannot be
+exported again.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .statetree import (
     _diff_plain,
     _plain_equivalent,
     is_empty_diff,
+    parse_json,
     to_plain,
 )
 
@@ -263,8 +272,8 @@ class HistoryLog:
     def import_json(cls, text: str, clock_ms: Callable[[], int] | None = None) -> "HistoryLog":
         """Parse an exported log into a detached HistoryLog."""
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
+            data = parse_json(text)
+        except ValueError as e:  # bad JSON, or a non-finite number no log may hold
             raise ParseError(f"malformed history log: {e}") from e
         if not isinstance(data, dict):
             raise ParseError("history log must be a JSON object")

@@ -15,9 +15,13 @@ in its callback collection's cache slot. A snapshot is built from the
 children's snapshots, so an unchanged subtree is the same object in every
 snapshot that contains it, and it is never mutated. Any state change
 triggers the object's callbacks, which drops the cached snapshots of the
-object and its ancestors; the next read rebuilds only that path. Classes
-say how to build their snapshot in _build_snapshot(); the public
-get_session_state() is a fresh copy of it.
+object and its ancestors and notes, on each ancestor, which child's went
+stale; the next read rebuilds only that path, and a hash map copies its
+last entry list and re-reads only the noted children. Classes say how to
+build their snapshot in _build_snapshot(); the public get_session_state()
+is a fresh copy of it. The entry lists in a snapshot are statetree's
+trusted built lists (_EntryList): whatever diffs or applies over a
+snapshot, or over a value an apply built from one, checks no entry shape.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .statetree import (
     _apply,
     _plain_equivalent,
     to_plain,
-    validate_node,
 )
 
 log = logging.getLogger(__name__)
@@ -162,6 +165,7 @@ class LinkableObject:
         snap = cache._cache
         if snap is STALE:
             snap = cache._cache = self._build_snapshot()
+            cache._stale_children = ()
         return snap
 
     def _build_snapshot(self) -> Any:
@@ -198,10 +202,12 @@ class LinkableObject:
 class LinkableVariable(LinkableObject):
     """A leaf (or document-valued) state holder with an optional verifier.
 
-    A value rejected by the verifier is dropped silently: the old value stays,
-    last_verify_failed flips on, and a diagnostic is logged. Callbacks trigger
-    only when the stored value actually changes. The value is kept canonical
-    (statetree.to_plain) and never mutated, so it is its own snapshot.
+    A value rejected by the verifier, or one that is no state tree (say a
+    non-finite number or a repeated entry name), is dropped silently: the
+    old value stays, last_verify_failed flips on, and a diagnostic is
+    logged. Callbacks trigger only when the stored value actually changes.
+    The value is kept canonical (statetree.to_plain) and never mutated, so
+    it is its own snapshot.
     """
 
     def __init__(
@@ -213,10 +219,10 @@ class LinkableVariable(LinkableObject):
         super().__init__(scheduler)
         self._verifier = verifier
         self._last_verify_failed = False
-        validate_node(default)
+        value = to_plain(default)  # raises on anything that is not a state tree
         if not self._accepts(default):
             raise ValueError(f"default value {default!r} fails the verifier")
-        self._value = to_plain(default)
+        self._value = value
 
     @property
     def last_verify_failed(self) -> bool:
@@ -251,9 +257,8 @@ class LinkableVariable(LinkableObject):
 
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         self._check_live()
-        new_value = to_plain(_apply(self._value, state, remove_missing))
         try:
-            validate_node(new_value)
+            new_value = to_plain(_apply(self._value, state, remove_missing))
         except (TypeError, ValueError) as e:
             log.warning("%s: dropping invalid state: %s", type(self).__name__, e)
             self._last_verify_failed = True

@@ -1,9 +1,12 @@
 """Two-way state linking between objects, and variable-to-external bridging.
 
-A link keeps two endpoints state-equivalent by copying whole session states
-on trigger. Echo is cut two ways: a copy in flight suppresses the link's own
-reaction on the other side, and a would-be copy is skipped outright when the
-endpoint states are already equivalent. Together these bound propagation (at
+A link keeps two endpoints state-equivalent: on trigger it diffs the
+cached snapshots of the two and applies the diff to the other endpoint
+(remove-missing, so the result is the source's state), which costs what
+changed, not the whole tree. Echo is cut two ways: a copy in flight
+suppresses the link's own reaction on the other side, and a would-be copy is
+skipped outright when the diff is empty, i.e. the endpoint states are
+already equivalent. Together these bound propagation (at
 most two effective triggers per endpoint per edit in a chain of two links)
 without any state version counters.
 """
@@ -16,7 +19,7 @@ from typing import Callable
 from .callbacks import CallbackCollection
 from .errors import AlreadyUnlinked, DuplicateLink, SelfLink
 from .linkable import LinkableObject, LinkableVariable
-from .statetree import StateNode, state_equivalent
+from .statetree import StateNode, _diff_plain, is_empty_diff, state_equivalent
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +75,14 @@ def link_session_state(primary: LinkableObject, secondary: LinkableObject) -> Li
             return
         if src.disposed or dst.disposed:
             return
-        src_state = src.get_session_state()
-        if state_equivalent(src_state, dst.get_session_state()):
+        # The cached snapshots share every unchanged subtree, so the diff
+        # walks only what changed since the endpoints last matched.
+        d = _diff_plain(dst._snapshot(), src._snapshot())
+        if is_empty_diff(d):
             return
         link._copying = True
         try:
-            dst.set_session_state(src_state, remove_missing=True)
+            dst.set_session_state(d, remove_missing=True)
         finally:
             link._copying = False
 
@@ -92,12 +97,7 @@ def link_session_state(primary: LinkableObject, secondary: LinkableObject) -> Li
 
     link = Link(primary, secondary, detach)
     _register_link(primary, secondary, link)
-    if not state_equivalent(primary.get_session_state(), secondary.get_session_state()):
-        link._copying = True
-        try:
-            secondary.set_session_state(primary.get_session_state(), remove_missing=True)
-        finally:
-            link._copying = False
+    copy(primary, secondary)
     return link
 
 

@@ -19,6 +19,19 @@ as it was). ``_diff_plain`` relies on the sharing: it is one walk that
 answers ``{}`` for an identical pair at once, and for a mapping or entry
 list whose walk finds no change.
 
+Trusted and untrusted entry lists. The entry lists a snapshot builds
+(linkable, dynamic) and the ones ``_apply`` builds are of the private list
+subclass ``_EntryList``, which vouches for their shape: every item is an
+entry and no non-empty name repeats. The history's kept states, the relay's
+state and a client's ``_published`` shadow are all such lists, so a diff
+or an apply over them checks no entry's shape and no name's uniqueness.
+Input from outside (``decode``, ``parse_json``, the public ``diff`` and
+``apply_diff`` arguments, wire payloads) is always plain lists and gets
+every check, and every public result is a plain copy (``to_plain``).
+An entry diff is parsed once (``_entry_diff``) into items, a bare
+``{"objectName": n}`` mention becoming just n, and the parsed items can
+feed both a live root and a value-level apply (``_apply_entry_diff``).
+
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
 
@@ -64,54 +77,60 @@ def validate_node(node: StateNode) -> None:
     Numbers must be finite (NaN/Inf have no JSON encoding here), mapping keys
     must be strings, and non-empty entry names in an entry list unique.
     """
-    if node is None or isinstance(node, (bool, str, int)):
-        return
-    if isinstance(node, float):
-        if not math.isfinite(node):
-            raise ValueError(f"non-finite number in state tree: {node!r}")
-        return
-    if isinstance(node, list):
-        if _is_entry_list(node):
-            _unique_names(node)
-        for item in node:
-            validate_node(item)
-        return
-    if isinstance(node, dict):
-        for k, v in node.items():
-            if not isinstance(k, str):
-                raise TypeError(f"mapping key must be str, got {type(k).__name__}")
-            validate_node(v)
-        return
-    raise TypeError(f"not a state node: {type(node).__name__}")
+    to_plain(node)
 
 
 def to_plain(node: StateNode) -> Any:
     """Canonical copy of a state tree, sharing nothing with it: integral
     floats become ints and entry lists come out in the three-key form, with
-    keys in reserved order. Raises ValueError on repeated entry names and
-    TypeError on anything that is not a state node."""
-    # Mappings first: they are the most common container in a snapshot.
+    keys in reserved order, as plain lists. It checks the tree as it walks
+    it (validate_node is this check alone): TypeError on a non-str mapping
+    key or anything that is not a state node, ValueError on a non-finite
+    number or a repeated entry name, the first bad node in walk order
+    deciding."""
+    # Mappings first: they are the most common container in a snapshot. An
+    # explicit loop checks each key before its value, and beats a dict
+    # comprehension here.
     if isinstance(node, dict):
-        return {k: to_plain(v) for k, v in node.items()}
+        out = {}
+        for k, v in node.items():
+            if not isinstance(k, str):
+                raise TypeError(f"mapping key must be str, got {type(k).__name__}")
+            out[k] = to_plain(v)
+        return out
     if node is None or isinstance(node, (str, int)):  # bool is an int
         return node
     if isinstance(node, float):
-        # Integral floats become ints so 5.0 and 5 are one canonical value.
-        return int(node) if node.is_integer() else node
+        # Integral floats become ints so 5.0 and 5 are one canonical value;
+        # NaN and the infinities are not integral.
+        if node.is_integer():
+            return int(node)
+        if not math.isfinite(node):
+            raise ValueError(f"non-finite number in state tree: {node!r}")
+        return node
     if isinstance(node, list):
         if _is_entry_list(node):
-            return _unique_names(
-                [
-                    {
-                        OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
-                        CLASS_NAME_KEY: e.get(CLASS_NAME_KEY, ""),
-                        SESSION_STATE_KEY: to_plain(e.get(SESSION_STATE_KEY)),
-                    }
-                    for e in node
-                ]
-            )
+            if type(node) is not _EntryList:
+                _unique_names(node)
+            return [
+                {
+                    OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
+                    CLASS_NAME_KEY: e.get(CLASS_NAME_KEY, ""),
+                    SESSION_STATE_KEY: to_plain(e.get(SESSION_STATE_KEY)),
+                }
+                for e in node
+            ]
         return [to_plain(x) for x in node]
     raise TypeError(f"not a state node: {type(node).__name__}")
+
+
+class _EntryList(list):
+    """An entry list that a snapshot or an apply built: every item is
+    entry-shaped and no non-empty name repeats, by construction. The type is
+    the proof, so the shape checks answer for it at once. Parsed input is
+    never one, and every public result is a plain list (to_plain)."""
+
+    __slots__ = ()
 
 
 def _entry_shaped(obj: Any) -> bool:
@@ -127,6 +146,8 @@ def _entry_shaped(obj: Any) -> bool:
 def _is_entry_list(obj: Any) -> bool:
     # Non-empty: an empty array cannot be told apart from an empty Sequence,
     # so it decodes as a Sequence and the two compare as equivalent.
+    if type(obj) is _EntryList:
+        return bool(obj)
     return isinstance(obj, list) and bool(obj) and all(map(_entry_shaped, obj))
 
 
@@ -147,8 +168,8 @@ def parse_json(text: str | bytes) -> Any:
 def encode(node: StateNode) -> str:
     """Canonical compact JSON encoding. Key order is preserved (it is part of
     the state), entries always carry all three reserved keys, and integral
-    floats are written as integers."""
-    validate_node(node)
+    floats are written as integers. One canonical walk (to_plain) checks the
+    tree as it copies it."""
     return json.dumps(to_plain(node), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
@@ -248,6 +269,8 @@ def _diff_plain(a: Any, b: Any) -> Any:
 def _entry_list_beside(b: Any, a: list) -> bool:
     # _is_entry_list(b) for a b that shares entries with the entry list a:
     # an entry of a at the same position needs no second look.
+    if type(b) is _EntryList:
+        return bool(b)
     return (
         isinstance(b, list)
         and bool(b)
@@ -258,83 +281,107 @@ def _entry_list_beside(b: Any, a: list) -> bool:
 
 def _diff_entry_list(a: list, b: list) -> Any:
     # Named entries match by name; the k-th anonymous entry of a matches the
-    # k-th anonymous entry of b. Removal markers come first (targeting the
-    # tail anonymous slots), then one item per new entry in new order.
-    # Returns {} when the lists are equivalent.
+    # k-th anonymous entry of b. Returns {} when the lists are equivalent.
+    # The common case, the same names in the same order, is one pass that
+    # pairs entry i with entry i, an identical pair costing one mention; a
+    # built list needs no check that its names are unique.
+    if len(a) == len(b) and (type(a) is _EntryList or _names_unique([e.get(OBJECT_NAME_KEY, "") for e in a])):
+        out: list = []
+        changed = False
+        for x, y in zip(a, b):
+            n = y.get(OBJECT_NAME_KEY, "")
+            if x is y:
+                out.append({OBJECT_NAME_KEY: n})
+            elif x.get(OBJECT_NAME_KEY, "") != n:
+                break  # the names differ: match them by name below
+            else:
+                changed = _diff_matched(out, x, y, n) or changed
+        else:
+            return out if changed else {}
+    return _diff_entry_list_by_name(a, b)
+
+
+def _diff_entry_list_by_name(a: list, b: list) -> Any:
+    # Removal markers come first (targeting the tail anonymous slots), then
+    # one item per new entry in new order, then an order marker if the
+    # surviving entries moved.
     a_order = [e.get(OBJECT_NAME_KEY, "") for e in a]
     b_order = [e.get(OBJECT_NAME_KEY, "") for e in b]
-    out: list = []
-    unique = _names_unique(a_order)
-    if a_order == b_order and unique:
-        # The same entries in the same order: entry i matches entry i.
-        partners: Any = range(len(b))
-        changed = reordered = False
-    elif not unique and _plain_equivalent(a, b):
+    if not _names_unique(a_order) and _plain_equivalent(a, b):
         # Repeated names (no applied tree holds them) defeat matching by name,
         # but equal lists still diff to nothing.
         return {}
-    else:
-        a_names = {}
-        a_anon = []
-        for i, n in enumerate(a_order):
-            if n:
-                a_names[n] = i
-            else:
-                a_anon.append(i)
-        matched_a = set()
-        partners = []  # index into a (or None) for each entry of b
-        anon_used = 0
-        for n in b_order:
-            if n:
-                p = a_names.get(n)
-            elif anon_used < len(a_anon):
-                p = a_anon[anon_used]
-                anon_used += 1
-            else:
-                p = None
-            partners.append(p)
-            if p is not None:
-                matched_a.add(p)
-        for i, n in enumerate(a_order):
-            if i not in matched_a:
-                out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-        old_surviving = [a_order[i] for i in sorted(matched_a)]
-        new_surviving = [n for n, p in zip(b_order, partners) if p is not None]
-        reordered = old_surviving != new_surviving
-        changed = reordered or bool(out)
+    out: list = []
+    a_names = {}
+    a_anon = []
+    for i, n in enumerate(a_order):
+        if n:
+            a_names[n] = i
+        else:
+            a_anon.append(i)
+    matched_a = set()
+    partners = []  # index into a (or None) for each entry of b
+    anon_used = 0
+    for n in b_order:
+        if n:
+            p = a_names.get(n)
+        elif anon_used < len(a_anon):
+            p = a_anon[anon_used]
+            anon_used += 1
+        else:
+            p = None
+        partners.append(p)
+        if p is not None:
+            matched_a.add(p)
+    for i, n in enumerate(a_order):
+        if i not in matched_a:
+            out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
+    old_surviving = [a_order[i] for i in sorted(matched_a)]
+    new_surviving = [n for n, p in zip(b_order, partners) if p is not None]
+    reordered = old_surviving != new_surviving
+    changed = reordered or bool(out)
 
     for e, n, p in zip(b, b_order, partners):
-        if p is not None and a[p] is e:
-            out.append({OBJECT_NAME_KEY: n})
-            continue
-        cls = e.get(CLASS_NAME_KEY, "")
-        st = e.get(SESSION_STATE_KEY)
-        if p is not None and cls == "" and a[p].get(CLASS_NAME_KEY, "") != "":
-            # Demotion to a by-name reference. A bare reference entry reads as
-            # a mention on an existing target, so tombstone the old one first.
-            out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: to_plain(st)})
+        if p is None:
+            # Created: full entry.
+            cls = e.get(CLASS_NAME_KEY, "")
+            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: to_plain(e.get(SESSION_STATE_KEY))})
             changed = True
-            continue
-        if p is None or a[p].get(CLASS_NAME_KEY, "") != cls:
-            # Created or recreated under a different class: full entry.
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: to_plain(st)})
-            changed = True
-            continue
-        sub = _diff_plain(a[p].get(SESSION_STATE_KEY), st)
-        if sub == {}:
+        elif a[p] is e:
             out.append({OBJECT_NAME_KEY: n})
-            # Entries written with different key sets are not equivalent.
-            changed = changed or a[p].keys() != e.keys()
         else:
-            out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: sub})
-            changed = True
+            changed = _diff_matched(out, a[p], e, n) or changed
 
     # The marker is name-based, so it can only be written when every entry is
     # named; anonymous order is carried by mention order alone.
     if reordered and all(b_order):
         out.append({ORDER_MARKER: b_order})
     return out if changed else {}
+
+
+def _diff_matched(out: list, old: dict, e: dict, n: str) -> bool:
+    """Append the items that turn the entry old into its match e, named n;
+    True when they change it."""
+    cls = e.get(CLASS_NAME_KEY, "")
+    st = e.get(SESSION_STATE_KEY)
+    old_cls = old.get(CLASS_NAME_KEY, "")
+    if cls == "" and old_cls != "":
+        # Demotion to a by-name reference. A bare reference entry reads as
+        # a mention on an existing target, so tombstone the old one first.
+        out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
+        out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: to_plain(st)})
+        return True
+    if old_cls != cls:
+        # Recreated under a different class: full entry.
+        out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: to_plain(st)})
+        return True
+    sub = _diff_plain(old.get(SESSION_STATE_KEY), st)
+    if sub == {}:
+        out.append({OBJECT_NAME_KEY: n})
+        # Entries written with different key sets are not equivalent.
+        return old.keys() != e.keys()
+    out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: sub})
+    return True
 
 
 def _names_unique(names: list) -> bool:
@@ -413,7 +460,8 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
 
 @dataclass
 class EntryItem:
-    """Normalized form of one entry list diff/state item."""
+    """Normalized form of one entry list diff/state item. A named pure
+    mention, the common item, is its name alone (a str), with no EntryItem."""
 
     name: str = ""
     removed: bool = False
@@ -423,18 +471,24 @@ class EntryItem:
     state: Any = None
 
 
-def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem], list | None] | None:
+def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem | str], list | None] | None:
     """One pass over an entry list or diff: its items (states are subtrees
     of d, not copies) and its order marker, if any. An item is a dict whose
     name and class are strings; strict (an entry diff) also wants it
     entry-shaped with at most a removal marker added, and an order marker
     alone, and returns None at the first other element, which lenient skips
     with a diagnostic. A reference-shaped item (empty className, null or
-    absent state) is a pure mention: has_state is False."""
-    items: list[EntryItem] = []
+    absent state) is a pure mention: has_state is False. A bare
+    {"objectName": name} with a non-empty name comes out as the name."""
+    items: list[EntryItem | str] = []
     order: list | None = None
     for x in d:
         if isinstance(x, dict):
+            if len(x) == 1:
+                name = x.get(OBJECT_NAME_KEY)
+                if type(name) is str and name:
+                    items.append(name)
+                    continue
             if ORDER_MARKER in x and (len(x) == 1 or not strict):
                 o = x[ORDER_MARKER]
                 if isinstance(o, list) and all(isinstance(n, str) for n in o):
@@ -446,7 +500,7 @@ def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem], list | None] |
             cls = x.get(CLASS_NAME_KEY, "")
             if isinstance(name, str) and isinstance(cls, str):
                 if len(x) == 1 and OBJECT_NAME_KEY in x:
-                    items.append(EntryItem(name))  # a bare mention, the common item
+                    items.append(EntryItem(name))  # an anonymous bare mention
                     continue
                 if not strict or (x.keys() <= _DIFF_ITEM_KEYS and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)):
                     st = x.get(SESSION_STATE_KEY)
@@ -460,42 +514,46 @@ def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem], list | None] |
     return items, order
 
 
-def _entry_diff(d: Any) -> tuple[list[EntryItem], list | None] | None:
+def _entry_diff(d: Any) -> tuple[list[EntryItem | str], list | None] | None:
     """The items and order marker of d, or None if d is not an entry diff."""
     return _entry_items(d, True) if isinstance(d, list) and d else None
 
 
-def normalize_entry_items(state: Any) -> tuple[list[EntryItem], list | None]:
+def normalize_entry_items(state: Any) -> tuple[list[EntryItem | str], list | None]:
     """Normalize an entry list, or a diff shaped like one, into items plus
-    an optional order marker; non-items are skipped with a diagnostic."""
+    an optional order marker; non-items are skipped with a diagnostic. An
+    item is an EntryItem, or the name of a named pure mention."""
     if not isinstance(state, list):
         raise TypeError(f"not a dynamic entry list: {type(state).__name__}")
     return _entry_items(state, False)
 
 
-def _new_entry(it: EntryItem) -> dict:
+def _new_entry(it: EntryItem | str) -> dict:
+    if type(it) is str:
+        return {OBJECT_NAME_KEY: it, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}
     state = _materialize(it.state) if it.has_state else None
     return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
 
 
-def _apply_entry_diff(base: Any, items: list[EntryItem], order: list | None, remove_missing: bool) -> list:
-    # A base that is not an entry list (a non-list reads as [None]) gives the
-    # entries the items name. Otherwise a new list of the survivors in their
-    # final order: entries the items change are new dicts, created ones are
-    # appended, the rest are base's own.
-    by_name: dict[str, int] = {}
+def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> list:
+    # A base that is neither an entry list nor empty gives the entries the
+    # items name. Otherwise a new list of the survivors in their final
+    # order: entries the items change are new dicts, created ones are
+    # appended, the rest are base's own. A built base (_EntryList) is taken
+    # at its word; any other list has each entry's shape checked.
+    trusted = type(base) is _EntryList
+    if not trusted and not (isinstance(base, list) and all(map(_entry_shaped, base))):
+        return _EntryList(_unique_names([_new_entry(it) for it in items if type(it) is str or not it.removed]))
+    by_name = {e.get(OBJECT_NAME_KEY, ""): i for i, e in enumerate(base)}
     anon_slots: list[int] = []
-    for i, e in enumerate(base if isinstance(base, list) else [None]):
-        if not _entry_shaped(e):
-            return _unique_names([_new_entry(it) for it in items if not it.removed])
-        n = e.get(OBJECT_NAME_KEY, "")
-        if n:
-            by_name[n] = i
-        else:
-            anon_slots.append(i)
+    if "" in by_name:
+        del by_name[""]
+        anon_slots = [i for i, e in enumerate(base) if not e.get(OBJECT_NAME_KEY, "")]
     entries = list(base)
     # Anonymous mentions claim the leading slots, anonymous removals the tail.
-    n_anon_mentions = sum(1 for it in items if not it.name and not it.removed)
+    n_anon_mentions = (
+        sum(1 for it in items if type(it) is not str and not it.name and not it.removed) if anon_slots else 0
+    )
 
     removed_idx: set[int] = set()
     mentioned: dict[int, None] = {}  # insertion-ordered set: mention order
@@ -503,6 +561,12 @@ def _apply_entry_diff(base: Any, items: list[EntryItem], order: list | None, rem
     anon_removed_i = 0
 
     for it in items:
+        if type(it) is str:
+            # A named pure mention: it moves its entry, if there is one.
+            t = by_name.get(it)
+            if t is not None and t not in removed_idx:
+                mentioned[t] = None
+            continue
         if it.removed:
             if it.name:
                 t = by_name.get(it.name)
@@ -534,17 +598,25 @@ def _apply_entry_diff(base: Any, items: list[EntryItem], order: list | None, rem
             entries[t] = {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it.state, remove_missing)}
         mentioned[t] = None
 
-    survivors = [i for i in range(len(entries)) if i not in removed_idx]
     if order is not None:
+        survivors = [i for i in range(len(entries)) if i not in removed_idx]
         by_final_name = {entries[i][OBJECT_NAME_KEY]: i for i in survivors if entries[i].get(OBJECT_NAME_KEY, "")}
         head = [by_final_name[n] for n in order if n in by_final_name]
         in_head = set(head)
         final = head + [i for i in survivors if i not in in_head]
+        if remove_missing:
+            final = [i for i in final if i in mentioned]
     else:
-        final = [i for i in mentioned if i not in removed_idx]
-        final += [i for i in survivors if i not in mentioned]
+        # Mentioned survivors in mention order, then the unmentioned ones
+        # unless they are dropped; a diff that mentions every survivor (the
+        # common case) needs no second pass.
+        final = [i for i in mentioned if i not in removed_idx] if removed_idx else list(mentioned)
+        if not remove_missing and len(final) + len(removed_idx) < len(entries):
+            final += [i for i in range(len(entries)) if i not in mentioned and i not in removed_idx]
 
-    if remove_missing:
-        final = [i for i in final if i in mentioned]
-
-    return _unique_names([entries[i] for i in final])
+    out = [entries[i] for i in final]
+    # A built base holds no repeated name, and an item only creates a name
+    # no surviving entry of base holds, so only two creations can clash.
+    if not trusted or len(entries) - len(base) > 1:
+        _unique_names(out)
+    return _EntryList(out)

@@ -8,6 +8,8 @@ participant applies the identical totally-ordered stream.
 The session state is plain JSON and never mutated: a diff yields a new
 version sharing every entry it leaves alone, so handed-out Welcome and
 FullState payloads stay as they were and a failed apply changes nothing.
+It is a trusted built entry list (statetree._EntryList), so an apply parses
+the inbound diff once and checks none of the state's entries.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import StateNode, _apply, _entry_diff, encode
+from ..statetree import StateNode, _apply_entry_diff, _entry_diff, encode
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -84,28 +86,21 @@ class Relay:
             return [(msg.sender_id, reply)]
 
         session.members.setdefault(msg.sender_id, None)
-        # The root is an entry list: anything but an entry diff or {} would
-        # replace it with a state no client can adopt.
-        if msg.payload != {} and _entry_diff(msg.payload) is None:
-            raise MalformedMessage("a root diff must be an entry diff or {}")
-        try:
-            session.state = _apply(session.state, msg.payload, False)
-        except (TypeError, ValueError, RecursionError) as e:
-            raise MalformedMessage(f"diff payload does not apply: {e}") from e
+        if msg.payload != {}:
+            # The root is an entry list: anything but an entry diff or {} would
+            # replace it with a state no client can adopt. The one parse of
+            # the diff feeds the apply.
+            parsed = _entry_diff(msg.payload)
+            if parsed is None:
+                raise MalformedMessage("a root diff must be an entry diff or {}")
+            try:
+                session.state = _apply_entry_diff(session.state, *parsed, False)
+            except (TypeError, ValueError, RecursionError) as e:
+                raise MalformedMessage(f"diff payload does not apply: {e}") from e
         session.server_seq += 1
         session.applied.append((session.server_seq, msg.sender_id, msg.payload))
-        out = []
-        for member in session.members:
-            out.append(
-                (
-                    member,
-                    Message(
-                        kind="Ack" if member == msg.sender_id else "Diff",
-                        session_id=session.session_id,
-                        sender_id=msg.sender_id,
-                        server_seq=session.server_seq,
-                        payload=msg.payload,
-                    ),
-                )
-            )
-        return out
+        # One Diff message for every other member, so a transport encodes
+        # its body once.
+        fanout = Message("Diff", session.session_id, msg.sender_id, session.server_seq, msg.payload)
+        ack = Message("Ack", session.session_id, msg.sender_id, session.server_seq, msg.payload)
+        return [(member, ack if member == msg.sender_id else fanout) for member in session.members]

@@ -28,7 +28,7 @@ from ..linkable import LinkableObject, LinkableVariable
 from ..statetree import diff, state_equivalent, validate_node
 from .client import ClientEngine
 from .relay import Relay, state_hash
-from .wire import Message, decode_frame, encode_frame
+from .wire import Message, decode_frame, encode_fanout, encode_frame
 
 EDIT_OPS = frozenset({"request", "set", "remove", "reorder", "local", "global", "clear"})
 
@@ -250,8 +250,10 @@ class _Pipe:
         self.counters = counters
         self._last_arrival = 0
 
-    def send(self, msg: Message) -> None:
-        frame = encode_frame(msg)
+    def send(self, msg: Message, frame: bytes | None = None) -> None:
+        """Send msg; frame, when given, is its encoding (encode_frame(msg))."""
+        if frame is None:
+            frame = encode_frame(msg)
         self.counters["framesSent"] += 1
         if self.drop_check(self.loop.now):
             self.counters["framesDropped"] += 1
@@ -465,10 +467,10 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
     to_client: dict[str, _Pipe] = {}
 
     def relay_receive(msg: Message) -> None:
-        for target, out in relay.handle(msg):
+        for target, out, frame in encode_fanout(relay.handle(msg)):
             pipe = to_client.get(target)
             if pipe is not None:
-                pipe.send(out)
+                pipe.send(out, frame)
 
     def connect(client: _ScriptClient) -> ClientEngine:
         cid = client.cid

@@ -23,7 +23,7 @@ from ..errors import MalformedMessage
 from .client import ClientEngine
 from .relay import Relay
 from .sim import _drive, _Loop, load_script
-from .wire import MAX_FRAME_BYTES, Framer, Message, encode_frame
+from .wire import MAX_FRAME_BYTES, Framer, Message, encode_fanout, encode_frame
 
 log = logging.getLogger(__name__)
 
@@ -117,13 +117,13 @@ class RelayServer:
             if conn.sock.fileno() == -1:
                 return
             self._routes[msg.sender_id] = conn
-            for cid, out in self.relay.handle(msg):
+            for cid, _, frame in encode_fanout(self.relay.handle(msg)):
                 target = self._routes.get(cid)
                 if target is not None and len(target.out) > MAX_UNSENT_BYTES:
                     log.warning("closing a peer that stopped reading (%d bytes unsent)", len(target.out))
                     self._close(target)
                 elif target is not None:
-                    target.out += encode_frame(out)
+                    target.out += frame
                     self._write(target)
 
     def _write(self, conn: _Conn) -> None:

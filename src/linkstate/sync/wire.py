@@ -49,6 +49,18 @@ def encode_frame(msg: Message) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def encode_fanout(outbound: list[tuple[str, Message]]) -> Iterator[tuple[str, Message, bytes]]:
+    """The relay's outbound (target, message) list with each message's
+    frame. The relay hands every other member one shared Diff message, so
+    each distinct message object is encoded once."""
+    frames: dict[int, bytes] = {}
+    for target, msg in outbound:
+        frame = frames.get(id(msg))
+        if frame is None:
+            frame = frames[id(msg)] = encode_frame(msg)
+        yield target, msg, frame
+
+
 def decode_body(body: bytes) -> Message:
     try:
         data = parse_json(body.decode("utf-8"))

@@ -278,6 +278,16 @@ class TestPersistence:
         with pytest.raises(ParseError):
             HistoryLog.import_json('{"version":1,"baseline":null,"cursor":0,"steps":[{"forward":{}}]}')
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("where", ["baseline", "forward"])
+    def test_numbers_no_state_may_hold_are_a_parse_error(self, number, where):
+        # Accepting one would give a log that export_json cannot write.
+        baseline = f'{{"x":{number}}}' if where == "baseline" else "null"
+        forward = f'{{"x":{number}}}' if where == "forward" else "{}"
+        text = f'{{"version":1,"baseline":{baseline},"cursor":0,"steps":[{{"forward":{forward},"backward":{{}}}}]}}'
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(text)
+
 
 class TestInverseReplayOracle:
     def test_random_scripts_invert_and_replay(self):

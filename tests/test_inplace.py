@@ -19,6 +19,7 @@ from linkstate import history, statetree
 from linkstate.demo import build_demo_registry
 from linkstate.statetree import (
     _apply,
+    _apply_entry_diff,
     apply_diff,
     diff,
     encode,
@@ -199,11 +200,11 @@ def test_relay_failed_apply_leaves_the_state_untouched(monkeypatch):
     state = relay.session_state("s")
     text = encode(state)
 
-    def apply_then_fail(base, d, remove_missing):
-        _apply(base, d, remove_missing)  # the whole apply runs, then fails
+    def apply_then_fail(base, items, order, remove_missing):
+        _apply_entry_diff(base, items, order, remove_missing)  # the whole apply runs, then fails
         raise ValueError("late failure")
 
-    monkeypatch.setattr(relay_module, "_apply", apply_then_fail)
+    monkeypatch.setattr(relay_module, "_apply_entry_diff", apply_then_fail)
     bad = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 7}}]
     assert relay.handle(Message("Diff", "s", "a", 0, bad)) == []
     assert relay.session_state("s") is state
@@ -219,6 +220,13 @@ def test_relay_still_drops_a_diff_that_would_duplicate_an_entry_name():
     assert relay.handle(Message("Diff", "s", "a", 0, {"__value__": {"k": twice}})) == []
     assert relay.session_state("s") == []
     assert relay.session_seq("s") == 0
+    # the same over a state the relay built, whose own names need no check
+    one = [{"objectName": "w", "className": "ex.Counter"}]
+    assert len(relay.handle(Message("Diff", "s", "a", 0, one))) == 1
+    built = relay.session_state("s")
+    assert relay.handle(Message("Diff", "s", "a", 0, [{"objectName": "w"}] + twice)) == []
+    assert relay.session_state("s") is built
+    assert relay.session_seq("s") == 1
 
 
 def test_client_shadow_update_leaves_pending_diffs_intact():

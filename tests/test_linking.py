@@ -5,6 +5,7 @@ import random
 import pytest
 
 import graphops
+from linkstate import linkable, statetree
 from linkstate.callbacks import CallbackCollection
 from linkstate.errors import AlreadyUnlinked, Disposed, DuplicateLink, SelfLink
 from linkstate.linkable import LinkableNumber, LinkableVariable
@@ -192,3 +193,62 @@ def test_external_bridge_counts_no_echo():
     notify.trigger()
     assert v.get_state() == 9
     assert sets == [1, 2]  # inbound change never re-runs the setter
+
+
+def _count_outermost_to_plain(monkeypatch):
+    """Calls of to_plain made while no other to_plain runs: one per copy
+    of a tree, however large."""
+    calls = []
+    depth = [0]
+    real = statetree.to_plain
+
+    def counted(node):
+        depth[0] += 1
+        if depth[0] == 1:
+            calls.append(1)
+        try:
+            return real(node)
+        finally:
+            depth[0] -= 1
+
+    for module in (statetree, linkable):
+        monkeypatch.setattr(module, "to_plain", counted)
+    return calls
+
+
+def test_a_linked_edit_copies_the_edit_not_the_tree(monkeypatch):
+    a = graphops.new_root()
+    for i in range(500):
+        a.request_object(f"plot{i:03d}", "ex.Plot")
+    b = graphops.new_root()
+    link_session_state(a, b)
+    assert state_equivalent(a.get_session_state(), b.get_session_state())
+    calls = _count_outermost_to_plain(monkeypatch)
+    a.get_object("plot250").label.text.set_state("edited")
+    # the edited value, the diff's one payload and the other end's value;
+    # copying both whole roots, as a link once did, made 1,505 calls here
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert b.get_object("plot250").label.text.get_state() == "edited"
+    assert state_equivalent(a.get_session_state(), b.get_session_state())
+
+
+def test_linked_roots_stay_equivalent_through_structural_edits():
+    a = graphops.new_root()
+    b = graphops.new_root()
+    link_session_state(a, b)
+    steps = [
+        lambda: a.request_object("p", "ex.Plot").title.set_state("one"),
+        lambda: a.request_object("q", "ex.Counter").count.set_state(3),
+        lambda: b.request_object("r", "ex.Label").text.set_state("from b"),
+        lambda: a.set_name_order(["r", "q"]),
+        lambda: a.request_object("q", "ex.Label"),  # class change in place
+        lambda: b.get_object("p").source.request_local_object("ex.Counter"),
+        lambda: a.get_object("p").source.request_global_object("r"),
+        lambda: b.remove_object("r"),
+        lambda: a.remove_object("p"),
+    ]
+    for i, step in enumerate(steps):
+        step()
+        assert state_equivalent(a.get_session_state(), b.get_session_state()), f"step {i}"
+    assert b.get_names() == ["q"] and b.get_class_name("q") == "ex.Label"

@@ -81,6 +81,26 @@ def test_live_history_and_codec_results_are_plain_json(seed):
     _assert_plain_json(apply_diff(base, diff(base, state), remove_missing=True), "apply_diff strict")
 
 
+def test_public_results_are_plain_lists_even_where_the_source_is_a_built_list():
+    # Snapshots and applies build entry lists of a private list subclass
+    # that vouches for their shape; no public result is one.
+    root, log = _session(1)
+    snap = root._snapshot()
+    assert isinstance(snap, list) and type(snap) is not list and snap
+    mentions = [{"objectName": e["objectName"]} for e in snap]
+    results = {
+        "get_session_state": root.get_session_state(),
+        "apply_diff": apply_diff(snap, mentions),
+        "apply_diff strict": apply_diff(snap, diff([], snap), remove_missing=True),
+        "decode": decode(encode(snap)),
+        "state_at": log.state_at(len(log.steps)),
+        "baseline": log.baseline,
+    }
+    for where, value in results.items():
+        assert type(value) is list, where
+        _assert_plain_json(value, where)
+
+
 def test_short_and_float_written_entries_come_back_canonical():
     short = '[{"objectName":"g"},{"sessionState":{"n":2.0},"className":"ex.Counter","objectName":"c"}]'
     node = decode(short)

@@ -28,7 +28,7 @@ from linkstate.statetree import (
     encode_diff,
     to_plain,
 )
-from linkstate.sync import ClientEngine, Message
+from linkstate.sync import ClientEngine, Message, Relay
 
 
 def _uncached(obj):
@@ -524,3 +524,97 @@ def test_client_shadow_never_shares_with_the_snapshot():
         assert _plain_equivalent(engine._published, snap), f"step {step}"
     assert [_text(s) for s, _ in handed] == [t for _, t in handed]
     assert [_text(s) for s, _ in shadows] == [t for _, t in shadows]
+
+
+# --- built entry lists: one cheap pass over the root entries ------------------------------
+
+
+def _counted_snapshot_reads(monkeypatch):
+    """The objects whose _snapshot() is called, built or cached."""
+    read = []
+    real = LinkableObject._snapshot
+
+    def counted(self):
+        read.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LinkableObject, "_snapshot", counted)
+    return read
+
+
+def test_edit_flush_and_record_check_no_entry_shape_and_read_only_the_edit(monkeypatch, big_root):
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        plot = root.get_object("plot01234")
+        shaped = _count_calls(monkeypatch, statetree, "_entry_shaped")
+        read = _counted_snapshot_reads(monkeypatch)
+        plot.label.text.set_state("edited")
+        root.scheduler.flush_frame()
+        assert len(log.steps) == 1
+        # Every entry list on the way is one a snapshot built: no entry of
+        # any of them has its shape checked.
+        assert shaped == []
+        # Below the root only the edited path is read: the plot, its label
+        # and the text are rebuilt, the plot's other children read from
+        # their caches; the other 4,999 entries are not looked at.
+        below = [obj for obj in read if obj is not root]
+        path = (plot, plot.title, plot.label, plot.label.text, plot.label.size, plot.source)
+        assert {id(obj) for obj in below} <= {id(obj) for obj in path}
+        assert len(below) <= 10
+        assert log.steps[0].forward[1234]["sessionState"] == {"label": {"text": "edited"}}
+    finally:
+        log.detach()
+
+
+def test_own_trigger_rebuilds_the_root_list_and_a_child_edit_shares_the_rest():
+    # The map's own trigger (an entry came, went or moved) rebuilds its list
+    # from its children; a child's alone re-reads that child.
+    root = _plots(4)
+    old = root._snapshot()
+    root.set_name_order(["plot00002"])
+    assert [e["objectName"] for e in root._snapshot()] == ["plot00002", "plot00000", "plot00001", "plot00003"]
+    root.request_object("plot00001", "ex.Label")
+    snap = root._snapshot()
+    assert [e["className"] for e in snap] == ["ex.Plot", "ex.Plot", "ex.Label", "ex.Plot"]
+    root.get_object("plot00003").title.set_state("t")
+    after = root._snapshot()
+    assert after[3]["sessionState"]["title"] == "t"
+    assert [a is b for a, b in zip(snap, after)] == [True, True, True, False]
+    assert old[0]["objectName"] == "plot00000"  # an earlier snapshot is never changed
+    _assert_fresh(root, "after reorder, replacement and edit")
+
+
+def test_relay_apply_checks_no_base_entry_and_parses_once(monkeypatch):
+    relay = Relay()
+    relay.handle(Message("Hello", "s", "a"))
+    relay.handle(Message("Diff", "s", "a", 0, _counter_entries(5000)))
+    # what a client sends for one edit: every entry mentioned, one changed
+    one = [{"objectName": f"c{i:04d}"} for i in range(5000)]
+    one[2500] = {"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}
+    shaped = _count_calls(monkeypatch, statetree, "_entry_shaped")
+    parses = _count_calls(monkeypatch, statetree, "_entry_items")
+    assert len(relay.handle(Message("Diff", "s", "a", 0, one))) == 1
+    assert shaped == []
+    assert len(parses) == 1
+    assert relay.session_state("s")[2500]["sessionState"] == {"count": 1}
+
+
+def test_client_parses_an_inbound_root_diff_once(monkeypatch):
+    engine = ClientEngine("a", "s", build_demo_registry(), lambda m: None)
+    engine.on_message(Message("Welcome", "s", "server", 0, _counter_entries(1000)), 0)
+    engine.flush(0)
+    one = [{"objectName": f"c{i:04d}"} for i in range(1000)]
+    one[500] = {"objectName": "c0500", "className": "ex.Counter", "sessionState": {"count": 9}}
+    shaped = _count_calls(monkeypatch, statetree, "_entry_shaped")
+    parses = _count_calls(monkeypatch, statetree, "_entry_items")
+    engine.on_message(Message("Diff", "s", "b", 1, one), 1)
+    assert len(parses) == 1
+    assert shaped == []
+    assert engine.root.get_object("c0500").count.get_state() == 9
+    assert _plain_equivalent(engine._published, engine.root._snapshot())
+
+
+def _counter_entries(n):
+    return [{"objectName": f"c{i:04d}", "className": "ex.Counter", "sessionState": {"count": 0}} for i in range(n)]

@@ -15,6 +15,7 @@ from linkstate.statetree import (
     encode,
     state_equivalent,
     to_plain,
+    validate_node,
 )
 
 
@@ -43,6 +44,32 @@ def test_encode_rejects_non_finite():
         encode(float("nan"))
     with pytest.raises(ValueError):
         encode({"x": float("inf")})
+
+
+# Trees no state may be, with the error each raises: the first bad node in
+# walk order decides (a mapping's keys and values in order, an entry list's
+# names before its entries).
+BAD_TREES = [
+    ({1: 2}, TypeError),
+    ({"a": {"b": {3: None}}}, TypeError),
+    (float("nan"), ValueError),
+    (float("-inf"), ValueError),
+    ({"x": [1, float("inf")]}, ValueError),
+    ({"a": float("nan"), 1: 2}, ValueError),
+    ({1: 2, "a": float("nan")}, TypeError),
+    ([entry("a", "ex.Counter", None), entry("a", "ex.Label", None)], ValueError),
+    ([{"objectName": "a", "sessionState": {1: 2}}, {"objectName": "a"}], ValueError),
+    ([{"objectName": "a", "sessionState": {1: 2}}, {"objectName": "b"}], TypeError),
+    ((1, 2), TypeError),
+    ({"k": {1, 2}}, TypeError),
+]
+
+
+@pytest.mark.parametrize("tree, error", BAD_TREES)
+def test_to_plain_encode_and_validate_node_raise_alike(tree, error):
+    for check in (to_plain, encode, validate_node):
+        with pytest.raises(error):
+            check(tree)
 
 
 def test_decode_rejects_non_finite_literals():

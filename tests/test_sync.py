@@ -16,7 +16,7 @@ import pytest
 from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
 from linkstate.statetree import apply_diff, encode, state_equivalent
-from linkstate.sync import socket_transport
+from linkstate.sync import socket_transport, wire
 from linkstate.sync.socket_transport import RelayServer, SocketClient
 from linkstate.sync.wire import MAX_FRAME_BYTES
 from linkstate.sync import (
@@ -118,6 +118,15 @@ class TestRelay:
         assert by_target["b"].kind == "Diff"
         assert by_target["a"].server_seq == by_target["b"].server_seq == 1
         assert by_target["b"].payload == d
+
+    def test_fan_out_shares_one_diff_message(self):
+        relay = Relay()
+        for cid in ("a", "b", "c", "d"):
+            relay.handle(Message("Hello", "s", cid))
+        d = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}]
+        out = dict(relay.handle(Message("Diff", "s", "b", 0, d)))
+        assert out["b"].kind == "Ack"
+        assert out["a"] is out["c"] is out["d"] and out["a"].kind == "Diff"
 
     def test_seq_consecutive_and_state_sequential(self):
         rng = random.Random(8)
@@ -732,6 +741,37 @@ class TestSocketTransport:
             writer.get_object("n").count.set_state(7)
             assert _settle(clients, lambda: all(c.engine.quiescent() for c in clients), server)
             assert [c.engine.root.get_object("n").count.get_state() for c in clients] == [7] * 32
+        finally:
+            for c in clients:
+                c.close()
+            server.stop()
+
+    def test_fan_out_encodes_each_body_once(self, monkeypatch):
+        server = RelayServer()
+        clients = []
+        try:
+            clients = [SocketClient(f"c{i:02d}", "s", server.address) for i in range(32)]
+            assert _settle(clients, lambda: all(c.engine.joined for c in clients), server)
+            writer = clients[0].engine
+            writer.root.request_object("n", "ex.Counter")
+            writer.flush(int(time.monotonic() * 1000))  # the client's own encode comes first
+            encoded = []
+            real = wire.encode_frame
+
+            def counted(msg):
+                encoded.append(msg.kind)
+                return real(msg)
+
+            monkeypatch.setattr(wire, "encode_frame", counted)
+            monkeypatch.setattr(socket_transport, "encode_frame", counted)
+            end = time.monotonic() + 10
+            while server.relay.session_seq("s") == 0 and time.monotonic() < end:
+                server.poll(0.001)
+            # one Ack for the writer and one Diff shared by the 31 others
+            assert sorted(encoded) == ["Ack", "Diff"]
+            monkeypatch.undo()
+            assert _settle(clients, lambda: all(c.engine.quiescent() for c in clients), server)
+            assert all(c.engine.root.get_names() == ["n"] for c in clients)
         finally:
             for c in clients:
                 c.close()
