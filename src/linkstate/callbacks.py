@@ -48,11 +48,10 @@ def _trace(kind: str, fn: Callable) -> None:
 class CallbackEntry:
     """Registration handle. Holds the liveness and per-callback running flag."""
 
-    __slots__ = ("fn", "grouped", "alive", "running")
+    __slots__ = ("fn", "alive", "running")
 
-    def __init__(self, fn: Callable, grouped: bool):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.grouped = grouped
         self.alive = True
         self.running = False
 
@@ -161,7 +160,7 @@ class CallbackCollection:
         assert threading.get_ident() == self._thread, "callback collection used across threads"
         if any(e.alive and e.fn is fn for e in self._immediate):
             raise DuplicateCallback(f"{fn!r} is already an immediate callback here")
-        entry = CallbackEntry(fn, grouped=False)
+        entry = CallbackEntry(fn)
         self._immediate.append(entry)
         if run_now:
             _trace("immediate", fn)
@@ -170,7 +169,7 @@ class CallbackCollection:
 
     def add_grouped_callback(self, fn: Callable) -> CallbackEntry:
         self._check_live()
-        entry = CallbackEntry(fn, grouped=True)
+        entry = CallbackEntry(fn)
         self._grouped.append(entry)
         return entry
 

@@ -173,7 +173,7 @@ def _cmd_simulate(args) -> int:
         from .sync.socket_transport import run_realtime
 
         report = run_realtime(text)
-        print(json.dumps(report, ensure_ascii=False, allow_nan=False, separators=(",", ":")))
+        print(encode_diff(report))
         return 0 if report["converged"] else 1
     from .sync import run_simulation
 

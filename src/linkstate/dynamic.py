@@ -6,6 +6,11 @@ remove-missing flag) disposed so the map converges to the given state. The
 map is the only object that creates or destroys children at runtime, which is
 what makes whole session trees reconstructible from plain data.
 
+Both containers read a state with statetree._entry_diff, the one reader of
+entry lists and entry diffs, and read [] as no items. Any other state is
+ignored whole, with one warning: so is a list with a single element that is
+neither an entry item nor an order marker alone.
+
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
 entry list: an anonymous entry with an inline state in local mode, or a
 named reference entry (empty class, null state) pointing at an entry of the
@@ -32,8 +37,8 @@ from .statetree import (
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
     EntryItem,
+    _entry_diff,
     _EntryList,
-    normalize_entry_items,
 )
 
 log = logging.getLogger(__name__)
@@ -210,15 +215,14 @@ class LinkableHashMap(LinkableObject):
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
-        try:
-            items, order = normalize_entry_items(state)
-        except TypeError:
-            log.warning("LinkableHashMap: ignoring non-list state %r", type(state).__name__)
+        parsed = ([], None) if state == [] else _entry_diff(state)
+        if parsed is None:
+            log.warning("LinkableHashMap: ignoring a state that is no entry list: %r", type(state).__name__)
             return
-        self._set_items(items, order, remove_missing)
+        self._set_items(*parsed, remove_missing)
 
     def _set_items(self, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> None:
-        """Apply parsed entry items (see statetree.normalize_entry_items)."""
+        """Apply parsed entry items (see statetree._entry_diff)."""
         self.callbacks.delay()
         try:
             mentioned: dict[str, bool] = {}
@@ -424,11 +428,11 @@ class LinkableDynamicObject(LinkableObject):
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
-        try:
-            items, _ = normalize_entry_items(state)
-        except TypeError:
-            log.warning("LinkableDynamicObject: ignoring non-list state %r", type(state).__name__)
+        parsed = ([], None) if state == [] else _entry_diff(state)
+        if parsed is None:
+            log.warning("LinkableDynamicObject: ignoring a state that is no entry list: %r", type(state).__name__)
             return
+        items = parsed[0]
         self.callbacks.delay()
         try:
             if not items:

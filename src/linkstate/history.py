@@ -33,7 +33,6 @@ exported again.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -52,6 +51,7 @@ from .statetree import (
     _apply,
     _diff_plain,
     _plain_equivalent,
+    encode_diff,
     is_empty_diff,
     parse_json,
     to_plain,
@@ -266,7 +266,7 @@ class HistoryLog:
                 for s in self._steps
             ],
         }
-        return json.dumps(payload, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+        return encode_diff(payload)
 
     @classmethod
     def import_json(cls, text: str, clock_ms: Callable[[], int] | None = None) -> "HistoryLog":

@@ -28,9 +28,14 @@ or an apply over them checks no entry's shape and no name's uniqueness.
 Input from outside (``decode``, ``parse_json``, the public ``diff`` and
 ``apply_diff`` arguments, wire payloads) is always plain lists and gets
 every check, and every public result is a plain copy (``to_plain``).
-An entry diff is parsed once (``_entry_diff``) into items, a bare
-``{"objectName": n}`` mention becoming just n, and the parsed items can
-feed both a live root and a value-level apply (``_apply_entry_diff``).
+An entry diff is a non-empty list whose every element is an entry item (an
+entry, maybe with a removal marker) or an order marker alone; a full entry
+list is one too. ``_entry_diff`` is its one reader: it parses it once into
+items, a bare ``{"objectName": n}`` mention becoming just n, and the items
+feed a live container (dynamic) and the value-level apply
+(``_apply_entry_diff``) alike. Any other list is no entry diff: a value
+apply replaces with it, the relay drops it as malformed at the root, and a
+live container ignores it.
 
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
@@ -40,9 +45,9 @@ states. See docs/diff-format.md for the encoding; the short version:
 * Any other Mapping is a key-wise merge; ``{"__removed__": true}`` deletes
   a key.
 * Scalars and Sequences replace bare.
-* A list of entry-shaped objects edits an entry list entry-wise, with
-  ``{"objectName": n, "__removed__": true}`` removal markers and an optional
-  trailing ``{"__order__": [...]}`` flag.
+* An entry diff edits an entry list entry-wise, with
+  ``{"objectName": n, "__removed__": true}`` removal markers and a trailing
+  ``{"__order__": [...]}`` marker when the survivors moved.
 """
 
 from __future__ import annotations
@@ -110,8 +115,8 @@ def to_plain(node: StateNode) -> Any:
         return node
     if isinstance(node, list):
         if _is_entry_list(node):
-            if type(node) is not _EntryList:
-                _unique_names(node)
+            if type(node) is not _EntryList and not _names_unique(node):
+                raise ValueError("duplicate entry names in an entry list")
             return [
                 {
                     OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""),
@@ -170,7 +175,7 @@ def encode(node: StateNode) -> str:
     the state), entries always carry all three reserved keys, and integral
     floats are written as integers. One canonical walk (to_plain) checks the
     tree as it copies it."""
-    return json.dumps(to_plain(node), ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    return encode_diff(to_plain(node))
 
 
 def decode(text: str) -> StateNode:
@@ -184,7 +189,10 @@ def decode(text: str) -> StateNode:
 
 
 def encode_diff(d: Any) -> str:
-    """Canonical compact encoding of a diff tree (diffs are plain JSON)."""
+    """The canonical compact text of any plain JSON value (a diff tree, a
+    wire message, a report): no whitespace, non-ASCII written as is, key
+    order kept, NaN and the infinities refused. encode is this over the
+    canonical copy (to_plain)."""
     return json.dumps(d, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
@@ -261,22 +269,9 @@ def _diff_plain(a: Any, b: Any) -> Any:
             else:
                 out[k] = _replacement(v)
         return out
-    if _is_entry_list(a) and (b == [] or _entry_list_beside(b, a)):
+    if _is_entry_list(a) and (b == [] or _is_entry_list(b)):
         return _diff_entry_list(a, b)
     return {} if _plain_equivalent(a, b) else _replacement(b)
-
-
-def _entry_list_beside(b: Any, a: list) -> bool:
-    # _is_entry_list(b) for a b that shares entries with the entry list a:
-    # an entry of a at the same position needs no second look.
-    if type(b) is _EntryList:
-        return bool(b)
-    return (
-        isinstance(b, list)
-        and bool(b)
-        and all(x is y or _entry_shaped(x) for x, y in zip(b, a))
-        and all(map(_entry_shaped, b[len(a) :]))
-    )
 
 
 def _diff_entry_list(a: list, b: list) -> Any:
@@ -285,7 +280,7 @@ def _diff_entry_list(a: list, b: list) -> Any:
     # The common case, the same names in the same order, is one pass that
     # pairs entry i with entry i, an identical pair costing one mention; a
     # built list needs no check that its names are unique.
-    if len(a) == len(b) and (type(a) is _EntryList or _names_unique([e.get(OBJECT_NAME_KEY, "") for e in a])):
+    if len(a) == len(b) and (type(a) is _EntryList or _names_unique(a)):
         out: list = []
         changed = False
         for x, y in zip(a, b):
@@ -307,11 +302,6 @@ def _diff_entry_list_by_name(a: list, b: list) -> Any:
     # surviving entries moved.
     a_order = [e.get(OBJECT_NAME_KEY, "") for e in a]
     b_order = [e.get(OBJECT_NAME_KEY, "") for e in b]
-    if not _names_unique(a_order) and _plain_equivalent(a, b):
-        # Repeated names (no applied tree holds them) defeat matching by name,
-        # but equal lists still diff to nothing.
-        return {}
-    out: list = []
     a_names = {}
     a_anon = []
     for i, n in enumerate(a_order):
@@ -319,6 +309,11 @@ def _diff_entry_list_by_name(a: list, b: list) -> Any:
             a_names[n] = i
         else:
             a_anon.append(i)
+    if len(a_names) + len(a_anon) < len(a) and _plain_equivalent(a, b):
+        # Repeated names (no applied tree holds them) defeat matching by name,
+        # but equal lists still diff to nothing.
+        return {}
+    out: list = []
     matched_a = set()
     partners = []  # index into a (or None) for each entry of b
     anon_used = 0
@@ -384,10 +379,10 @@ def _diff_matched(out: list, old: dict, e: dict, n: str) -> bool:
     return True
 
 
-def _names_unique(names: list) -> bool:
-    named = set(names)
-    named.discard("")
-    return len(named) == len(names) - names.count("")
+def _names_unique(entries: list) -> bool:
+    """No non-empty objectName repeats among the entries."""
+    names = [n for e in entries if (n := e.get(OBJECT_NAME_KEY, ""))]
+    return len(names) == len(set(names))
 
 
 # --- apply --------------------------------------------------------------------
@@ -402,13 +397,6 @@ def apply_diff(base: StateNode, d: Any, remove_missing: bool = False) -> StateNo
 
 def _is_removal(v: Any) -> bool:
     return isinstance(v, dict) and v.get(REMOVED_MARKER) is True
-
-
-def _unique_names(entries: list) -> list:
-    names = [e[OBJECT_NAME_KEY] for e in entries if e.get(OBJECT_NAME_KEY, "")]
-    if len(names) != len(set(names)):
-        raise ValueError("duplicate entry names in an entry list")
-    return entries
 
 
 def _materialize(d: Any) -> Any:
@@ -471,61 +459,53 @@ class EntryItem:
     state: Any = None
 
 
-def _entry_items(d: list, strict: bool) -> tuple[list[EntryItem | str], list | None] | None:
-    """One pass over an entry list or diff: its items (states are subtrees
-    of d, not copies) and its order marker, if any. An item is a dict whose
-    name and class are strings; strict (an entry diff) also wants it
-    entry-shaped with at most a removal marker added, and an order marker
-    alone, and returns None at the first other element, which lenient skips
-    with a diagnostic. A reference-shaped item (empty className, null or
-    absent state) is a pure mention: has_state is False. A bare
-    {"objectName": name} with a non-empty name comes out as the name."""
+def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
+    """The one parse of an entry list or entry diff: its items (states are
+    subtrees of d, not copies) and its order marker, if any, or None if d
+    holds any element that is neither an item nor an order marker alone.
+    An item is an entry (a dict of the reserved keys with string name and
+    class, one of them present), maybe with a removal marker. A
+    reference-shaped item (empty className, null or absent state) is a pure
+    mention: has_state is False. A bare {"objectName": name} with a
+    non-empty name comes out as the name. A marker whose value is not a
+    list of names is ignored with a diagnostic."""
     items: list[EntryItem | str] = []
     order: list | None = None
     for x in d:
-        if isinstance(x, dict):
-            if len(x) == 1:
-                name = x.get(OBJECT_NAME_KEY)
-                if type(name) is str and name:
-                    items.append(name)
-                    continue
-            if ORDER_MARKER in x and (len(x) == 1 or not strict):
+        if not isinstance(x, dict):
+            return None
+        if len(x) == 1:
+            name = x.get(OBJECT_NAME_KEY)
+            if type(name) is str and name:
+                items.append(name)
+                continue
+            if ORDER_MARKER in x:
                 o = x[ORDER_MARKER]
                 if isinstance(o, list) and all(isinstance(n, str) for n in o):
                     order = o
                 else:
                     log.warning("ignoring malformed order marker: %r", x)
                 continue
-            name = x.get(OBJECT_NAME_KEY, "")
-            cls = x.get(CLASS_NAME_KEY, "")
-            if isinstance(name, str) and isinstance(cls, str):
-                if len(x) == 1 and OBJECT_NAME_KEY in x:
-                    items.append(EntryItem(name))  # an anonymous bare mention
-                    continue
-                if not strict or (x.keys() <= _DIFF_ITEM_KEYS and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)):
-                    st = x.get(SESSION_STATE_KEY)
-                    has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
-                    removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
-                    items.append(EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st))
-                    continue
-        if strict:
+        name = x.get(OBJECT_NAME_KEY, "")
+        cls = x.get(CLASS_NAME_KEY, "")
+        if not (
+            isinstance(name, str)
+            and isinstance(cls, str)
+            and x.keys() <= _DIFF_ITEM_KEYS
+            and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
+        ):
             return None
-        log.warning("ignoring malformed item in dynamic state list: %r", x)
+        st = x.get(SESSION_STATE_KEY)
+        has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
+        removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
+        items.append(EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st))
     return items, order
 
 
 def _entry_diff(d: Any) -> tuple[list[EntryItem | str], list | None] | None:
-    """The items and order marker of d, or None if d is not an entry diff."""
-    return _entry_items(d, True) if isinstance(d, list) and d else None
-
-
-def normalize_entry_items(state: Any) -> tuple[list[EntryItem | str], list | None]:
-    """Normalize an entry list, or a diff shaped like one, into items plus
-    an optional order marker; non-items are skipped with a diagnostic. An
-    item is an EntryItem, or the name of a named pure mention."""
-    if not isinstance(state, list):
-        raise TypeError(f"not a dynamic entry list: {type(state).__name__}")
-    return _entry_items(state, False)
+    """The items and order marker of d, or None if d is not an entry diff
+    (a non-empty list that _entry_items reads)."""
+    return _entry_items(d) if isinstance(d, list) and d else None
 
 
 def _new_entry(it: EntryItem | str) -> dict:
@@ -543,7 +523,10 @@ def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | Non
     # at its word; any other list has each entry's shape checked.
     trusted = type(base) is _EntryList
     if not trusted and not (isinstance(base, list) and all(map(_entry_shaped, base))):
-        return _EntryList(_unique_names([_new_entry(it) for it in items if type(it) is str or not it.removed]))
+        out = [_new_entry(it) for it in items if type(it) is str or not it.removed]
+        if not _names_unique(out):
+            raise ValueError("duplicate entry names in an entry list")
+        return _EntryList(out)
     by_name = {e.get(OBJECT_NAME_KEY, ""): i for i, e in enumerate(base)}
     anon_slots: list[int] = []
     if "" in by_name:
@@ -617,6 +600,6 @@ def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | Non
     out = [entries[i] for i in final]
     # A built base holds no repeated name, and an item only creates a name
     # no surviving entry of base holds, so only two creations can clash.
-    if not trusted or len(entries) - len(base) > 1:
-        _unique_names(out)
+    if (not trusted or len(entries) - len(base) > 1) and not _names_unique(out):
+        raise ValueError("duplicate entry names in an entry list")
     return _EntryList(out)

@@ -18,13 +18,20 @@ so an unchanged subtree costs one identity check, and then keeps that
 snapshot as `_published` (equivalent to applying the sent diff), so the next
 flush walks only what changed since.
 
-An inbound entry diff is parsed once (statetree._entry_diff); the items feed
-the live root (LinkableHashMap._set_items) and the value-level apply to
-`_published`. `_published` is always a snapshot or an apply's result, a
-trusted built entry list, so that apply checks no entry's shape. It is not
-simply the root's snapshot after a remote message: the live root skips
-entries of unregistered classes and values its verifiers reject, which the
-value-level apply keeps, and a flush must not publish their absence.
+An inbound payload is applied only if it is an entry diff, parsed once
+(statetree._entry_diff); the items feed the live root
+(LinkableHashMap._set_items) and the value-level apply to `_published`.
+`{}` or any other payload changes neither, so a hostile one cannot replace
+the `_published` shadow. `_published` is always a snapshot or an apply's
+result, a trusted built entry list, so that apply checks no entry's shape.
+
+It is not simply the root's snapshot after a remote message: the live root
+skips entries of unregistered classes and values its verifiers reject,
+which the value-level apply keeps. That does not stop their absence being
+published: the remote apply marks the root dirty, and the next flush diffs
+`_published` against the snapshot that lacks them, so a client whose
+registry lacks a class used in the session sends removals for that class's
+objects (a known defect, docs/protocol.md).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply, _apply_entry_diff, _diff_plain, _entry_diff, is_empty_diff
+from ..statetree import _apply_entry_diff, _diff_plain, _entry_diff, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -186,12 +193,10 @@ class ClientEngine:
             self.stats["recvDiffs"] += 1
         # the apply below schedules _mark_dirty; the publish diff will be
         # empty for pure remote changes because _published advances in step.
-        # An entry diff is parsed once, for both.
+        # An entry diff is parsed once, for both; {} or any other payload
+        # changes neither.
         parsed = _entry_diff(msg.payload)
-        if parsed is None:
-            self.root.set_session_state(msg.payload, remove_missing=False)
-            self._published = _apply(self._published, msg.payload, False)
-        else:
+        if parsed is not None:
             self.root._set_items(*parsed, remove_missing=False)
             self._published = _apply_entry_diff(self._published, *parsed, False)
 

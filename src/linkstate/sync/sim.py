@@ -25,7 +25,7 @@ from ..demo import build_demo_registry
 from ..dynamic import LinkableDynamicObject, LinkableHashMap
 from ..errors import LinkstateError, ScriptError, UnknownName
 from ..linkable import LinkableObject, LinkableVariable
-from ..statetree import diff, state_equivalent, validate_node
+from ..statetree import diff, encode_diff, state_equivalent, validate_node
 from .client import ClientEngine
 from .relay import Relay, state_hash
 from .wire import Message, decode_frame, encode_fanout, encode_frame
@@ -377,7 +377,7 @@ class SimResult:
     relay: Relay | None = field(repr=False, default=None, compare=False)
 
     def report_json(self) -> str:
-        return json.dumps(self.report, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+        return encode_diff(self.report)
 
 
 class _ScriptClient:

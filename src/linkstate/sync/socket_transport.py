@@ -116,7 +116,11 @@ class RelayServer:
         for msg in messages:
             if conn.sock.fileno() == -1:
                 return
-            self._routes[msg.sender_id] = conn
+            # A client id belongs to the first open connection that uses it.
+            if self._routes.setdefault(msg.sender_id, conn) is not conn:
+                log.warning("closing a connection that sent as %r, which another connection holds", msg.sender_id)
+                self._close(conn)
+                return
             for cid, _, frame in encode_fanout(self.relay.handle(msg)):
                 target = self._routes.get(cid)
                 if target is not None and len(target.out) > MAX_UNSENT_BYTES:

@@ -7,13 +7,12 @@ Documented in docs/protocol.md.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..errors import MalformedMessage
-from ..statetree import parse_json
+from ..statetree import encode_diff, parse_json
 
 KINDS = frozenset({"Hello", "Welcome", "Diff", "FullState", "Ack"})
 
@@ -34,17 +33,14 @@ class Message:
 def encode_frame(msg: Message) -> bytes:
     if msg.kind not in KINDS:
         raise MalformedMessage(f"unknown message kind {msg.kind!r}")
-    body = json.dumps(
+    body = encode_diff(
         {
             "kind": msg.kind,
             "sessionId": msg.session_id,
             "senderId": msg.sender_id,
             "serverSeq": msg.server_seq,
             "payload": msg.payload,
-        },
-        ensure_ascii=False,
-        allow_nan=False,
-        separators=(",", ":"),
+        }
     ).encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 

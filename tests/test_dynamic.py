@@ -1,5 +1,6 @@
 """Dynamic objects: registry, hash map mutation-apply, local/global wrapper."""
 
+import logging
 import random
 
 import pytest
@@ -250,6 +251,27 @@ def test_empty_state_respects_remove_missing():
     assert m.get_names() == []
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        5,
+        [5],
+        [{"objectName": "b", "className": "ex.Counter", "sessionState": {"count": 2}}, 5],
+        [{"objectName": "b", "className": "ex.Counter", "extra": 1}],
+        [{"objectName": "b", "className": "ex.Counter"}, {"__order__": ["b"], "objectName": "b"}],
+    ],
+)
+def test_a_state_that_is_no_entry_list_is_ignored_with_one_warning(bad, caplog):
+    m = fresh_map()
+    m.request_object("a", "ex.Counter").count.set_state(1)
+    before = m.get_session_state()
+    count = m.callbacks.trigger_counter
+    with caplog.at_level(logging.WARNING):
+        m.set_session_state(bad)
+    assert m.get_session_state() == before and m.callbacks.trigger_counter == count
+    assert len(caplog.records) == 1
+
+
 # --- wrapper ---------------------------------------------------------------------
 
 def test_wrapper_local_mode_roundtrip():
@@ -321,6 +343,24 @@ def test_wrapper_remove_object_and_empty_state():
     assert w.get_object() is None
     assert w.get_session_state() == []
     w.remove_object()  # no-op when already empty
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"x": 1},
+        [{"objectName": "", "className": "ex.Label", "sessionState": {"size": 3}}, 5],
+        [{"className": "ex.Label", "sessionState": {"size": 3}, "extra": 1}],
+    ],
+)
+def test_wrapper_ignores_a_state_that_is_no_entry_list_with_one_warning(bad, caplog):
+    w = LinkableDynamicObject(build_demo_registry())
+    w.request_local_object("ex.Counter").count.set_state(4)
+    before = w.get_session_state()
+    with caplog.at_level(logging.WARNING):
+        w.set_session_state(bad)
+    assert w.local_class == "ex.Counter" and w.get_session_state() == before
+    assert len(caplog.records) == 1
 
 
 def test_wrapper_dispose_detaches_root_watch():

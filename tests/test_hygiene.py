@@ -1,6 +1,9 @@
-"""Source hygiene: no module under src/linkstate imports a name it never uses.
+"""Source hygiene under src/linkstate: no module imports a name it never
+uses, no attribute stored on self goes unread, and no private function or
+method goes unreferenced.
 
-Package __init__ modules are exempt: their imports are the re-exports.
+Package __init__ modules are exempt from the import check: their imports are
+the re-exports.
 """
 
 import ast
@@ -8,8 +11,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "linkstate"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "linkstate"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+
+def _parsed(*dirs):
+    return [(p, ast.parse(p.read_text(encoding="utf-8"))) for d in dirs for p in sorted(d.rglob("*.py"))]
 
 
 def _imported(tree):
@@ -53,3 +61,93 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: 'int' = 0\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["field"]
+
+
+def _read_attributes(trees):
+    """Every attribute name the trees read, as an attribute or a getattr string."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("getattr", "hasattr"):
+                read.update(a.value for a in node.args[1:2] if isinstance(a, ast.Constant))
+    return read
+
+
+def _unread_fields(tree, read):
+    """(attribute, line) for each attribute stored on self in tree whose
+    name is not in read."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+            and node.attr not in read
+        ):
+            yield node.attr, node.lineno
+
+
+def _unreferenced_private_functions(tree, references):
+    """(name, line) for each private (single-underscore) function or method
+    of tree that no node outside its own definition names: a Name, an
+    attribute or a string (a getattr name)."""
+    defs = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    for d in defs:
+        if not any(
+            name == d.name and not (ref_tree is tree and d.lineno <= line <= d.end_lineno)
+            for ref_tree, line, name in references
+        ):
+            yield d.name, d.lineno
+
+
+def _references(trees):
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield tree, node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield tree, node.lineno, node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield tree, node.lineno, node.value
+
+
+def test_every_field_stored_on_self_is_read():
+    src = _parsed(SRC)
+    read = _read_attributes(tree for _, tree in src + _parsed(REPO / "tests", REPO / "bench"))
+    unread = [f"{path.relative_to(SRC)}:{line} self.{attr}" for path, tree in src for attr, line in _unread_fields(tree, read)]
+    assert not unread, f"fields stored and never read: {', '.join(unread)}"
+
+
+def test_every_private_function_is_referenced():
+    src = _parsed(SRC)
+    references = list(_references(tree for _, tree in src))
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, tree in src
+        for name, line in _unreferenced_private_functions(tree, references)
+    ]
+    assert not unused, f"private functions nothing references: {', '.join(unused)}"
+
+
+def test_the_checks_see_an_unread_field_and_an_unreferenced_private_function():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.dead = 0\n"
+        "        self.named = 1\n"
+        "    def _used(self):\n"
+        "        return self.kept + getattr(self, 'named')\n"
+        "    def _recursive(self, n):\n"
+        "        return self._recursive(n - 1)\n"
+        "    def __repr__(self):\n"
+        "        return repr(self._used())\n"
+    )
+    assert list(_unread_fields(tree, _read_attributes([tree]))) == [("dead", 3)]
+    assert list(_unreferenced_private_functions(tree, list(_references([tree])))) == [("_recursive", 7)]

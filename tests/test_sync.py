@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import logging
 import os
 import random
 import socket
@@ -411,6 +412,43 @@ class TestClientEngine:
         engine.on_message(Message("Welcome", "other", "server", 5, []), 0)
         assert not engine.joined
 
+    @staticmethod
+    def _edit_after(payload):
+        """The Diff a client joined to two counters publishes for a one-field
+        edit, after an in-sequence Diff carrying payload (None: no Diff)."""
+        sent = []
+        engine = ClientEngine("x", "s", build_demo_registry(), send=sent.append)
+        welcome = [
+            {"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("c1", "c2")
+        ]
+        engine.on_message(Message("Welcome", "s", "server", 0, welcome), 0)
+        engine.flush(0)
+        if payload is not None:
+            engine.on_message(Message("Diff", "s", "peer", 1, payload), 0)
+            assert engine.last_server_seq == 1
+        engine.flush(0)
+        engine.root.get_object("c1").count.set_state(5)
+        engine.flush(0)
+        assert [m.kind for m in sent] == ["Diff"]
+        return sent[0].payload
+
+    @pytest.mark.parametrize("payload", [{"x": 1}, "garbage", {}, [5], [{"objectName": "c1"}, 5]])
+    def test_a_diff_that_is_no_entry_diff_changes_nothing(self, payload):
+        expected = self._edit_after(None)
+        assert expected == [
+            {"objectName": "c1", "className": "ex.Counter", "sessionState": {"count": 5}},
+            {"objectName": "c2"},
+        ]
+        assert self._edit_after(payload) == expected
+
+    def test_an_empty_diff_applies_without_a_warning(self, caplog):
+        engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
+        engine.on_message(Message("Welcome", "s", "server", 0, []), 0)
+        with caplog.at_level(logging.DEBUG):
+            engine.on_message(Message("Diff", "s", "peer", 1, {}), 0)
+        assert engine.last_server_seq == 1
+        assert caplog.records == []
+
 
 class TestScriptLoading:
     def test_defaults_filled(self):
@@ -683,6 +721,27 @@ class TestSocketTransport:
         finally:
             for sock in peers + good:
                 sock.close()
+            server.stop()
+
+    def test_a_second_connection_cannot_take_over_a_clients_fan_out(self):
+        server = RelayServer()
+        rogue = socket.create_connection(server.address)
+        clients = []
+        try:
+            clients = [SocketClient(cid, "s", server.address) for cid in ("a", "b")]
+            a, b = clients
+            assert _settle(clients, lambda: a.engine.quiescent() and b.engine.quiescent(), server)
+            owner = server._routes["a"]
+            rogue.sendall(_frame('{"kind":"Hello","sessionId":"s","senderId":"a"}'))
+            assert _closed_by_server(server, rogue)
+            assert server._routes["a"] is owner
+            b.engine.root.request_object("n", "ex.Counter")
+            assert _settle(clients, lambda: a.engine.root.get_names() == ["n"] and a.engine.quiescent(), server)
+            assert state_equivalent(a.engine.root.get_session_state(), server.relay.session_state("s"))
+        finally:
+            rogue.close()
+            for c in clients:
+                c.close()
             server.stop()
 
     def test_frames_larger_than_the_cap_reach_peers_that_read(self, monkeypatch):
