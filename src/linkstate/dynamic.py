@@ -9,7 +9,10 @@ what makes whole session trees reconstructible from plain data.
 Both containers read a state with statetree._entry_diff, the one reader of
 entry lists and entry diffs, and read [] as no items. Any other state is
 ignored whole, with one warning: so is a list with a single element that is
-neither an entry item nor an order marker alone.
+neither an entry item nor an order marker alone. A state without an order
+marker that mentions every child of the map in its place (the common diff:
+one edit, an undo, a remote message) moves and drops nothing, so the map
+builds no reorder or removal list for it.
 
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
 entry list: an anonymous entry with an inline state in local mode, or a
@@ -42,6 +45,11 @@ from .statetree import (
 )
 
 log = logging.getLogger(__name__)
+
+
+def _in_child_order(mentioned: dict[str, bool], children: dict) -> bool:
+    """Whether the mentioned names are exactly the children, in their order."""
+    return len(mentioned) == len(children) and list(mentioned) == list(children)
 
 
 class ClassRegistry:
@@ -257,6 +265,8 @@ class LinkableHashMap(LinkableObject):
                 mentioned[it.name] = True
                 if it.has_state:
                     obj.set_session_state(it.state, remove_missing)
+            if order is None and _in_child_order(mentioned, self._children):
+                return  # every child mentioned, in its place: nothing moves or goes
             if order is not None:
                 known = [n for n in order if n in self._children]
                 head = set(known)

@@ -9,7 +9,10 @@ re-recording itself.
 
 The log reads the root's cached plain snapshot (see linkable), so a record
 costs the changed path plus one identity check per entry of an entry list,
-not a walk of the whole tree. The snapshots and every state an apply
+not a walk of the whole tree. One walk gives both of a record's diffs
+(statetree._diff_both): an unchanged root entry's bare mention is one dict
+that the forward and backward diffs share, and only the changed entries are
+diffed, once each way. The snapshots and every state an apply
 builds from them hold trusted built entry lists (statetree._EntryList), so
 neither a record's diffs nor a replay check any entry's shape; a log read
 from JSON starts from a plain baseline, which its first apply checks.
@@ -49,6 +52,7 @@ from .linkable import LinkableObject
 from .statetree import (
     StateNode,
     _apply,
+    _diff_both,
     _diff_plain,
     _plain_equivalent,
     encode_diff,
@@ -167,10 +171,9 @@ class HistoryLog:
         if self._root is None or self._root.disposed or not self._capturing:
             return
         current = self._root._snapshot()
-        forward = _diff_plain(self._last, current)
+        forward, backward = _diff_both(self._last, current)
         if is_empty_diff(forward):
             return
-        backward = _diff_plain(current, self._last)
         del self._steps[self._cursor :]
         del self._states[self._cursor + 1 :]
         self._steps.append(HistoryStep(forward, backward, int(self._clock()), self._next_label))
@@ -282,7 +285,7 @@ class HistoryLog:
             raise VersionMismatch(f"unsupported history format version {version!r}")
         steps_data = data.get("steps")
         cursor = data.get("cursor")
-        if not isinstance(steps_data, list) or not isinstance(cursor, int):
+        if not isinstance(steps_data, list) or type(cursor) is not int:
             raise ParseError("history log needs integer 'cursor' and list 'steps'")
         if not 0 <= cursor <= len(steps_data):
             raise ParseError(f"cursor {cursor} outside [0, {len(steps_data)}]")
@@ -292,11 +295,14 @@ class HistoryLog:
         for i, raw in enumerate(steps_data):
             if not isinstance(raw, dict) or "forward" not in raw or "backward" not in raw:
                 raise ParseError(f"step {i} needs 'forward' and 'backward' diffs")
+            timestamp = raw.get("timestampMs", 0)
+            if type(timestamp) not in (int, float):  # a bool is no timestamp
+                raise ParseError(f"step {i}: 'timestampMs' must be a number, got {timestamp!r}")
             log._steps.append(
                 HistoryStep(
                     forward=raw["forward"],
                     backward=raw["backward"],
-                    timestamp_ms=int(raw.get("timestampMs", 0)),
+                    timestamp_ms=int(timestamp),
                     label=str(raw.get("label", "")),
                 )
             )

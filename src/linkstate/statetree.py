@@ -17,7 +17,10 @@ shared, not owned: an unchanged subtree is the same object in the snapshots
 before and after an edit, so nothing may mutate one (``_apply`` leaves it
 as it was). ``_diff_plain`` relies on the sharing: it is one walk that
 answers ``{}`` for an identical pair at once, and for a mapping or entry
-list whose walk finds no change.
+list whose walk finds no change. A history record needs both diffs of a
+snapshot pair; ``_diff_both`` gives them from one walk when the two entry
+lists pair up by position, an unchanged entry costing one bare mention that
+the forward and backward diffs share.
 
 Trusted and untrusted entry lists. The entry lists a snapshot builds
 (linkable, dynamic) and the ones ``_apply`` builds are of the private list
@@ -33,7 +36,10 @@ entry, maybe with a removal marker) or an order marker alone; a full entry
 list is one too. ``_entry_diff`` is its one reader: it parses it once into
 items, a bare ``{"objectName": n}`` mention becoming just n, and the items
 feed a live container (dynamic) and the value-level apply
-(``_apply_entry_diff``) alike. Any other list is no entry diff: a value
+(``_apply_entry_diff``) alike. Almost every diff names a built base's
+entries in the base's own order, one item each: that apply is one pass by
+position, with no index by name and no reorder, and any other goes to
+``_apply_entry_diff_by_name``. Any other list is no entry diff: a value
 apply replaces with it, the relay drops it as malformed at the root, and a
 live container ignores it.
 
@@ -296,6 +302,36 @@ def _diff_entry_list(a: list, b: list) -> Any:
     return _diff_entry_list_by_name(a, b)
 
 
+def _diff_both(a: Any, b: Any) -> tuple[Any, Any]:
+    """(_diff_plain(a, b), _diff_plain(b, a)), in one walk where it can be:
+    two built entry lists whose entries pair up by position (a snapshot and
+    the one before it, the common record). An unchanged entry costs one bare
+    mention, the same dict in both diffs, and only the changed entries are
+    diffed, once each way. Anything else diffs twice."""
+    if a is b:
+        return {}, {}
+    if type(a) is _EntryList and type(b) is _EntryList and len(a) == len(b):
+        fwd: list = []
+        bwd: list = []
+        fwd_changed = bwd_changed = False
+        for x, y in zip(a, b):
+            n = y.get(OBJECT_NAME_KEY, "")
+            if x is y:
+                mention = {OBJECT_NAME_KEY: n}
+                fwd.append(mention)
+                bwd.append(mention)
+            elif x.get(OBJECT_NAME_KEY, "") != n:
+                break  # the names differ: match them by name, each way
+            else:
+                fwd_changed = _diff_matched(fwd, x, y, n) or fwd_changed
+                bwd_changed = _diff_matched(bwd, y, x, n) or bwd_changed
+        else:
+            return (fwd if fwd_changed else {}), (bwd if bwd_changed else {})
+    fwd = _diff_plain(a, b)
+    # An empty diff means the two are equivalent, so the other way is empty too.
+    return fwd, ({} if fwd == {} else _diff_plain(b, a))
+
+
 def _diff_entry_list_by_name(a: list, b: list) -> Any:
     # Removal markers come first (targeting the tail anonymous slots), then
     # one item per new entry in new order, then an order marker if the
@@ -515,7 +551,39 @@ def _new_entry(it: EntryItem | str) -> dict:
     return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
 
 
+def _updated_entry(e: dict, it: EntryItem, remove_missing: bool) -> dict:
+    """The entry e after the item it that names it: a new entry if it gives
+    another class, e with its state patched if it carries one, else e."""
+    if it.has_class_key and it.class_name and it.class_name != e.get(CLASS_NAME_KEY, ""):
+        return _new_entry(it)
+    if it.has_state:
+        return {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it.state, remove_missing)}
+    return e
+
+
 def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> list:
+    # The common diff names a built base's entries in their own order, one
+    # item each and no order marker: item i then changes base[i] at most,
+    # nothing moves or goes, and one pass needs no index by name. The first
+    # item that does not name its base entry hands over to the match by name.
+    if type(base) is _EntryList and order is None and len(items) == len(base):
+        out = _EntryList(base)
+        for i, (it, e) in enumerate(zip(items, base)):
+            if type(it) is str:
+                if it != e.get(OBJECT_NAME_KEY, ""):
+                    break
+            elif it.removed or it.name != e.get(OBJECT_NAME_KEY, ""):
+                break
+            else:
+                out[i] = _updated_entry(e, it, remove_missing)
+        else:
+            return out
+    return _apply_entry_diff_by_name(base, items, order, remove_missing)
+
+
+def _apply_entry_diff_by_name(
+    base: Any, items: list[EntryItem | str], order: list | None, remove_missing: bool
+) -> list:
     # A base that is neither an entry list nor empty gives the entries the
     # items name. Otherwise a new list of the survivors in their final
     # order: entries the items change are new dicts, created ones are
@@ -574,11 +642,7 @@ def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | Non
                 entries.append(_new_entry(it))
                 mentioned[len(entries) - 1] = None
             continue
-        e = entries[t]
-        if it.has_class_key and it.class_name and it.class_name != e.get(CLASS_NAME_KEY, ""):
-            entries[t] = _new_entry(it)
-        elif it.has_state:
-            entries[t] = {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it.state, remove_missing)}
+        entries[t] = _updated_entry(entries[t], it, remove_missing)
         mentioned[t] = None
 
     if order is not None:

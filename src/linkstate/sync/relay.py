@@ -14,20 +14,15 @@ the inbound diff once and checks none of the state's entries.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import StateNode, _apply_entry_diff, _entry_diff, encode
+from ..statetree import StateNode, _apply_entry_diff, _entry_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
-
-
-def state_hash(state: StateNode) -> str:
-    return "sha256:" + hashlib.sha256(encode(state).encode("utf-8")).hexdigest()
 
 
 @dataclass

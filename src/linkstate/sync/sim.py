@@ -25,9 +25,9 @@ from ..demo import build_demo_registry
 from ..dynamic import LinkableDynamicObject, LinkableHashMap
 from ..errors import LinkstateError, ScriptError, UnknownName
 from ..linkable import LinkableObject, LinkableVariable
-from ..statetree import diff, encode_diff, state_equivalent, validate_node
+from ..statetree import diff, encode, encode_diff, state_equivalent, validate_node
 from .client import ClientEngine
-from .relay import Relay, state_hash
+from .relay import Relay
 from .wire import Message, decode_frame, encode_fanout, encode_frame
 
 EDIT_OPS = frozenset({"request", "set", "remove", "reorder", "local", "global", "clear"})
@@ -334,6 +334,10 @@ def apply_edit(root: LinkableHashMap, edit: dict) -> bool:
 # -- the end of a run ---------------------------------------------------------------
 
 
+def _sha256(text: str) -> str:
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def end_report(relay: Relay, session: str, clients: list[tuple[str, ClientEngine, int]]) -> dict:
     """The part of a run's report read off its end state, for virtual and
     realtime runs alike: overall convergence, the relay's sequence number
@@ -345,23 +349,28 @@ def end_report(relay: Relay, session: str, clients: list[tuple[str, ClientEngine
         relay_seq = relay.session_seq(session)
     else:
         relay_state, relay_seq = [], 0
+    relay_text = encode(relay_state)
     report_clients = {}
     divergences = {}
     for cid, engine, skipped in clients:
-        state = engine.root.get_session_state()
-        same = state_equivalent(state, relay_state)
+        # The client's cached snapshot, encoded once: the same canonical text
+        # is the same state, so only a client whose text differs is compared
+        # with mapping key order aside.
+        state = engine.root._snapshot()
+        text = encode(state)
+        same = text == relay_text or state_equivalent(state, relay_state)
         if not same:
             divergences[cid] = diff(relay_state, state)
         report_clients[cid] = {
             "converged": same,
-            "stateHash": state_hash(state),
+            "stateHash": _sha256(text),
             "lastServerSeq": engine.last_server_seq,
             "skippedEdits": skipped,
             **engine.stats,
         }
     return {
         "converged": all(c["converged"] for c in report_clients.values()),
-        "relay": {"serverSeq": relay_seq, "stateHash": state_hash(relay_state)},
+        "relay": {"serverSeq": relay_seq, "stateHash": _sha256(relay_text)},
         "clients": report_clients,
         "divergences": divergences,
     }
@@ -486,7 +495,7 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
         )
 
     end = _drive(script, loop, relay, connect, script["durationMs"] + script["settleCapMs"])
-    trace_hash = "sha256:" + hashlib.sha256("\n".join(trace).encode("utf-8")).hexdigest()
+    trace_hash = _sha256("\n".join(trace))
     report = {
         "mode": "virtual",
         "session": session,

@@ -119,6 +119,12 @@ class TestReplay:
         assert main(["replay", str(p)]) == 0
         assert capsys.readouterr().out.strip() == encode(log.state_at(2))
 
+    def test_a_log_with_a_bad_timestamp_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        p, log = _history_file(tmp_path)
+        p.write_text(log.export_json().replace('"timestampMs":0', '"timestampMs":"abc"', 1))
+        assert main(["replay", str(p)]) == 1
+        assert "timestampMs" in capsys.readouterr().err
+
     def test_verify_reports_per_step(self, tmp_path, capsys):
         p, _ = _history_file(tmp_path)
         assert main(["replay", str(p), "--verify"]) == 0

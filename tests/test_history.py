@@ -278,6 +278,25 @@ class TestPersistence:
         with pytest.raises(ParseError):
             HistoryLog.import_json('{"version":1,"baseline":null,"cursor":0,"steps":[{"forward":{}}]}')
 
+    @pytest.mark.parametrize("timestamp", ["null", "[1]", "{}", '"abc"', '"12"', "true"])
+    def test_a_timestamp_that_is_no_number_is_a_parse_error(self, timestamp):
+        text = f'{{"version":1,"baseline":null,"cursor":0,"steps":[{{"forward":{{}},"backward":{{}},"timestampMs":{timestamp}}}]}}'
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(text)
+
+    @pytest.mark.parametrize("cursor", ["true", "false", "1.0", '"0"', "null"])
+    def test_a_cursor_that_is_no_integer_is_a_parse_error(self, cursor):
+        text = f'{{"version":1,"baseline":null,"cursor":{cursor},"steps":[{{"forward":{{}},"backward":{{}}}}]}}'
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(text)
+
+    def test_numeric_timestamps_still_import(self):
+        text = '{"version":1,"baseline":null,"cursor":2,"steps":[%s,%s]}' % (
+            '{"forward":{},"backward":{},"timestampMs":1700000000000}',
+            '{"forward":{},"backward":{},"timestampMs":12.0}',
+        )
+        assert [s.timestamp_ms for s in HistoryLog.import_json(text).steps] == [1700000000000, 12]
+
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize("where", ["baseline", "forward"])
     def test_numbers_no_state_may_hold_are_a_parse_error(self, number, where):

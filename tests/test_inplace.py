@@ -321,3 +321,76 @@ def test_bundled_simulation_reports_match_the_recorded_digest():
             traces.update(json.dumps(result.trace).encode("utf-8") + b"\n")
     assert reports.hexdigest() == REPORTS_SHA256
     assert traces.hexdigest() == TRACES_SHA256
+
+
+# Small generated scripts on a lossy network: two to four clients, 15%
+# client->relay loss and one 120 ms relay->client blackout, with removals,
+# reorders and class changes among the sets. They reach the retransmit and
+# resync applies that the bundled scenarios barely touch. sha256 over
+# report_json() + "\n" and json.dumps(trace) + "\n" of seeds 0-11, recorded
+# before the positional apply.
+LOSSY_REPORTS_SHA256 = "6431558c8fe8cfe2266dcee6b405fac0376e08cc4aa7c063aa1321e9f13db3f9"
+LOSSY_TRACES_SHA256 = "357fa63d1cd69adc7878ad191c3be82dd1e7f2fda0cc1d736760a918348db11b"
+_LEAVES = {
+    "ex.Counter": (["count"],),
+    "ex.Label": (["text"], ["size"]),
+    "ex.Plot": (["title"], ["label", "text"], ["label", "size"]),
+}
+
+
+def _lossy_script(seed):
+    rng = random.Random(f"lossy/{seed}")
+    ids = [f"c{i}" for i in range(rng.randint(2, 4))]
+    edits = {cid: [] for cid in ids}
+    objects = []
+    for j in range(8):
+        name, cls = f"o{j}", rng.choice(sorted(_LEAVES))
+        objects.append((name, cls))
+        edits[rng.choice(ids)].append({"atMs": 300 + 5 * j, "op": "request", "name": name, "class": cls})
+    for k in range(40):
+        at = 600 + 20 * k + rng.randrange(10)
+        cid = rng.choice(ids)
+        r = rng.random()
+        if r < 0.06:
+            edits[cid].append({"atMs": at, "op": "remove", "name": rng.choice(objects)[0]})
+        elif r < 0.12:
+            names = [n for n, _ in objects]
+            rng.shuffle(names)
+            edits[cid].append({"atMs": at, "op": "reorder", "names": names[:3]})
+        elif r < 0.16:
+            name, cls = rng.choice(objects)
+            edits[cid].append({"atMs": at, "op": "request", "name": name, "class": rng.choice(sorted(_LEAVES))})
+        else:
+            name, cls = rng.choice(objects)
+            leaf = rng.choice(_LEAVES[cls])
+            value = k if leaf[-1] in ("count", "size") else f"v{k}"
+            edits[cid].append({"atMs": at, "op": "set", "path": [name] + leaf, "value": value})
+    blackout = rng.randrange(700, 1200)
+    return {
+        "session": "lossy",
+        "durationMs": 1500,
+        "flushIntervalMs": 10,
+        "net": {
+            "latencyMs": [1, 12],
+            "dropClientToRelay": 0.15,
+            "dropRelayToClientWindows": [[blackout, blackout + 120]],
+        },
+        "clients": [{"id": cid, "edits": sorted(edits[cid], key=lambda e: e["atMs"])} for cid in ids],
+    }
+
+
+def test_generated_lossy_simulation_reports_match_the_recorded_digest():
+    reports = hashlib.sha256()
+    traces = hashlib.sha256()
+    resyncs = retransmits = 0
+    for seed in range(12):
+        result = run_simulation(_lossy_script(seed), seed=seed)
+        reports.update(result.report_json().encode("utf-8") + b"\n")
+        traces.update(json.dumps(result.trace).encode("utf-8") + b"\n")
+        assert result.report["converged"], f"seed {seed}"
+        for c in result.report["clients"].values():
+            resyncs += c["resyncs"]
+            retransmits += c["retransmits"]
+    assert resyncs > 0 and retransmits > 0
+    assert reports.hexdigest() == LOSSY_REPORTS_SHA256
+    assert traces.hexdigest() == LOSSY_TRACES_SHA256

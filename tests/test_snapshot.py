@@ -371,13 +371,37 @@ def test_record_diff_calls_do_not_grow_with_the_tree(monkeypatch, n, big_root):
     try:
         plot = root.get_object(f"plot{n // 2:05d}")
         calls = _count_calls(monkeypatch, statetree, "_diff_plain")
-        monkeypatch.setattr(history, "_diff_plain", statetree._diff_plain)
+        walks = _count_calls(monkeypatch, statetree, "_diff_both")
+        matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        monkeypatch.setattr(history, "_diff_both", statetree._diff_both)
         plot.label.size.set_state(n)
         root.scheduler.flush_frame()
-        # forward and backward: the root list, the plot, its 3 fields, the
-        # label, its 2 fields; the other entries cost an identity check each
+        # One walk of the root list for both diffs; the one changed entry is
+        # diffed forward and backward: the plot, its 3 fields, the label, its
+        # 2 fields. The other entries cost an identity check each.
         assert len(log.steps) == 1
-        assert len(calls) == 2 * (1 + 1 + 3 + 2)
+        assert len(walks) == 1
+        assert len(matched) == 2
+        assert len(calls) == 2 * (1 + 3 + 2)
+    finally:
+        log.detach()
+
+
+def test_unchanged_entries_share_one_mention_in_forward_and_backward(big_root):
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        root.get_object("plot03000").title.set_state("shared")
+        root.scheduler.flush_frame()
+        step = log.steps[0]
+        assert len(step.forward) == len(step.backward) == 5000
+        for i, (f, b) in enumerate(zip(step.forward, step.backward)):
+            if i == 3000:
+                assert f is not b
+                assert f["sessionState"] == {"title": "shared"} and b["sessionState"] == {"title": ""}
+            else:
+                assert f is b and f == {"objectName": f"plot{i:05d}"}
     finally:
         log.detach()
 
@@ -618,3 +642,53 @@ def test_client_parses_an_inbound_root_diff_once(monkeypatch):
 
 def _counter_entries(n):
     return [{"objectName": f"c{i:04d}", "className": "ex.Counter", "sessionState": {"count": 0}} for i in range(n)]
+
+
+# --- apply by position: the match by name only where names moved -------------------------
+
+
+def test_one_change_applies_by_position_in_the_relay_the_client_and_an_undo(monkeypatch, big_root):
+    by_name = _count_calls(monkeypatch, statetree, "_apply_entry_diff_by_name")
+    relay = Relay()
+    relay.handle(Message("Hello", "s", "a"))
+    relay.handle(Message("Diff", "s", "a", 0, _counter_entries(5000)))
+    one = [{"objectName": f"c{i:04d}"} for i in range(5000)]
+    one[2500] = {"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}
+    by_name.clear()
+    assert len(relay.handle(Message("Diff", "s", "a", 0, one))) == 1
+    assert by_name == []
+
+    engine = ClientEngine("a", "s", build_demo_registry(), lambda m: None)
+    engine.on_message(Message("Welcome", "s", "server", 0, _counter_entries(5000)), 0)
+    engine.flush(0)
+    by_name.clear()
+    engine.on_message(Message("Diff", "s", "b", 1, one), 1)
+    assert by_name == []
+    assert engine._published[2500]["sessionState"] == {"count": 1}
+
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(big_root)
+    try:
+        big_root.get_object("plot04000").title.set_state("to undo")
+        big_root.scheduler.flush_frame()
+        by_name.clear()
+        log.undo()
+        big_root.scheduler.flush_frame()
+        assert by_name == []
+        assert big_root.get_object("plot04000").title.get_state() == ""
+    finally:
+        log.detach()
+
+
+def test_a_reorder_or_a_removal_matches_by_name_once(monkeypatch):
+    by_name = _count_calls(monkeypatch, statetree, "_apply_entry_diff_by_name")
+    full = _counter_entries(50)
+    moved = [full[30]] + full[:30] + full[31:]
+    for target in (moved, full[:10] + full[11:]):
+        relay = Relay()
+        relay.handle(Message("Hello", "s", "a"))
+        relay.handle(Message("Diff", "s", "a", 0, full))
+        by_name.clear()
+        relay.handle(Message("Diff", "s", "a", 0, diff(full, target)))
+        assert len(by_name) == 1
+        assert statetree.encode(relay.session_state("s")) == statetree.encode(target)
