@@ -9,10 +9,14 @@ what makes whole session trees reconstructible from plain data.
 Both containers read a state with statetree._entry_diff, the one reader of
 entry lists and entry diffs, and read [] as no items. Any other state is
 ignored whole, with one warning: so is a list with a single element that is
-neither an entry item nor an order marker alone. A state without an order
-marker that mentions every child of the map in its place (the common diff:
-one edit, an undo, a remote message) moves and drops nothing, so the map
-builds no reorder or removal list for it.
+neither an entry item nor an order marker alone. The map reads a state over
+its own snapshot: one that names every child in its place, one item each
+(the common diff: one edit, an undo, a remote message), is read in place,
+so only the items that are not a bare mention are parsed and applied, and
+nothing moves or goes. Any other state without an order marker that still
+mentions every child in its place builds no reorder or removal list
+either. A snapshot rebuilt for changed children alone keeps the names of
+the last one, so it shares that list's mention list (statetree).
 
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
 entry list: an anonymous entry with an inline state in local mode, or a
@@ -39,9 +43,11 @@ from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
+    _IN_PLACE,
     EntryItem,
     _entry_diff,
     _EntryList,
+    _in_place_copy,
 )
 
 log = logging.getLogger(__name__)
@@ -197,7 +203,7 @@ class LinkableHashMap(LinkableObject):
         # since the last full build triggers the map itself).
         stale = self.callbacks._stale_children
         if stale is not None:
-            entries = _EntryList(self._last)
+            entries = _in_place_copy(self._last)
             for c in stale:
                 i = self._slots.get(c)
                 if i is None:
@@ -223,18 +229,21 @@ class LinkableHashMap(LinkableObject):
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
-        parsed = ([], None) if state == [] else _entry_diff(state)
+        parsed = ([], None) if state == [] else _entry_diff(state, self._snapshot())
         if parsed is None:
             log.warning("LinkableHashMap: ignoring a state that is no entry list: %r", type(state).__name__)
             return
         self._set_items(*parsed, remove_missing)
 
-    def _set_items(self, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> None:
-        """Apply parsed entry items (see statetree._entry_diff)."""
+    def _set_items(self, items: list | dict, order: list | str | None, remove_missing: bool) -> None:
+        """Apply parsed entry items (see statetree._entry_diff). Items read
+        in place must have been read over this map's snapshot, or over a
+        list with the same names in the same order."""
         self.callbacks.delay()
         try:
+            in_place = order is _IN_PLACE
             mentioned: dict[str, bool] = {}
-            for it in items:
+            for it in items.values() if in_place else items:
                 if type(it) is str:  # a named pure mention
                     if it in self._children:
                         mentioned[it] = True
@@ -265,6 +274,14 @@ class LinkableHashMap(LinkableObject):
                 mentioned[it.name] = True
                 if it.has_state:
                     obj.set_session_state(it.state, remove_missing)
+            if in_place:
+                # Every child is named in its place; one whose item was
+                # skipped above counts as unmentioned, as in a full read.
+                skipped = {it.name for it in items.values()}.difference(mentioned)
+                if not skipped:
+                    return
+                mentioned = dict.fromkeys(n for n in self._children if n not in skipped)
+                order = None
             if order is None and _in_child_order(mentioned, self._children):
                 return  # every child mentioned, in its place: nothing moves or goes
             if order is not None:

@@ -8,11 +8,15 @@ log's own snapshot and records nothing, which is what keeps undo from
 re-recording itself.
 
 The log reads the root's cached plain snapshot (see linkable), so a record
-costs the changed path plus one identity check per entry of an entry list,
-not a walk of the whole tree. One walk gives both of a record's diffs
-(statetree._diff_both): an unchanged root entry's bare mention is one dict
-that the forward and backward diffs share, and only the changed entries are
-diffed, once each way. The snapshots and every state an apply
+costs the changed path plus one C-level identity pass over the root
+entries, not a walk of the whole tree. One walk gives both of a record's
+diffs (statetree._diff_both): only the changed entries are diffed, once
+each way, and every other item of both diffs is the bare mention from the
+snapshots' one shared mention list. So every step over a lineage of
+snapshots shares its unchanged items with every other step, and a step
+costs two lists of pointers plus its changed items. An undo or redo hands
+the root a step's own diff, which the root reads in place: only its
+changed items are parsed. The snapshots and every state an apply
 builds from them hold trusted built entry lists (statetree._EntryList), so
 neither a record's diffs nor a replay check any entry's shape; a log read
 from JSON starts from a plain baseline, which its first apply checks.
@@ -97,6 +101,9 @@ class HistoryLog:
 
     @property
     def steps(self) -> tuple[HistoryStep, ...]:
+        """The recorded steps. Their diffs are shared, read-only values:
+        the items of one step are items of others and of the log's own
+        bookkeeping, so copy a diff (export_json, to_plain) to change it."""
         return tuple(self._steps)
 
     @property
@@ -298,12 +305,14 @@ class HistoryLog:
             timestamp = raw.get("timestampMs", 0)
             if type(timestamp) not in (int, float):  # a bool is no timestamp
                 raise ParseError(f"step {i}: 'timestampMs' must be a number, got {timestamp!r}")
+            if not isinstance(label := raw.get("label", ""), str):
+                raise ParseError(f"step {i}: 'label' must be a string, got {label!r}")
             log._steps.append(
                 HistoryStep(
                     forward=raw["forward"],
                     backward=raw["backward"],
                     timestamp_ms=int(timestamp),
-                    label=str(raw.get("label", "")),
+                    label=label,
                 )
             )
         return log

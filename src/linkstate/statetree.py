@@ -19,8 +19,7 @@ as it was). ``_diff_plain`` relies on the sharing: it is one walk that
 answers ``{}`` for an identical pair at once, and for a mapping or entry
 list whose walk finds no change. A history record needs both diffs of a
 snapshot pair; ``_diff_both`` gives them from one walk when the two entry
-lists pair up by position, an unchanged entry costing one bare mention that
-the forward and backward diffs share.
+lists pair up by position.
 
 Trusted and untrusted entry lists. The entry lists a snapshot builds
 (linkable, dynamic) and the ones ``_apply`` builds are of the private list
@@ -31,17 +30,35 @@ or an apply over them checks no entry's shape and no name's uniqueness.
 Input from outside (``decode``, ``parse_json``, the public ``diff`` and
 ``apply_diff`` arguments, wire payloads) is always plain lists and gets
 every check, and every public result is a plain copy (``to_plain``).
+
+Mention lists. A built list whose entries are all named has one mention
+list, ``[{"objectName": n}, ...]``, built on first use and shared by every
+list derived from it by replacing entries in place (a snapshot rebuilt for
+changed children, an apply read in place). Two built lists with the same
+names in the same order pair up by position and share it. Their diff finds
+the positions whose entries are not identical in one C-level pass
+(``operator.is_not``) and is a copy of the mention list with only those
+positions replaced, so every diff over a list's lineage (history steps,
+pending and published diffs) shares the unchanged items, and an unchanged
+entry costs one pointer per diff. A list with an anonymous entry has none:
+``{"objectName": ""}`` is an anonymous entry item, not a mention. Internal
+diffs may share mention dicts because nothing mutates them; the public
+``diff`` and ``apply_diff`` work on plain copies, which carry none.
+
 An entry diff is a non-empty list whose every element is an entry item (an
 entry, maybe with a removal marker) or an order marker alone; a full entry
-list is one too. ``_entry_diff`` is its one reader: it parses it once into
-items, a bare ``{"objectName": n}`` mention becoming just n, and the items
-feed a live container (dynamic) and the value-level apply
+list is one too. ``_entry_diff`` is its one reader, and ``_entry_item``
+parses each item: a bare ``{"objectName": n}`` mention becomes just n, and
+the items feed a live container (dynamic) and the value-level apply
 (``_apply_entry_diff``) alike. Almost every diff names a built base's
-entries in the base's own order, one item each: that apply is one pass by
-position, with no index by name and no reorder, and any other goes to
-``_apply_entry_diff_by_name``. Any other list is no entry diff: a value
-apply replaces with it, the relay drops it as malformed at the root, and a
-live container ignores it.
+entries in the base's own places, one item each: given that base, the
+reader finds the items that differ from its mention list in one C-level
+pass (``operator.ne``) and parses only those, and the apply replaces only
+their entries. A changed item that is a removal, names another entry, is an
+order marker or is malformed hands the whole diff to the full parse and
+the match by name (``_apply_entry_diff_by_name``). Any other list is no
+entry diff: a value apply replaces with it, the relay drops it as malformed
+at the root, and a live container ignores it.
 
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
@@ -62,6 +79,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not, ne
 from typing import Any
 
 from .errors import ParseError
@@ -139,9 +158,44 @@ class _EntryList(list):
     """An entry list that a snapshot or an apply built: every item is
     entry-shaped and no non-empty name repeats, by construction. The type is
     the proof, so the shape checks answer for it at once. Parsed input is
-    never one, and every public result is a plain list (to_plain)."""
+    never one, and every public result is a plain list (to_plain). The slot
+    caches the list's mention list (_mentions)."""
 
-    __slots__ = ()
+    __slots__ = ("mentions",)
+
+
+def _mentions(entries: _EntryList) -> list | None:
+    """The bare mention of each entry, [{"objectName": n}, ...], or None if
+    an entry is anonymous ({"objectName": ""} is an anonymous entry item, not
+    a mention). Built once and shared, read-only, by every list derived from
+    entries by replacing entries in place (_in_place_copy) and by the diffs
+    over them, which hold its dicts."""
+    m = getattr(entries, "mentions", None)
+    if m is None:
+        names = list(map(dict.get, entries, repeat(OBJECT_NAME_KEY), repeat("")))
+        m = entries.mentions = [{OBJECT_NAME_KEY: n} for n in names] if all(names) else False
+    return m or None
+
+
+def _in_place_copy(base: _EntryList) -> _EntryList:
+    """A copy of base whose entries are to be replaced under the same names:
+    it shares base's mention list."""
+    out = _EntryList(base)
+    out.mentions = getattr(base, "mentions", None)
+    return out
+
+
+def _paired(a: Any, b: Any) -> list | None:
+    """The mention list of two built entry lists whose entries have the same
+    names in the same order (b then shares a's), else None."""
+    if type(a) is not _EntryList or type(b) is not _EntryList or len(a) != len(b):
+        return None
+    ma = _mentions(a)
+    mb = _mentions(b)
+    if ma is None or (mb is not ma and mb != ma):
+        return None
+    b.mentions = ma
+    return ma
 
 
 def _entry_shaped(obj: Any) -> bool:
@@ -283,53 +337,54 @@ def _diff_plain(a: Any, b: Any) -> Any:
 def _diff_entry_list(a: list, b: list) -> Any:
     # Named entries match by name; the k-th anonymous entry of a matches the
     # k-th anonymous entry of b. Returns {} when the lists are equivalent.
-    # The common case, the same names in the same order, is one pass that
-    # pairs entry i with entry i, an identical pair costing one mention; a
-    # built list needs no check that its names are unique.
-    if len(a) == len(b) and (type(a) is _EntryList or _names_unique(a)):
-        out: list = []
-        changed = False
-        for x, y in zip(a, b):
-            n = y.get(OBJECT_NAME_KEY, "")
-            if x is y:
-                out.append({OBJECT_NAME_KEY: n})
-            elif x.get(OBJECT_NAME_KEY, "") != n:
-                break  # the names differ: match them by name below
-            else:
-                changed = _diff_matched(out, x, y, n) or changed
-        else:
-            return out if changed else {}
+    # The common case, two built lists with the same names in the same order,
+    # pairs entry i with entry i: one C-level pass finds the pairs that are
+    # not identical, and only those are diffed.
+    m = _paired(a, b)
+    if m is not None:
+        return _diff_in_place(m, a, b, _differing(a, b))
     return _diff_entry_list_by_name(a, b)
 
 
 def _diff_both(a: Any, b: Any) -> tuple[Any, Any]:
     """(_diff_plain(a, b), _diff_plain(b, a)), in one walk where it can be:
     two built entry lists whose entries pair up by position (a snapshot and
-    the one before it, the common record). An unchanged entry costs one bare
-    mention, the same dict in both diffs, and only the changed entries are
-    diffed, once each way. Anything else diffs twice."""
+    the one before it, the common record). Only the entries that differ are
+    diffed, once each way; every other item of both diffs is the lists'
+    shared mention. Anything else diffs twice."""
     if a is b:
         return {}, {}
-    if type(a) is _EntryList and type(b) is _EntryList and len(a) == len(b):
-        fwd: list = []
-        bwd: list = []
-        fwd_changed = bwd_changed = False
-        for x, y in zip(a, b):
-            n = y.get(OBJECT_NAME_KEY, "")
-            if x is y:
-                mention = {OBJECT_NAME_KEY: n}
-                fwd.append(mention)
-                bwd.append(mention)
-            elif x.get(OBJECT_NAME_KEY, "") != n:
-                break  # the names differ: match them by name, each way
-            else:
-                fwd_changed = _diff_matched(fwd, x, y, n) or fwd_changed
-                bwd_changed = _diff_matched(bwd, y, x, n) or bwd_changed
-        else:
-            return (fwd if fwd_changed else {}), (bwd if bwd_changed else {})
+    m = _paired(a, b)
+    if m is not None:
+        at = _differing(a, b)
+        return _diff_in_place(m, a, b, at), _diff_in_place(m, b, a, at)
     fwd = _diff_plain(a, b)
     # An empty diff means the two are equivalent, so the other way is empty too.
     return fwd, ({} if fwd == {} else _diff_plain(b, a))
+
+
+def _differing(a: list, b: list) -> list[int]:
+    """The positions where two lists of the same length hold different objects."""
+    return list(compress(range(len(a)), map(is_not, a, b)))
+
+
+def _diff_in_place(m: list, a: list, b: list, at: list[int]) -> Any:
+    """The diff of two lists that pair up by position, whose mention list is
+    m, given the positions at where their entries differ: a copy of m with
+    each of those positions replaced by its items (a demotion writes two),
+    or {} when none of them changes."""
+    parts = []
+    changed = False
+    for i in at:
+        items: list = []
+        changed = _diff_matched(items, a[i], b[i], m[i][OBJECT_NAME_KEY]) or changed
+        parts.append((i, items))
+    if not changed:
+        return {}
+    out = list(m)
+    for i, items in reversed(parts):
+        out[i : i + 1] = items
+    return out
 
 
 def _diff_entry_list_by_name(a: list, b: list) -> Any:
@@ -471,7 +526,7 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
         # Mismatched site: the merge has nothing to merge into.
         return _materialize(d)
     if isinstance(d, list):
-        parsed = _entry_diff(d)
+        parsed = _entry_diff(d, base)
         if parsed is not None:
             return _apply_entry_diff(base, *parsed, remove_missing)
         if d == [] and _is_entry_list(base):
@@ -495,53 +550,80 @@ class EntryItem:
     state: Any = None
 
 
+def _entry_item(x: Any) -> EntryItem | str | None:
+    """One item of an entry list or entry diff, or None if x is none. An
+    item is an entry (a dict of the reserved keys with string name and class,
+    one of them present), maybe with a removal marker; its state is a subtree
+    of x, not a copy. A bare {"objectName": name} with a non-empty name comes
+    out as the name. A reference-shaped item (empty className, null or
+    absent state) is a pure mention: has_state is False."""
+    if not isinstance(x, dict):
+        return None
+    name = x.get(OBJECT_NAME_KEY, "")
+    if len(x) == 1 and type(name) is str and name:
+        return name
+    cls = x.get(CLASS_NAME_KEY, "")
+    if not (
+        isinstance(name, str)
+        and isinstance(cls, str)
+        and x.keys() <= _DIFF_ITEM_KEYS
+        and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
+    ):
+        return None
+    st = x.get(SESSION_STATE_KEY)
+    has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
+    removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
+    return EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st)
+
+
 def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
-    """The one parse of an entry list or entry diff: its items (states are
-    subtrees of d, not copies) and its order marker, if any, or None if d
-    holds any element that is neither an item nor an order marker alone.
-    An item is an entry (a dict of the reserved keys with string name and
-    class, one of them present), maybe with a removal marker. A
-    reference-shaped item (empty className, null or absent state) is a pure
-    mention: has_state is False. A bare {"objectName": name} with a
-    non-empty name comes out as the name. A marker whose value is not a
-    list of names is ignored with a diagnostic."""
+    """The one parse of a whole entry list or entry diff: its items
+    (_entry_item) and its order marker, if any, or None if d holds any
+    element that is neither an item nor an order marker alone. A marker
+    whose value is not a list of names is ignored with a diagnostic."""
     items: list[EntryItem | str] = []
     order: list | None = None
     for x in d:
-        if not isinstance(x, dict):
+        it = _entry_item(x)
+        if it is not None:
+            items.append(it)
+        elif isinstance(x, dict) and x.keys() == {ORDER_MARKER}:
+            o = x[ORDER_MARKER]
+            if isinstance(o, list) and all(isinstance(n, str) for n in o):
+                order = o
+            else:
+                log.warning("ignoring malformed order marker: %r", x)
+        else:
             return None
-        if len(x) == 1:
-            name = x.get(OBJECT_NAME_KEY)
-            if type(name) is str and name:
-                items.append(name)
-                continue
-            if ORDER_MARKER in x:
-                o = x[ORDER_MARKER]
-                if isinstance(o, list) and all(isinstance(n, str) for n in o):
-                    order = o
-                else:
-                    log.warning("ignoring malformed order marker: %r", x)
-                continue
-        name = x.get(OBJECT_NAME_KEY, "")
-        cls = x.get(CLASS_NAME_KEY, "")
-        if not (
-            isinstance(name, str)
-            and isinstance(cls, str)
-            and x.keys() <= _DIFF_ITEM_KEYS
-            and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
-        ):
-            return None
-        st = x.get(SESSION_STATE_KEY)
-        has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
-        removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
-        items.append(EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st))
     return items, order
 
 
-def _entry_diff(d: Any) -> tuple[list[EntryItem | str], list | None] | None:
+_IN_PLACE = "in place"
+"""The order of an entry diff read in place (_entry_diff)."""
+
+
+def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | str | None] | None:
     """The items and order marker of d, or None if d is not an entry diff
-    (a non-empty list that _entry_items reads)."""
-    return _entry_items(d) if isinstance(d, list) and d else None
+    (a non-empty list that _entry_items reads). Over a built base whose
+    entries d names in their own places, one item each, with no removal
+    (the common diff), only the items that are not their entry's bare
+    mention are read: one C-level pass against base's mention list finds
+    them, and they come back as {position: item} with the order _IN_PLACE."""
+    if not (isinstance(d, list) and d):
+        return None
+    m = _mentions(base) if type(base) is _EntryList and len(d) == len(base) else None
+    if m is not None:
+        # Every other item equals the bare mention of base's entry at its
+        # place, which the full parse reads as that entry's name: a no-op.
+        changed = {}
+        for i in compress(range(len(d)), map(ne, d, m)):
+            it = _entry_item(d[i])
+            if type(it) is not EntryItem or it.removed or it.name != m[i][OBJECT_NAME_KEY]:
+                break  # not an item of its own entry: read the whole diff
+            changed[i] = it
+        else:
+            return changed, _IN_PLACE
+    return _entry_items(d)
 
 
 def _new_entry(it: EntryItem | str) -> dict:
@@ -561,23 +643,15 @@ def _updated_entry(e: dict, it: EntryItem, remove_missing: bool) -> dict:
     return e
 
 
-def _apply_entry_diff(base: Any, items: list[EntryItem | str], order: list | None, remove_missing: bool) -> list:
-    # The common diff names a built base's entries in their own order, one
-    # item each and no order marker: item i then changes base[i] at most,
-    # nothing moves or goes, and one pass needs no index by name. The first
-    # item that does not name its base entry hands over to the match by name.
-    if type(base) is _EntryList and order is None and len(items) == len(base):
-        out = _EntryList(base)
-        for i, (it, e) in enumerate(zip(items, base)):
-            if type(it) is str:
-                if it != e.get(OBJECT_NAME_KEY, ""):
-                    break
-            elif it.removed or it.name != e.get(OBJECT_NAME_KEY, ""):
-                break
-            else:
-                out[i] = _updated_entry(e, it, remove_missing)
-        else:
-            return out
+def _apply_entry_diff(base: Any, items: list | dict, order: list | str | None, remove_missing: bool) -> list:
+    # Items read in place (_entry_diff) change their own entries of a built
+    # base: a copy of it gets the changed entries, and nothing moves or
+    # goes. Any other diff matches its items to base's entries by name.
+    if order is _IN_PLACE:
+        out = _in_place_copy(base)
+        for i, it in items.items():
+            out[i] = _updated_entry(base[i], it, remove_missing)
+        return out
     return _apply_entry_diff_by_name(base, items, order, remove_missing)
 
 

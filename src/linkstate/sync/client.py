@@ -16,14 +16,18 @@ the same last-writer-wins result.
 A flush diffs `_published` against the root's cached snapshot (see linkable),
 so an unchanged subtree costs one identity check, and then keeps that
 snapshot as `_published` (equivalent to applying the sent diff), so the next
-flush walks only what changed since.
+flush walks only what changed since. The two share one mention list, so the
+flush's diff is a C-level identity pass plus the changed entries.
 
-An inbound payload is applied only if it is an entry diff, parsed once
-(statetree._entry_diff); the items feed the live root
-(LinkableHashMap._set_items) and the value-level apply to `_published`.
-`{}` or any other payload changes neither, so a hostile one cannot replace
-the `_published` shadow. `_published` is always a snapshot or an apply's
-result, a trusted built entry list, so that apply checks no entry's shape.
+An inbound payload is applied only if it is an entry diff, read once
+(statetree._entry_diff) over `_published`: a diff that names its entries in
+their places has only its changed items parsed. The items feed the live
+root (LinkableHashMap._set_items) and the value-level apply to `_published`,
+unless the root's names differ from `_published`'s, when the root reads
+the payload on its own. `{}` or any other payload changes neither, so a
+hostile one cannot replace the `_published` shadow. `_published` is always
+a snapshot or an apply's result, a trusted built entry list, so that apply
+checks no entry's shape.
 
 It is not simply the root's snapshot after a remote message: the live root
 skips entries of unregistered classes and values its verifiers reject,
@@ -42,7 +46,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_entry_diff, _diff_plain, _entry_diff, is_empty_diff
+from ..statetree import _IN_PLACE, _apply_entry_diff, _diff_plain, _entry_diff, _paired, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -195,9 +199,13 @@ class ClientEngine:
         # empty for pure remote changes because _published advances in step.
         # An entry diff is parsed once, for both; {} or any other payload
         # changes neither.
-        parsed = _entry_diff(msg.payload)
+        parsed = _entry_diff(msg.payload, self._published)
         if parsed is not None:
-            self.root._set_items(*parsed, remove_missing=False)
+            if parsed[1] is _IN_PLACE and _paired(self._published, self.root._snapshot()) is None:
+                # read over _published, whose names differ from the root's
+                self.root.set_session_state(msg.payload, remove_missing=False)
+            else:
+                self.root._set_items(*parsed, remove_missing=False)
             self._published = _apply_entry_diff(self._published, *parsed, False)
 
     def _full_reset(self, msg: Message) -> None:

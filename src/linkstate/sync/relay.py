@@ -8,8 +8,12 @@ participant applies the identical totally-ordered stream.
 The session state is plain JSON and never mutated: a diff yields a new
 version sharing every entry it leaves alone, so handed-out Welcome and
 FullState payloads stay as they were and a failed apply changes nothing.
-It is a trusted built entry list (statetree._EntryList), so an apply parses
-the inbound diff once and checks none of the state's entries.
+It is a trusted built entry list (statetree._EntryList), so an apply checks
+none of the state's entries. A diff that names the state's entries in their
+own places (a client's edit) is read in place: one C-level pass against the
+state's mention list finds the changed items, only those are parsed, and
+the new state is a copy with their entries replaced, sharing the mention
+list. Any other diff is parsed once and applied by name.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ class Relay:
             # The root is an entry list: anything but an entry diff or {} would
             # replace it with a state no client can adopt. The one parse of
             # the diff feeds the apply.
-            parsed = _entry_diff(msg.payload)
+            parsed = _entry_diff(msg.payload, session.state)
             if parsed is None:
                 raise MalformedMessage("a root diff must be an entry diff or {}")
             try:

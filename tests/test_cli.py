@@ -125,6 +125,12 @@ class TestReplay:
         assert main(["replay", str(p)]) == 1
         assert "timestampMs" in capsys.readouterr().err
 
+    def test_a_log_with_a_label_that_is_no_string_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        p, log = _history_file(tmp_path)
+        p.write_text(log.export_json().replace('"label":""', '"label":null', 1))
+        assert main(["replay", str(p)]) == 1
+        assert "label" in capsys.readouterr().err
+
     def test_verify_reports_per_step(self, tmp_path, capsys):
         p, _ = _history_file(tmp_path)
         assert main(["replay", str(p), "--verify"]) == 0

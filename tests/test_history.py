@@ -284,6 +284,22 @@ class TestPersistence:
         with pytest.raises(ParseError):
             HistoryLog.import_json(text)
 
+    @pytest.mark.parametrize("label", ["null", "1", "true", "[1]", '{"a":[1]}'])
+    def test_a_label_that_is_no_string_is_a_parse_error(self, label):
+        # Read with str(), null would export as "None" and {"a":[1]} as "{'a': [1]}".
+        text = f'{{"version":1,"baseline":null,"cursor":0,"steps":[{{"forward":{{}},"backward":{{}},"label":{label}}}]}}'
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(text)
+
+    def test_string_and_absent_labels_still_import(self):
+        text = '{"version":1,"baseline":null,"cursor":0,"steps":[%s,%s]}' % (
+            '{"forward":{},"backward":{},"label":"bump \\u00e9"}',
+            '{"forward":{},"backward":{}}',
+        )
+        log = HistoryLog.import_json(text)
+        assert [s.label for s in log.steps] == ["bump \u00e9", ""]
+        assert HistoryLog.import_json(log.export_json()).export_json() == log.export_json()
+
     @pytest.mark.parametrize("cursor", ["true", "false", "1.0", '"0"', "null"])
     def test_a_cursor_that_is_no_integer_is_a_parse_error(self, cursor):
         text = f'{{"version":1,"baseline":null,"cursor":{cursor},"steps":[{{"forward":{{}},"backward":{{}}}}]}}'

@@ -8,9 +8,11 @@ a record and a jump follows the edit, not the tree (deterministic counters,
 no clocks).
 """
 
+import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -618,10 +620,10 @@ def test_relay_apply_checks_no_base_entry_and_parses_once(monkeypatch):
     one = [{"objectName": f"c{i:04d}"} for i in range(5000)]
     one[2500] = {"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}
     shaped = _count_calls(monkeypatch, statetree, "_entry_shaped")
-    parses = _count_calls(monkeypatch, statetree, "_entry_items")
+    parses = _count_calls(monkeypatch, statetree, "_entry_item")
     assert len(relay.handle(Message("Diff", "s", "a", 0, one))) == 1
     assert shaped == []
-    assert len(parses) == 1
+    assert len(parses) == 1  # the one changed item; the 4,999 mentions are not parsed
     assert relay.session_state("s")[2500]["sessionState"] == {"count": 1}
 
 
@@ -632,12 +634,88 @@ def test_client_parses_an_inbound_root_diff_once(monkeypatch):
     one = [{"objectName": f"c{i:04d}"} for i in range(1000)]
     one[500] = {"objectName": "c0500", "className": "ex.Counter", "sessionState": {"count": 9}}
     shaped = _count_calls(monkeypatch, statetree, "_entry_shaped")
-    parses = _count_calls(monkeypatch, statetree, "_entry_items")
+    parses = _count_calls(monkeypatch, statetree, "_entry_item")
     engine.on_message(Message("Diff", "s", "b", 1, one), 1)
-    assert len(parses) == 1
+    assert len(parses) == 1  # one read of the changed item feeds the root and _published
     assert shaped == []
     assert engine.root.get_object("c0500").count.get_state() == 9
     assert _plain_equivalent(engine._published, engine.root._snapshot())
+
+
+def test_one_change_parses_one_item_in_the_relay_the_client_and_an_undo(monkeypatch, big_root):
+    one = [{"objectName": f"c{i:04d}"} for i in range(5000)]
+    one[2500] = {"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}
+    relay = Relay()
+    relay.handle(Message("Hello", "s", "a"))
+    relay.handle(Message("Diff", "s", "a", 0, _counter_entries(5000)))
+    engine = ClientEngine("b", "s", build_demo_registry(), lambda m: None)
+    engine.on_message(Message("Welcome", "s", "server", 0, _counter_entries(5000)), 0)
+    engine.flush(0)
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(big_root)
+    try:
+        big_root.get_object("plot04321").label.size.set_state(99)
+        big_root.scheduler.flush_frame()
+        parses = _count_calls(monkeypatch, statetree, "_entry_item")
+        relay.handle(Message("Diff", "s", "a", 0, one))
+        assert len(parses) == 1
+        engine.on_message(Message("Diff", "s", "a", 1, one), 1)
+        assert len(parses) == 2
+        log.undo()
+        big_root.scheduler.flush_frame()
+        assert len(parses) == 3
+        assert relay.session_state("s")[2500]["sessionState"] == {"count": 1}
+        assert engine.root.get_object("c2500").count.get_state() == 1
+        assert big_root.get_object("plot04321").label.size.get_state() == 12
+    finally:
+        log.detach()
+
+
+def test_consecutive_steps_share_every_unchanged_item(big_root):
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        for i, name in enumerate(("plot00010", "plot04990", "plot00010")):
+            root.get_object(name).title.set_state(f"shared {i}")
+            root.scheduler.flush_frame()
+        steps = log.steps
+        assert len(steps) == 3
+        for k in range(2):
+            changed = {10, 4990}
+            for i in range(5000):
+                if i in changed:
+                    continue
+                assert steps[k].forward[i] is steps[k + 1].forward[i]
+                assert steps[k].backward[i] is steps[k + 1].backward[i] is steps[k].forward[i]
+    finally:
+        log.detach()
+
+
+def test_a_recorded_one_field_step_retains_two_pointer_lists_and_the_path(big_root):
+    # A step keeps its two diffs and the snapshot after it. Unchanged entries
+    # cost one shared pointer in each of the three lists (3 x 40 KB at 5,000
+    # entries); one mention dict per entry per step would be about 1 MB.
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        plot = root.get_object("plot01000")
+        plot.title.set_state("first")  # the first record builds the mention list
+        root.scheduler.flush_frame()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plot.title.set_state("second")
+            root.scheduler.flush_frame()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log.steps) == 2
+        assert retained < 128 * 1024
+    finally:
+        log.detach()
 
 
 def _counter_entries(n):

@@ -75,6 +75,36 @@ class TestWire:
         with pytest.raises(MalformedMessage):
             decode_frame(len(bad_seq).to_bytes(4, "big") + bad_seq)
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("[1]", "must be a JSON object"),
+            ('"Diff"', "must be a JSON object"),
+            ('{"kind":"Diff","sessionId":1,"senderId":"a"}', "must be strings"),
+            ('{"kind":"Diff","sessionId":"s","senderId":null}', "must be strings"),
+        ],
+    )
+    def test_a_body_that_is_no_message_is_malformed(self, body, reason):
+        with pytest.raises(MalformedMessage, match=reason):
+            decode_frame(_frame(body))
+        with pytest.raises(MalformedMessage, match=reason):
+            list(Framer().feed(_frame(body)))
+
+    def test_a_frame_shorter_than_its_prefix_is_malformed(self):
+        for frame in (b"", b"\x00", b"\x00\x00\x00"):
+            with pytest.raises(MalformedMessage, match="shorter than its length prefix"):
+                decode_frame(frame)
+
+    def test_a_length_over_the_cap_is_malformed_before_any_body_is_read(self):
+        prefix = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        with pytest.raises(MalformedMessage, match="exceeds limit"):
+            decode_frame(prefix)
+        with pytest.raises(MalformedMessage, match="exceeds limit"):
+            list(Framer().feed(prefix))
+        # the cap itself is allowed: that frame is only short of its body
+        with pytest.raises(MalformedMessage, match="prefix says"):
+            decode_frame(MAX_FRAME_BYTES.to_bytes(4, "big") + b"{}")
+
     def test_frame_nested_deeper_than_the_decoder_follows_is_malformed(self):
         depth = sys.getrecursionlimit() + 100
         body = ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":0,"payload":' + "[" * depth + "]" * depth + "}").encode()
@@ -406,6 +436,20 @@ class TestClientEngine:
         h.flush_all(2)
         h.assert_converged()
         assert h.engines["a"].root.get_object("shared").count.get_state() == 2
+
+    def test_a_diff_at_or_below_the_last_server_seq_is_dropped_as_stale(self):
+        engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
+        welcome = [{"objectName": "c1", "className": "ex.Counter", "sessionState": {"count": 0}}]
+        engine.on_message(Message("Welcome", "s", "server", 3, welcome), 0)
+        engine.flush(0)
+        before = (encode(engine.root.get_session_state()), encode(engine._published), engine.last_server_seq)
+        late = [{"objectName": "c1", "className": "ex.Counter", "sessionState": {"count": 9}}]
+        for seq, kind in ((3, "Diff"), (2, "Diff"), (1, "Ack")):
+            engine.on_message(Message(kind, "s", "peer", seq, late), 0)
+        assert engine.stats["staleDrops"] == 3
+        assert engine.stats["recvDiffs"] == engine.stats["acks"] == 0
+        assert (encode(engine.root.get_session_state()), encode(engine._published), engine.last_server_seq) == before
+        assert engine.quiescent()
 
     def test_foreign_session_ignored(self):
         engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
