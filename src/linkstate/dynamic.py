@@ -46,8 +46,10 @@ from .statetree import (
     _IN_PLACE,
     EntryItem,
     _entry_diff,
+    _differing,
     _EntryList,
     _in_place_copy,
+    _paired,
 )
 
 log = logging.getLogger(__name__)
@@ -56,6 +58,17 @@ log = logging.getLogger(__name__)
 def _in_child_order(mentioned: dict[str, bool], children: dict) -> bool:
     """Whether the mentioned names are exactly the children, in their order."""
     return len(mentioned) == len(children) and list(mentioned) == list(children)
+
+
+def _adopts_entry(e: dict, k: dict, child: LinkableObject | None) -> bool:
+    """Whether the kept entry k is the snapshot entry e (the same keys, name
+    and class) with a state that child, the object behind e, adopts; a
+    reference entry (child None) holds no state."""
+    if e is k:
+        return True
+    if k.keys() != e.keys() or k[OBJECT_NAME_KEY] != e[OBJECT_NAME_KEY] or k[CLASS_NAME_KEY] != e[CLASS_NAME_KEY]:
+        return False
+    return k[SESSION_STATE_KEY] is None if child is None else child._adopt(k[SESSION_STATE_KEY])
 
 
 class ClassRegistry:
@@ -226,6 +239,25 @@ class LinkableHashMap(LinkableObject):
             self._slots = {child.callbacks: i for i, child in enumerate(self._children.values())}
         self._last = entries
         return entries
+
+    def _adopt(self, state) -> bool:
+        # A kept list with the same names in the same order pairs up with the
+        # snapshot; only the entries that are not the kept ones are looked at.
+        snap = self._snapshot()
+        if snap is state:
+            return True
+        if snap:
+            m = _paired(state, snap)
+            if m is None or not all(
+                _adopts_entry(snap[i], state[i], self._children[m[i][OBJECT_NAME_KEY]])
+                for i in _differing(snap, state)
+            ):
+                return False
+        elif state != []:
+            return False
+        self._last = state
+        self._fill(state)
+        return True
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()
@@ -452,6 +484,19 @@ class LinkableDynamicObject(LinkableObject):
         if self._global_name:
             return _EntryList([{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}])
         return _EntryList()
+
+    def _adopt(self, state) -> bool:
+        snap = self._snapshot()
+        if snap is state:
+            return True
+        if snap:
+            target = self._children[self._TARGET] if self._local_class else None
+            if type(state) is not _EntryList or len(state) != 1 or not _adopts_entry(snap[0], state[0], target):
+                return False
+        elif state != []:
+            return False
+        self._fill(state)
+        return True
 
     def set_session_state(self, state, remove_missing: bool = True) -> None:
         self._check_live()

@@ -18,8 +18,9 @@ costs two lists of pointers plus its changed items. An undo or redo hands
 the root a step's own diff, which the root reads in place: only its
 changed items are parsed. The snapshots and every state an apply
 builds from them hold trusted built entry lists (statetree._EntryList), so
-neither a record's diffs nor a replay check any entry's shape; a log read
-from JSON starts from a plain baseline, which its first apply checks.
+neither a record's diffs nor a replay check any entry's shape; the
+baseline of a log read from JSON is checked once at import and then holds
+built lists too (_built).
 
 The log keeps the snapshot recorded after each step: snapshots are never
 mutated and share every unchanged subtree, so a kept state costs one root
@@ -28,9 +29,24 @@ the log's state at the cursor: edits absorbed while capture is paused (or
 made before an undo in the same frame) put the root off the log, and the
 states recorded after that are not kept. state_at and jump_to read the
 kept state; where none is kept (that case, or a log read from JSON), they
-apply the forward diffs to the nearest kept state. verify always replays
-from the baseline. An apply never mutates its base, so replay copies
-nothing; stored steps and kept states are never modified.
+apply the forward diffs to the nearest kept state. An apply never mutates
+its base, so replay copies nothing; stored steps and kept states are never
+modified.
+
+Navigation lands on the log's own state (path copying: the live snapshots
+join the log's persistent lineage). After an undo, redo, jump or capture
+resume the root adopts the kept state at the cursor (linkable._adopt):
+walking only the subtrees whose snapshot is not the kept one, it makes the
+kept subtrees its cached snapshots wherever the live state matches them,
+and a leaf whose value is equal but keyed in another order (a merge cannot
+put a re-added key back in its old place) takes the kept value. So the root
+encodes exactly as state_at(cursor), and the next record and navigation
+compare the changed entries alone.
+
+verify replays every step from the baseline and compares by identity
+first (statetree._diff_plain), so each step costs its changed entries. A
+step read from JSON that cannot be applied (it would repeat an entry name)
+fails verify with every later step, and state_at past it is a ParseError.
 
 Exported logs are version-1 JSON documents (docs/history-format.md). An
 import parses with statetree.parse_json, so a log holding a number no state
@@ -56,6 +72,8 @@ from .linkable import LinkableObject
 from .statetree import (
     StateNode,
     _apply,
+    _EntryList,
+    _is_entry_list,
     _diff_both,
     _diff_plain,
     _plain_equivalent,
@@ -68,6 +86,19 @@ from .statetree import (
 FORMAT_VERSION = 1
 
 _MISSING = object()
+
+
+def _built(node: Any) -> Any:
+    """The checked canonical tree node (to_plain's copy) with its entry
+    lists made built lists, which to_plain's checks vouch for: a baseline
+    read from JSON is then a state like any snapshot, which replay reads in
+    place and a live root adopts."""
+    if isinstance(node, dict):
+        return {k: _built(v) for k, v in node.items()}
+    if isinstance(node, list):
+        out = [_built(x) for x in node]
+        return _EntryList(out) if _is_entry_list(out) else out
+    return node
 
 
 @dataclass
@@ -218,11 +249,13 @@ class HistoryLog:
         self._track(root)
 
     def _track(self, root: LinkableObject) -> None:
-        # Take the root's snapshot as the one the next record diffs against,
-        # and note whether it is still the log's state at the cursor.
-        self._last = root._snapshot()
+        # Land the root on the kept state at the cursor: where the root
+        # matches it, its snapshots become the kept ones, so the next record
+        # and navigation compare by identity. Then take the root's snapshot
+        # as the one the next record diffs against.
         kept = self._states[self._cursor]
-        self._on_log = kept is not _MISSING and is_empty_diff(_diff_plain(kept, self._last))
+        self._on_log = kept is not _MISSING and root._adopt(kept)
+        self._last = root._snapshot()
 
     def state_at(self, index: int) -> StateNode:
         """The state after the first index steps, as a fresh value."""
@@ -231,14 +264,29 @@ class HistoryLog:
     def verify(self) -> list[int]:
         """Replay every step from the baseline and test its inverse; returns
         bad step indices. A step whose forward diff does not reach the state
-        kept after it is bad too."""
+        kept after it is bad too, and so is one whose forward diff cannot be
+        applied at all (it would repeat an entry name), along with every
+        later step, which the baseline then cannot reach. Where a step
+        reaches its kept state the replay goes on from that state: the two
+        are equivalent, and the next steps then compare by identity."""
         bad = []
         state = self._states[0]
         for i, step in enumerate(self._steps):
-            reached = _apply(state, step.forward, True)
+            try:
+                reached = _apply(state, step.forward, True)
+            except ValueError:
+                return bad + list(range(i, len(self._steps)))
             kept = self._states[i + 1]
-            ok = kept is _MISSING or _plain_equivalent(reached, kept)
-            if not (ok and _plain_equivalent(_apply(reached, step.backward, True), state)):
+            try:
+                ok = _diff_plain(_apply(reached, step.backward, True), state) == {}
+            except ValueError:
+                ok = False
+            if kept is not _MISSING:
+                if _diff_plain(reached, kept) == {}:
+                    reached = kept
+                else:
+                    ok = False
+            if not ok:
                 bad.append(i)
             state = reached
         return bad
@@ -255,8 +303,11 @@ class HistoryLog:
         if start == index:
             return self._states[index]
         state = self._states[start]
-        for step in self._steps[start:index]:
-            state = _apply(state, step.forward, True)
+        for i in range(start, index):
+            try:
+                state = _apply(state, self._steps[i].forward, True)
+            except ValueError as e:  # a step read from JSON that repeats an entry name
+                raise ParseError(f"step {i} cannot be applied: {e}") from e
         return state
 
     # -- persistence ------------------------------------------------------------------
@@ -296,8 +347,12 @@ class HistoryLog:
             raise ParseError("history log needs integer 'cursor' and list 'steps'")
         if not 0 <= cursor <= len(steps_data):
             raise ParseError(f"cursor {cursor} outside [0, {len(steps_data)}]")
+        try:
+            baseline = _built(to_plain(data.get("baseline")))
+        except ValueError as e:  # an entry list that repeats a name
+            raise ParseError(f"malformed history baseline: {e}") from e
         log = cls(clock_ms)
-        log._states = [to_plain(data.get("baseline"))] + [_MISSING] * len(steps_data)
+        log._states = [baseline] + [_MISSING] * len(steps_data)
         log._cursor = cursor
         for i, raw in enumerate(steps_data):
             if not isinstance(raw, dict) or "forward" not in raw or "backward" not in raw:

@@ -22,6 +22,15 @@ build their snapshot in _build_snapshot(); the public get_session_state()
 is a fresh copy of it. The entry lists in a snapshot are statetree's
 trusted built lists (_EntryList): whatever diffs or applies over a
 snapshot, or over a value an apply built from one, checks no entry shape.
+
+An object can also adopt a plain state its snapshot matches (_adopt): the
+history hands the root the state it keeps at the cursor after an undo,
+redo or jump. Adoption walks only the subtrees whose snapshot is not the
+kept one, compares values at the leaves, and fills the caches bottom-up
+with the kept objects (a variable takes the kept value even where its keys
+are in another order), so the live snapshots join the log's lineage and
+later diffs against kept states compare by identity. It triggers nothing
+and changes no kept state: the live state is the same, only shared.
 """
 
 from __future__ import annotations
@@ -171,6 +180,29 @@ class LinkableObject:
     def _build_snapshot(self) -> Any:
         return {name: child._snapshot() for name, child in self._children.items()}
 
+    def _adopt(self, state: Any) -> bool:
+        """Make the plain state the cached snapshot where the live state
+        matches it; True when the snapshot now is state. A partial adoption
+        (False) leaves each cache holding a state equal to its object's."""
+        snap = self._snapshot()
+        if snap is state:
+            return True
+        children = self._children
+        if type(state) is not dict or list(state) != list(children):
+            return False
+        for name, child in children.items():
+            sub = state[name]
+            if snap[name] is not sub and not child._adopt(sub):
+                return False
+        self._fill(state)
+        return True
+
+    def _fill(self, state: Any) -> None:
+        # Every child's cache already holds its part of state.
+        cache = self.callbacks
+        cache._cache = state
+        cache._stale_children = ()
+
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         """Apply a full or partial state. Unknown keys are ignored with a
         diagnostic; a non-Mapping where a composite lives is ignored too."""
@@ -254,6 +286,15 @@ class LinkableVariable(LinkableObject):
 
     def _build_snapshot(self) -> Any:
         return self._value
+
+    def _adopt(self, state: Any) -> bool:
+        # An equivalent kept value is taken as it is, key order included.
+        if self._value is not state:
+            if not _plain_equivalent(self._value, state):
+                return False
+            self._value = state
+        self._fill(state)
+        return True
 
     def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
         self._check_live()

@@ -149,6 +149,31 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "step 1: FAIL" in err
 
+    def test_a_baseline_that_repeats_an_entry_name_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        entry = {"objectName": "x", "className": "ex.Counter", "sessionState": None}
+        p = tmp_path / "log.json"
+        p.write_text(json.dumps({"version": 1, "baseline": [entry, entry], "cursor": 0, "steps": []}))
+        assert main(["replay", str(p)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_a_step_that_cannot_be_applied_fails_with_every_later_step(self, tmp_path, capsys):
+        x = {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}
+        y = {"objectName": "y", "className": "ex.Counter", "sessionState": {"count": 2}}
+        steps = [
+            {"forward": [x], "backward": []},
+            {"forward": [{"objectName": "x"}, y, y], "backward": [{"objectName": "x"}]},  # creates y twice
+            {"forward": {}, "backward": {}},
+        ]
+        p = tmp_path / "log.json"
+        p.write_text(json.dumps({"version": 1, "baseline": [], "cursor": 0, "steps": steps}))
+        assert main(["replay", str(p), "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert "step 0: ok" in err and "step 1: FAIL" in err and "step 2: FAIL" in err
+        assert "error: 2 step(s)" in err
+        assert main(["replay", str(p), "--to", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: step 1 cannot be applied" in captured.err
+
     def test_version_mismatch_exits_one(self, tmp_path, capsys):
         p = tmp_path / "log.json"
         p.write_text('{"version":99,"baseline":null,"cursor":0,"steps":[]}')

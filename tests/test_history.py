@@ -5,6 +5,9 @@ import random
 import pytest
 
 from linkstate import encode, state_equivalent
+from linkstate.callbacks import FrameScheduler
+from linkstate.demo import build_demo_registry
+from linkstate.dynamic import LinkableHashMap
 from linkstate.errors import (
     AlreadyAttached,
     IndexOutOfRange,
@@ -14,6 +17,7 @@ from linkstate.errors import (
     VersionMismatch,
 )
 from linkstate.history import HistoryLog
+from linkstate.linkable import LinkableObject, LinkableVariable
 
 from graphops import build_random_session, new_root, random_edit
 
@@ -368,3 +372,113 @@ class TestInverseReplayOracle:
             log.jump_to(k)
             assert log.cursor == k
             assert state_equivalent(root.get_session_state(), log.state_at(k))
+
+
+class TestNavigationLandsOnTheLog:
+    """After undo, redo and jump the live tree is the log's state at the
+    cursor: it encodes the same bytes, mapping key order included."""
+
+    def test_undo_past_a_removed_and_re_added_key_restores_its_place(self):
+        root = LinkableObject()
+        v = root.register_linkable_child("v", LinkableVariable({"a": 1, "b": 2}))
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        v.set_state({"a": {"__removed__": True}})
+        root.scheduler.flush_frame()
+        v.set_state({"a": 1})
+        root.scheduler.flush_frame()
+        log.undo()
+        log.undo()
+        assert encode(root.get_session_state()) == encode(log.state_at(0)) == '{"v":{"a":1,"b":2}}'
+        log.jump_to(2)
+        assert encode(root.get_session_state()) == encode(log.state_at(2)) == '{"v":{"b":2,"a":1}}'
+
+    def test_an_imported_log_lands_on_its_baseline_and_keeps_recording_states(self):
+        root = new_root()
+        root.request_object("p", "ex.Plot").source.request_local_object("ex.Counter")
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        root.get_object("p").title.set_state("x")
+        root.scheduler.flush_frame()
+        imported = HistoryLog.import_json(log.export_json())
+        twin = new_root()
+        twin.set_session_state(imported.state_at(imported.cursor))
+        twin.scheduler.flush_frame()
+        imported.attach(twin)
+        imported.undo()
+        assert twin._snapshot() is imported._states[0]
+        twin.get_object("p").title.set_state("y")
+        twin.scheduler.flush_frame()
+        assert twin._snapshot() is imported._states[1]  # on the log, so the new step keeps its state
+
+    @staticmethod
+    def _doc_root():
+        # graphops sessions plus one entry whose variable holds a mapping.
+        registry = build_demo_registry()
+        registry.register("t.Doc", lambda: LinkableVariable({}))
+        return LinkableHashMap(registry, FrameScheduler())
+
+    @staticmethod
+    def _edit(rng, root):
+        if rng.random() < 0.5:
+            random_edit(rng, root)
+        elif "doc" not in root.get_names():
+            root.request_object("doc", "t.Doc")
+        else:
+            doc = root.get_object("doc")
+            value = doc.get_state()
+            key = rng.choice("abcd")
+            if isinstance(value, dict) and key in value and rng.random() < 0.5:
+                doc.set_state({key: {"__removed__": True}})
+            else:
+                doc.set_state({key: rng.randrange(10)})
+        root.scheduler.flush_frame()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_navigation_encodes_as_the_state_at_the_cursor(self, seed):
+        rng = random.Random(f"navigation/{seed}")
+        root = self._doc_root()
+        log = attach_fresh(root)
+        for n in range(60):
+            self._edit(rng, root)
+            if rng.random() < 0.3:
+                for _ in range(rng.randint(1, 4)):
+                    r = rng.random()
+                    if r < 0.4 and log.can_undo:
+                        log.undo()
+                    elif r < 0.7 and log.can_redo:
+                        log.redo()
+                    else:
+                        log.jump_to(rng.randrange(len(log.steps) + 1))
+                    root.scheduler.flush_frame()
+                    where = f"seed {seed} op {n} cursor {log.cursor}"
+                    assert encode(root.get_session_state()) == encode(log.state_at(log.cursor)), where
+                    assert root._snapshot() is log._states[log.cursor], where
+        assert log.verify() == []
+
+
+class TestUnreadableLogs:
+    def test_a_baseline_that_repeats_an_entry_name_is_a_parse_error(self):
+        entry = '{"objectName":"x","className":"ex.Counter","sessionState":null}'
+        text = f'{{"version":1,"baseline":[{entry},{entry}],"cursor":0,"steps":[]}}'
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(text)
+
+    def test_a_step_that_cannot_be_applied_fails_with_every_later_step(self):
+        log = HistoryLog.import_json(unappliable_log())
+        assert log.verify() == [1, 2]
+        assert encode(log.state_at(1)) == '[{"objectName":"x","className":"ex.Counter","sessionState":{"count":1}}]'
+        with pytest.raises(ParseError):
+            log.state_at(2)
+
+
+def unappliable_log() -> str:
+    """A three-step log whose step 1 creates the entry y twice."""
+    x = '{"objectName":"x","className":"ex.Counter","sessionState":{"count":1}}'
+    y = '{"objectName":"y","className":"ex.Counter","sessionState":{"count":2}}'
+    steps = [
+        f'{{"forward":[{x}],"backward":[]}}',
+        f'{{"forward":[{{"objectName":"x"}},{y},{y}],"backward":[{{"objectName":"x"}}]}}',
+        '{"forward":{},"backward":{}}',
+    ]
+    return f'{{"version":1,"baseline":[],"cursor":0,"steps":[{",".join(steps)}]}}'

@@ -770,3 +770,72 @@ def test_a_reorder_or_a_removal_matches_by_name_once(monkeypatch):
         relay.handle(Message("Diff", "s", "a", 0, diff(full, target)))
         assert len(by_name) == 1
         assert statetree.encode(relay.session_state("s")) == statetree.encode(target)
+
+
+# --- navigation lands on the log's kept state ------------------------------------------------
+
+
+def _one_field_steps(root, log, names):
+    for i, name in enumerate(names):
+        root.get_object(name).label.size.set_state(2000 + i)
+        root.scheduler.flush_frame()
+    assert log.cursor == len(names)
+
+
+def test_an_undo_compares_nothing_and_the_next_record_only_its_edit(monkeypatch, big_root):
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        _one_field_steps(root, log, ("plot00100", "plot02500", "plot04900", "plot02500"))
+        matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        for step in (log.undo, log.redo, log.undo, log.undo):
+            step()
+            root.scheduler.flush_frame()
+            assert root._snapshot() is log._states[log.cursor]
+        assert matched == []
+        # As with no undo (test_record_diff_calls_do_not_grow_with_the_tree):
+        # the one changed entry, forward and backward.
+        root.get_object("plot01234").title.set_state("after undo")
+        root.scheduler.flush_frame()
+        assert len(matched) == 2
+        assert log.cursor == 3 and root._snapshot() is log._states[3]
+    finally:
+        log.detach()
+
+
+def test_a_jump_compares_only_the_entries_its_steps_changed(monkeypatch, big_root):
+    root = big_root
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        _one_field_steps(root, log, [f"plot{i:05d}" for i in (10, 1010, 2010, 3010, 4010, 4990)])
+        matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        for target in (2, 5, 0, 6, 3):
+            m = abs(log.cursor - target)  # one-field steps between the two kept states
+            matched.clear()
+            log.jump_to(target)
+            root.scheduler.flush_frame()
+            assert len(matched) <= m, f"jump to {target}"
+            assert root._snapshot() is log._states[target]
+            assert statetree.encode(root._snapshot()) == statetree.encode(log.state_at(target))
+    finally:
+        log.detach()
+
+
+@pytest.mark.parametrize("n", [50, 5000])
+def test_verify_compares_each_step_by_identity(monkeypatch, n, big_root):
+    root = big_root if n == 5000 else _plots(n)
+    log = history.HistoryLog(clock_ms=lambda: 0)
+    log.attach(root)
+    try:
+        _one_field_steps(root, log, [f"plot{i * n // 5:05d}" for i in range(5)])
+        matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        leaves = _count_calls(monkeypatch, statetree, "_plain_equivalent")
+        assert log.verify() == []
+        # Per step: the one changed entry, once for the inverse and once for
+        # the kept state; a whole-tree compare would reach every leaf.
+        assert len(matched) == 2 * 5
+        assert len(leaves) <= 2 * 5
+    finally:
+        log.detach()
