@@ -1,27 +1,27 @@
 """Dynamically created objects: class registry, hash map, local/global wrapper.
 
-Applying an entry list to a LinkableHashMap is deserialize-by-mutation:
-entries are created, retargeted, updated, reordered and (depending on the
-remove-missing flag) disposed so the map converges to the given state. The
-map is the only object that creates or destroys children at runtime, which is
-what makes whole session trees reconstructible from plain data.
-
-Both containers read a state with statetree._entry_diff, the one reader of
-entry lists and entry diffs, and read [] as no items. Any other state is
-ignored whole, with one warning: so is a list with a single element that is
-neither an entry item nor an order marker alone. The map reads a state over
-its own snapshot: one that names every child in its place, one item each
-(the common diff: one edit, an undo, a remote message), is read in place,
-so only the items that are not a bare mention are parsed and applied, and
-nothing moves or goes. Any other state without an order marker that still
-mentions every child in its place builds no reorder or removal list
-either. A snapshot rebuilt for changed children alone keeps the names of
-the last one, so it shares that list's mention list (statetree).
+A LinkableHashMap reaches an entry-list target (linkable._reach) by
+mutation: entries are created, retargeted, updated, reordered and disposed
+so the map holds the target. The map is the only object that creates or
+destroys children at runtime, which is what makes whole session trees
+reconstructible from plain data. A target whose names pair with the
+snapshot's (the common apply: one edit, an undo, a remote message) is
+reached at the positions whose entries are not the snapshot's, found with
+one C-level identity pass; any other goes by name: removals first, then
+creations and reaches in target order, a created child taking its entry's
+state whole rather than merged into its defaults, then one reorder. An
+entry the map cannot hold (an anonymous one, a reference, a class the
+registry lacks) leaves no child, and the map's snapshot is then not the
+target. A state that is no entry list is ignored whole, with one warning,
+and [] holds no entries. A snapshot rebuilt for changed children alone
+keeps the names of the last one, so it shares that list's mention list
+(statetree).
 
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
 entry list: an anonymous entry with an inline state in local mode, or a
 named reference entry (empty class, null state) pointing at an entry of the
-root hash map in global mode.
+root hash map in global mode. It reaches [], one such entry, or the first
+of several (a merge can give two), with a diagnostic for the rest.
 """
 
 from __future__ import annotations
@@ -38,14 +38,11 @@ from .errors import (
     UnknownClass,
     UnknownName,
 )
-from .linkable import LinkableObject
+from .linkable import LinkableObject, _cached
 from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
-    _IN_PLACE,
-    EntryItem,
-    _entry_diff,
     _differing,
     _EntryList,
     _in_place_copy,
@@ -55,20 +52,10 @@ from .statetree import (
 log = logging.getLogger(__name__)
 
 
-def _in_child_order(mentioned: dict[str, bool], children: dict) -> bool:
-    """Whether the mentioned names are exactly the children, in their order."""
-    return len(mentioned) == len(children) and list(mentioned) == list(children)
-
-
-def _adopts_entry(e: dict, k: dict, child: LinkableObject | None) -> bool:
-    """Whether the kept entry k is the snapshot entry e (the same keys, name
-    and class) with a state that child, the object behind e, adopts; a
-    reference entry (child None) holds no state."""
-    if e is k:
-        return True
-    if k.keys() != e.keys() or k[OBJECT_NAME_KEY] != e[OBJECT_NAME_KEY] or k[CLASS_NAME_KEY] != e[CLASS_NAME_KEY]:
-        return False
-    return k[SESSION_STATE_KEY] is None if child is None else child._adopt(k[SESSION_STATE_KEY])
+def _shows(e: dict, name: str, cls: str, state) -> bool:
+    """Whether e is the entry a snapshot builds for the object called name,
+    of class cls, whose snapshot is state."""
+    return len(e) == 3 and e[OBJECT_NAME_KEY] == name and e[CLASS_NAME_KEY] == cls and e[SESSION_STATE_KEY] is state
 
 
 class ClassRegistry:
@@ -193,9 +180,9 @@ class LinkableHashMap(LinkableObject):
         """Put names first, in the given order; the rest keep relative order."""
         self._check_live()
         names = list(names)
-        if len(set(names)) != len(names) or any(n not in self._children for n in names):
-            raise InvalidPermutation(f"{names!r} is not a subset permutation of {list(self._children)!r}")
         head = set(names)
+        if len(head) != len(names) or not head <= self._children.keys():
+            raise InvalidPermutation(f"{names!r} is not a subset permutation of {list(self._children)!r}")
         desired = names + [n for n in self._children if n not in head]
         if desired != list(self._children):
             self._children = {n: self._children[n] for n in desired}
@@ -203,8 +190,9 @@ class LinkableHashMap(LinkableObject):
 
     # -- session state -------------------------------------------------------------
 
-    # An attribute of each class, so the benchmark's tracer can wrap it per class.
+    # Attributes of each class, so the benchmark's tracer can wrap them per class.
     get_session_state = LinkableObject.get_session_state
+    set_session_state = LinkableObject.set_session_state
 
     def _build_snapshot(self) -> list:
         # An entry whose child snapshot is unchanged is the same dict as in
@@ -240,97 +228,81 @@ class LinkableHashMap(LinkableObject):
         self._last = entries
         return entries
 
-    def _adopt(self, state) -> bool:
-        # A kept list with the same names in the same order pairs up with the
-        # snapshot; only the entries that are not the kept ones are looked at.
+    def _reach(self, target) -> bool:
+        # A target paired with the snapshot (the same names in the same
+        # places) is reached at the positions whose entries differ. Any
+        # other goes by name: removals first, then creations and reaches in
+        # target order, then one reorder. An entry the map cannot hold (an
+        # anonymous one, a reference, a class the registry lacks) leaves no
+        # child.
         snap = self._snapshot()
-        if snap is state:
+        if snap is target:
             return True
-        if snap:
-            m = _paired(state, snap)
-            if m is None or not all(
-                _adopts_entry(snap[i], state[i], self._children[m[i][OBJECT_NAME_KEY]])
-                for i in _differing(snap, state)
-            ):
-                return False
-        elif state != []:
-            return False
-        self._last = state
-        self._fill(state)
-        return True
-
-    def set_session_state(self, state, remove_missing: bool = True) -> None:
-        self._check_live()
-        parsed = ([], None) if state == [] else _entry_diff(state, self._snapshot())
-        if parsed is None:
-            log.warning("LinkableHashMap: ignoring a state that is no entry list: %r", type(state).__name__)
-            return
-        self._set_items(*parsed, remove_missing)
-
-    def _set_items(self, items: list | dict, order: list | str | None, remove_missing: bool) -> None:
-        """Apply parsed entry items (see statetree._entry_diff). Items read
-        in place must have been read over this map's snapshot, or over a
-        list with the same names in the same order."""
+        if type(target) is not _EntryList and target != []:
+            return self._refuse(f"ignoring a state that is no entry list: {type(target).__name__!r}")
         self.callbacks.delay()
         try:
-            in_place = order is _IN_PLACE
-            mentioned: dict[str, bool] = {}
-            for it in items.values() if in_place else items:
-                if type(it) is str:  # a named pure mention
-                    if it in self._children:
-                        mentioned[it] = True
-                    else:
-                        log.debug("LinkableHashMap: mention of unknown entry %r ignored", it)
-                    continue
-                if it.removed:
-                    if it.name in self._children:
-                        self.remove_object(it.name)
-                    continue
-                if not it.name:
-                    log.warning("LinkableHashMap: ignoring anonymous entry")
-                    continue
-                if it.has_class_key and it.class_name:
-                    if not self._registry.has(it.class_name):
-                        log.warning(
-                            "LinkableHashMap: skipping entry %r of unknown class %r",
-                            it.name,
-                            it.class_name,
-                        )
-                        continue
-                    obj = self.request_object(it.name, it.class_name)
-                elif it.name in self._children:
-                    obj = self._children[it.name]
-                else:
-                    log.debug("LinkableHashMap: mention of unknown entry %r ignored", it.name)
-                    continue
-                mentioned[it.name] = True
-                if it.has_state:
-                    obj.set_session_state(it.state, remove_missing)
-            if in_place:
-                # Every child is named in its place; one whose item was
-                # skipped above counts as unmentioned, as in a full read.
-                skipped = {it.name for it in items.values()}.difference(mentioned)
-                if not skipped:
-                    return
-                mentioned = dict.fromkeys(n for n in self._children if n not in skipped)
-                order = None
-            if order is None and _in_child_order(mentioned, self._children):
-                return  # every child mentioned, in its place: nothing moves or goes
-            if order is not None:
-                known = [n for n in order if n in self._children]
-                head = set(known)
-                desired = known + [n for n in self._children if n not in head]
+            m = _paired(snap, target)
+            if m is not None:
+                at = _differing(snap, target)
+                for i in at:
+                    self._reach_entry(m[i][OBJECT_NAME_KEY], target[i])
             else:
-                desired = [n for n in mentioned if n in self._children]
-                desired += [n for n in self._children if n not in mentioned]
-            if desired != list(self._children):
-                self._children = {n: self._children[n] for n in desired}
-                self.callbacks.trigger()
-            if remove_missing:
-                for name in [n for n in self._children if n not in mentioned]:
+                last = {e[OBJECT_NAME_KEY]: e for e in snap}
+                held = {e[OBJECT_NAME_KEY]: e for e in target if last.get(e.get(OBJECT_NAME_KEY)) is e or self._holds(e)}
+                gone = self._children.keys() - held.keys()
+                for name in [n for n in self._children if n in gone]:
                     self.remove_object(name)
+                for name, e in held.items():
+                    if last.get(name) is not e:
+                        self._reach_entry(name, e)
+                if list(held) != list(self._children):
+                    self.set_name_order([n for n in held if n in self._children])
+            # A callback may have changed an entry already reached: fill the
+            # slot only if every entry reached or noted stale shows its
+            # child, all of them (a full build like target) once the map
+            # itself triggered.
+            noted = self.callbacks._stale_children
+            if m is not None and noted is not None:
+                look = set(at).union(map(self._slots.get, noted))
+                look.discard(None)
+                reached = all(self._shows_child(target[i], m[i][OBJECT_NAME_KEY]) for i in look)
+            else:
+                if m is not None:
+                    held = {e[OBJECT_NAME_KEY]: e for e in target}
+                children = self._children
+                reached = (
+                    len(held) == len(target)
+                    and list(held) == list(children)
+                    and all(map(_shows, held.values(), held, map(self._classes.get, held), map(_cached, children.values())))
+                )
+                if reached:
+                    self._slots = {child.callbacks: i for i, child in enumerate(children.values())}
+            if reached:
+                self._last = target
+                self._fill(target)
+            return reached
         finally:
             self.callbacks.resume()
+
+    def _holds(self, e: dict) -> bool:
+        """Whether the map can hold the entry e: a named one of a registered class."""
+        return bool(e.get(OBJECT_NAME_KEY)) and self._registry.has(e.get(CLASS_NAME_KEY, ""))
+
+    def _reach_entry(self, name: str, e: dict) -> None:
+        # A child of another class is replaced in its place; a created one
+        # reaches the entry's state whole, not merged into its defaults.
+        cls = e.get(CLASS_NAME_KEY, "")
+        if cls != self._classes.get(name):
+            if not self._holds(e):
+                if name in self._children:
+                    self.remove_object(name)
+                return
+            self.request_object(name, cls)
+        self._children[name]._reach(e.get(SESSION_STATE_KEY))
+
+    def _shows_child(self, e: dict, name: str) -> bool:
+        return _shows(e, name, self._classes[name], _cached(self._children[name]))
 
     def dispose(self) -> None:
         if self._disposed:
@@ -474,6 +446,7 @@ class LinkableDynamicObject(LinkableObject):
     # -- session state -----------------------------------------------------------------
 
     get_session_state = LinkableObject.get_session_state
+    set_session_state = LinkableObject.set_session_state
 
     def _build_snapshot(self) -> list:
         if self._local_class:
@@ -485,58 +458,41 @@ class LinkableDynamicObject(LinkableObject):
             return _EntryList([{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}])
         return _EntryList()
 
-    def _adopt(self, state) -> bool:
+    def _reach(self, target) -> bool:
+        # The wrapper holds [], one anonymous local entry or one named
+        # reference, which carries no state. Of a target of two or more
+        # entries (a merge over a slot whose entry changed) it takes the
+        # first, the one the state named first, with a diagnostic.
         snap = self._snapshot()
-        if snap is state:
+        if snap is target:
             return True
-        if snap:
-            target = self._children[self._TARGET] if self._local_class else None
-            if type(state) is not _EntryList or len(state) != 1 or not _adopts_entry(snap[0], state[0], target):
-                return False
-        elif state != []:
-            return False
-        self._fill(state)
-        return True
-
-    def set_session_state(self, state, remove_missing: bool = True) -> None:
-        self._check_live()
-        parsed = ([], None) if state == [] else _entry_diff(state)
-        if parsed is None:
-            log.warning("LinkableDynamicObject: ignoring a state that is no entry list: %r", type(state).__name__)
-            return
-        items = parsed[0]
+        if type(target) is not _EntryList and target != []:
+            return self._refuse(f"ignoring a state that is no entry list: {type(target).__name__!r}")
+        if len(target) > 1:
+            self._refuse(f"taking the first of {len(target)} entries")
         self.callbacks.delay()
         try:
-            if not items:
-                if remove_missing:
-                    self.remove_object()
-                return
-            for it in items:
-                if type(it) is str:
-                    it = EntryItem(it)
-                if it.removed:
-                    if (not it.name and self._local_class) or (it.name and it.name == self._global_name):
-                        self.remove_object()
-                    continue
-                if it.name:
-                    try:
-                        obj = self.request_global_object(it.name)
-                    except NoRoot as e:
-                        log.warning("LinkableDynamicObject: %s", e)
-                        continue
-                    if it.has_state and obj is not None:
-                        obj.set_session_state(it.state, remove_missing)
-                elif it.has_class_key and it.class_name:
-                    try:
-                        obj = self.request_local_object(it.class_name)
-                    except UnknownClass as e:
-                        log.warning("LinkableDynamicObject: %s", e)
-                        continue
-                    if it.has_state:
-                        obj.set_session_state(it.state, remove_missing)
-                elif self._local_class and it.has_state:
-                    # Anonymous mention: partial update of the current object.
-                    self._children[self._TARGET].set_session_state(it.state, remove_missing)
+            if not target:
+                self.remove_object()
+            elif name := target[0].get(OBJECT_NAME_KEY):
+                try:
+                    self.request_global_object(name)
+                except NoRoot as e:
+                    self._refuse(str(e))
+            elif cls := target[0].get(CLASS_NAME_KEY):
+                try:
+                    self.request_local_object(cls)._reach(target[0].get(SESSION_STATE_KEY))
+                except UnknownClass as e:
+                    self._refuse(str(e))
+            # As for a hash map: fill the slot only if the target shows what
+            # a snapshot would, with the local object's own snapshot.
+            built = self._build_snapshot()
+            reached = len(built) == len(target) and all(
+                _shows(t, b[OBJECT_NAME_KEY], b[CLASS_NAME_KEY], b[SESSION_STATE_KEY]) for b, t in zip(built, target)
+            )
+            if reached:
+                self._fill(target)
+            return reached
         finally:
             self.callbacks.resume()
 

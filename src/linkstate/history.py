@@ -2,8 +2,8 @@
 
 The log attaches to a live root and records through a grouped callback, so
 however many edits land within one frame flush, they coalesce into a single
-step holding a forward and a backward diff. Undo/redo/jump apply one of those
-diffs back to the root; the resulting flush sees no difference against the
+step holding a forward and a backward diff. Undo/redo/jump bring the root
+to a state of the log; the resulting flush sees no difference against the
 log's own snapshot and records nothing, which is what keeps undo from
 re-recording itself.
 
@@ -14,9 +14,8 @@ diffs (statetree._diff_both): only the changed entries are diffed, once
 each way, and every other item of both diffs is the bare mention from the
 snapshots' one shared mention list. So every step over a lineage of
 snapshots shares its unchanged items with every other step, and a step
-costs two lists of pointers plus its changed items. An undo or redo hands
-the root a step's own diff, which the root reads in place: only its
-changed items are parsed. The snapshots and every state an apply
+costs two lists of pointers plus its changed items. The snapshots and
+every state an apply
 builds from them hold trusted built entry lists (statetree._EntryList), so
 neither a record's diffs nor a replay check any entry's shape; the
 baseline of a log read from JSON is checked once at import and then holds
@@ -33,15 +32,19 @@ apply the forward diffs to the nearest kept state. An apply never mutates
 its base, so replay copies nothing; stored steps and kept states are never
 modified.
 
-Navigation lands on the log's own state (path copying: the live snapshots
-join the log's persistent lineage). After an undo, redo, jump or capture
-resume the root adopts the kept state at the cursor (linkable._adopt):
+Navigation reaches the log's own state (path copying: the live snapshots
+join the log's persistent lineage). A root on the log, not edited since it
+last landed, reaches the kept state at the new cursor (linkable._reach):
 walking only the subtrees whose snapshot is not the kept one, it makes the
-kept subtrees its cached snapshots wherever the live state matches them,
-and a leaf whose value is equal but keyed in another order (a merge cannot
-put a re-added key back in its old place) takes the kept value. So the root
-encodes exactly as state_at(cursor), and the next record and navigation
-compare the changed entries alone.
+kept subtrees its cached snapshots, so no diff is computed or parsed. Any
+other root merges the step's diff, which keeps the edits it absorbed.
+jump_to reaches the state at its index, kept or replayed, in one walk.
+After any navigation or capture resume a root whose snapshot is equivalent
+to the kept state reaches it too, which triggers nothing; a leaf whose value
+is equal but keyed in another order (a merge cannot put a re-added key back
+in its old place) takes the kept value. So the root encodes exactly as
+state_at(cursor), and the next record and navigation compare the changed
+entries alone.
 
 verify replays every step from the baseline and compares by identity
 first (statetree._diff_plain), so each step costs its changed entries. A
@@ -226,35 +229,44 @@ class HistoryLog:
         root = self._require_attached()
         if self._cursor == 0:
             raise NothingToUndo("already at the beginning of the log")
-        root.set_session_state(self._steps[self._cursor - 1].backward, remove_missing=True)
-        self._cursor -= 1
-        self._track(root)
+        self._step_to(root, self._cursor - 1, self._steps[self._cursor - 1].backward)
 
     def redo(self) -> None:
         root = self._require_attached()
         if self._cursor >= len(self._steps):
             raise NothingToRedo("already at the end of the log")
-        root.set_session_state(self._steps[self._cursor].forward, remove_missing=True)
-        self._cursor += 1
+        self._step_to(root, self._cursor + 1, self._steps[self._cursor].forward)
+
+    def _step_to(self, root: LinkableObject, index: int, step_diff: Any) -> None:
+        # A root still at the kept state it last landed on reaches the kept
+        # state at index; any other (off the log, or edited since) merges
+        # the step's diff, which keeps the edits it absorbed.
+        kept = self._states[index]
+        if self._on_log and kept is not _MISSING and root._snapshot() is self._last:
+            root._reach(kept)
+        else:
+            root.set_session_state(step_diff, remove_missing=True)
+        self._cursor = index
         self._track(root)
 
     def jump_to(self, index: int) -> None:
         """Go to the state after index steps, as one composite application."""
         root = self._require_attached()
-        target = self._replay(index)
-        d = _diff_plain(root._snapshot(), target)
-        if not is_empty_diff(d):
-            root.set_session_state(d, remove_missing=True)
+        root._reach(self._replay(index))
         self._cursor = index
         self._track(root)
 
     def _track(self, root: LinkableObject) -> None:
-        # Land the root on the kept state at the cursor: where the root
-        # matches it, its snapshots become the kept ones, so the next record
-        # and navigation compare by identity. Then take the root's snapshot
-        # as the one the next record diffs against.
+        # The root is on the log when its snapshot is the kept state at the
+        # cursor; one equivalent to it reaches it, which triggers nothing
+        # and makes the kept subtrees its snapshots, so the next record and
+        # navigation compare by identity. Then take the root's snapshot as
+        # the one the next record diffs against.
         kept = self._states[self._cursor]
-        self._on_log = kept is not _MISSING and root._adopt(kept)
+        snap = root._snapshot()
+        self._on_log = kept is not _MISSING and (
+            snap is kept or (_diff_plain(snap, kept) == {} and root._reach(kept))
+        )
         self._last = root._snapshot()
 
     def state_at(self, index: int) -> StateNode:

@@ -5,10 +5,13 @@ objects. Its implicit session state is the Mapping of child states; a
 LinkableVariable instead holds an explicit state value verified by an
 optional predicate.
 
-Applying a session state is merge-style everywhere: Mappings apply key-wise,
-unknown keys are ignored with a diagnostic (forward compatibility), and
-anything else replaces. A whole composite application runs under
-delay/resume, so observers see at most one effective trigger.
+Applying a session state is one walk for every class: set_session_state
+computes the target with the value-level apply over the object's snapshot
+(statetree._apply: Mappings merge key-wise, anything else replaces), and
+the object reaches it (_reach). Each class says only how it reaches a
+target; nothing else reads a state or a diff into live objects. A whole
+composite application runs under delay/resume, so observers see at most
+one effective trigger.
 
 Every object caches its state as a plain snapshot (statetree's plain form)
 in its callback collection's cache slot. A snapshot is built from the
@@ -23,33 +26,33 @@ is a fresh copy of it. The entry lists in a snapshot are statetree's
 trusted built lists (_EntryList): whatever diffs or applies over a
 snapshot, or over a value an apply built from one, checks no entry shape.
 
-An object can also adopt a plain state its snapshot matches (_adopt): the
-history hands the root the state it keeps at the cursor after an undo,
-redo or jump. Adoption walks only the subtrees whose snapshot is not the
-kept one, compares values at the leaves, and fills the caches bottom-up
-with the kept objects (a variable takes the kept value even where its keys
-are in another order), so the live snapshots join the log's lineage and
-later diffs against kept states compare by identity. It triggers nothing
-and changes no kept state: the live state is the same, only shared.
+A reach walks only the subtrees whose snapshot is not the target's part.
+A composite reaches each child the target has a key for and leaves the
+others alone (unknown keys are ignored: forward compatibility); a variable
+checks the target's canonical copy with its verifier, triggers only when
+the value changes, and keeps the target object itself where it is
+canonical. Caches fill bottom-up with the target's own objects, so a
+reached tree's snapshot is its target: the history hands the root the state
+it keeps at the cursor and the sync client the state it shares, and the
+next diff against either compares by identity. Callbacks run at every
+nested resume and may change a subtree already reached, so a level fills
+its own slot, before its resume, only where each child's slot holds its
+part; otherwise the slot stays empty and the next read rebuilds it.
 """
 
 from __future__ import annotations
 
 import logging
+from operator import attrgetter, is_
 from typing import Any, Callable
 
 from .callbacks import STALE, CallbackCollection, FrameScheduler
 from .errors import CycleDetected, Disposed, DuplicateName, TypeMismatch
-from .statetree import (
-    REMOVED_MARKER,
-    VALUE_MARKER,
-    StateNode,
-    _apply,
-    _plain_equivalent,
-    to_plain,
-)
+from .statetree import StateNode, _apply, _plain_equivalent, encode_diff, to_plain
 
 log = logging.getLogger(__name__)
+
+_cached = attrgetter("callbacks._cache")  # an object's cache slot, STALE when empty
 
 
 class LinkableObject:
@@ -180,22 +183,46 @@ class LinkableObject:
     def _build_snapshot(self) -> Any:
         return {name: child._snapshot() for name, child in self._children.items()}
 
-    def _adopt(self, state: Any) -> bool:
-        """Make the plain state the cached snapshot where the live state
-        matches it; True when the snapshot now is state. A partial adoption
-        (False) leaves each cache holding a state equal to its object's."""
+    def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
+        """Apply a full or partial state: the value-level apply over the
+        snapshot gives the target, and the object reaches it (_reach). A
+        state that is no state tree, or would repeat an entry name, is
+        dropped whole with a diagnostic."""
+        self._check_live()
+        try:
+            target = _apply(self._snapshot(), state, remove_missing)
+        except (TypeError, ValueError) as e:
+            self._refuse(f"dropping invalid state: {e}")
+            return
+        self._reach(target)
+
+    def _reach(self, target: Any) -> bool:
+        """Bring the live object to the plain target state; True when its
+        snapshot now is target. A composite reaches each child the target
+        has a key for and leaves the others alone; a non-Mapping target is
+        ignored with a diagnostic."""
         snap = self._snapshot()
-        if snap is state:
+        if snap is target:
             return True
+        if type(target) is not dict:
+            return self._refuse(f"ignoring non-Mapping state {type(target).__name__!r}")
         children = self._children
-        if type(state) is not dict or list(state) != list(children):
-            return False
-        for name, child in children.items():
-            sub = state[name]
-            if snap[name] is not sub and not child._adopt(sub):
-                return False
-        self._fill(state)
-        return True
+        self.callbacks.delay()
+        try:
+            for (name, child), part in zip(children.items(), snap.values()):
+                sub = target.get(name, part)
+                if sub is not part:
+                    child._reach(sub)
+            # A callback may have changed a child already reached: fill
+            # the slot only over children whose slots hold their parts.
+            reached = list(target) == list(children) and all(
+                map(is_, map(_cached, children.values()), target.values())
+            )
+            if reached:
+                self._fill(target)
+            return reached
+        finally:
+            self.callbacks.resume()
 
     def _fill(self, state: Any) -> None:
         # Every child's cache already holds its part of state.
@@ -203,32 +230,9 @@ class LinkableObject:
         cache._cache = state
         cache._stale_children = ()
 
-    def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
-        """Apply a full or partial state. Unknown keys are ignored with a
-        diagnostic; a non-Mapping where a composite lives is ignored too."""
-        self._check_live()
-        self.callbacks.delay()
-        try:
-            self._apply_state(state, remove_missing)
-        finally:
-            self.callbacks.resume()
-
-    def _apply_state(self, state: Any, remove_missing: bool) -> None:
-        if not isinstance(state, dict):
-            log.warning("%s: ignoring non-Mapping state %r", type(self).__name__, type(state).__name__)
-            return
-        if set(state) == {VALUE_MARKER}:
-            self._apply_state(state[VALUE_MARKER], remove_missing)
-            return
-        for key, sub in state.items():
-            if isinstance(sub, dict) and sub.get(REMOVED_MARKER) is True:
-                log.debug("%s: ignoring removal of fixed child %r", type(self).__name__, key)
-                continue
-            child = self._children.get(key)
-            if child is None:
-                log.debug("%s: ignoring unknown state key %r", type(self).__name__, key)
-                continue
-            child.set_session_state(sub, remove_missing)
+    def _refuse(self, why: str) -> bool:
+        log.warning("%s: %s", type(self).__name__, why)
+        return False
 
 
 class LinkableVariable(LinkableObject):
@@ -282,37 +286,39 @@ class LinkableVariable(LinkableObject):
         everything else replaces) and trigger when the result differs."""
         self.set_session_state(value)
 
+    # Attributes of each class, so the benchmark's tracer can wrap them per class.
     get_session_state = get_state
+    set_session_state = LinkableObject.set_session_state
 
     def _build_snapshot(self) -> Any:
         return self._value
 
-    def _adopt(self, state: Any) -> bool:
-        # An equivalent kept value is taken as it is, key order included.
-        if self._value is not state:
-            if not _plain_equivalent(self._value, state):
-                return False
-            self._value = state
-        self._fill(state)
-        return True
-
-    def set_session_state(self, state: Any, remove_missing: bool = True) -> None:
-        self._check_live()
-        try:
-            new_value = to_plain(_apply(self._value, state, remove_missing))
-        except (TypeError, ValueError) as e:
-            log.warning("%s: dropping invalid state: %s", type(self).__name__, e)
-            self._last_verify_failed = True
-            return
-        if not self._accepts(new_value):
-            log.warning("%s: verifier rejected %r", type(self).__name__, new_value)
-            self._last_verify_failed = True
-            return
+    def _reach(self, target: Any) -> bool:
+        # The target is checked through its canonical copy and kept itself
+        # where it is canonical already, so the snapshot can be the target.
+        # An equivalent value (maybe keyed in another order) replaces the
+        # old one without a trigger; the caches above keep a state equal
+        # to it until the parent fills its own slot.
+        old = value = self._value
+        if old is not target:
+            try:
+                value = to_plain(target)
+            except (TypeError, ValueError) as e:
+                return self._refuse(f"dropping invalid state: {e}")
+            if not self._accepts(value):
+                return self._refuse(f"verifier rejected {value!r}")
+            if value is not target and encode_diff(value) == encode_diff(target):
+                value = target
+        self._value = value
         self._last_verify_failed = False
-        if _plain_equivalent(self._value, new_value):
-            return
-        self._value = new_value
-        self.callbacks.trigger()
+        if old is not value and not _plain_equivalent(old, value):
+            self.callbacks.trigger()
+        self._fill(self._value)
+        return self._value is target
+
+    def _refuse(self, why: str) -> bool:
+        self._last_verify_failed = True
+        return super()._refuse(why)
 
     def dispose(self) -> None:
         if not self._disposed:

@@ -21,21 +21,23 @@ flush's diff is a C-level identity pass plus the changed entries.
 
 An inbound payload is applied only if it is an entry diff, read once
 (statetree._entry_diff) over `_published`: a diff that names its entries in
-their places has only its changed items parsed. The items feed the live
-root (LinkableHashMap._set_items) and the value-level apply to `_published`,
-unless the root's names differ from `_published`'s, when the root reads
-the payload on its own. `{}` or any other payload changes neither, so a
-hostile one cannot replace the `_published` shadow. `_published` is always
-a snapshot or an apply's result, a trusted built entry list, so that apply
-checks no entry's shape.
+their places has only its changed items parsed, and the value-level apply
+gives the new `_published`. A root with no edit since `_published` (its
+snapshot is `_published`) reaches the new one (linkable._reach), which
+leaves its snapshot being `_published` again, so the next flush's diff is
+one identity check. A root with edits not yet published applies the
+payload over its own snapshot (set_session_state, the same walk), which
+keeps them for the next flush. `{}` or any other payload changes neither,
+so a hostile one cannot replace the `_published` shadow. `_published` is
+always a snapshot or an apply's result, a trusted built entry list, so
+that apply checks no entry's shape.
 
-It is not simply the root's snapshot after a remote message: the live root
-skips entries of unregistered classes and values its verifiers reject,
-which the value-level apply keeps. That does not stop their absence being
-published: the remote apply marks the root dirty, and the next flush diffs
-`_published` against the snapshot that lacks them, so a client whose
-registry lacks a class used in the session sends removals for that class's
-objects (a known defect, docs/protocol.md).
+The root cannot always hold what `_published` holds: it keeps no entry of
+a class its registry lacks, no anonymous or reference root entry, and no
+value its verifiers reject. Then its snapshot is not `_published`, and the
+next flush diffs `_published` against the snapshot that lacks them, so a
+client whose registry lacks a class used in the session sends removals for
+that class's objects (a known defect, docs/protocol.md).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _IN_PLACE, _apply_entry_diff, _diff_plain, _entry_diff, _paired, is_empty_diff
+from ..statetree import _apply_entry_diff, _diff_plain, _entry_diff, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -197,16 +199,18 @@ class ClientEngine:
             self.stats["recvDiffs"] += 1
         # the apply below schedules _mark_dirty; the publish diff will be
         # empty for pure remote changes because _published advances in step.
-        # An entry diff is parsed once, for both; {} or any other payload
-        # changes neither.
+        # An entry diff is parsed once, over _published; {} or any other
+        # payload changes neither. A root with no edit since _published
+        # reaches the new _published; one with unpublished edits applies
+        # the payload over its own snapshot, which keeps them.
         parsed = _entry_diff(msg.payload, self._published)
         if parsed is not None:
-            if parsed[1] is _IN_PLACE and _paired(self._published, self.root._snapshot()) is None:
-                # read over _published, whose names differ from the root's
-                self.root.set_session_state(msg.payload, remove_missing=False)
+            published = _apply_entry_diff(self._published, *parsed, False)
+            if self.root._snapshot() is self._published:
+                self.root._reach(published)
             else:
-                self.root._set_items(*parsed, remove_missing=False)
-            self._published = _apply_entry_diff(self._published, *parsed, False)
+                self.root.set_session_state(msg.payload, remove_missing=False)
+            self._published = published
 
     def _full_reset(self, msg: Message) -> None:
         self.joined = True

@@ -411,6 +411,56 @@ class TestNavigationLandsOnTheLog:
         twin.scheduler.flush_frame()
         assert twin._snapshot() is imported._states[1]  # on the log, so the new step keeps its state
 
+    def test_an_entry_an_undo_creates_again_takes_its_state_whole(self):
+        # The entry class's default is a mapping; the re-created entry must
+        # not keep a default key its kept state lacks.
+        registry = build_demo_registry()
+        registry.register("t.Doc", lambda: LinkableVariable({"a": 1, "b": 2}))
+        root = LinkableHashMap(registry, FrameScheduler())
+        root.request_object("doc", "t.Doc")
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        root.get_object("doc").set_state({"b": {"__removed__": True}})
+        root.scheduler.flush_frame()
+        root.remove_object("doc")
+        root.scheduler.flush_frame()
+        log.undo()
+        root.scheduler.flush_frame()
+        assert encode(root.get_session_state()) == encode(log.state_at(log.cursor))
+        assert root.get_object("doc").get_state() == {"a": 1}
+        assert root._snapshot() is log._states[log.cursor]
+
+    def test_an_edit_then_an_undo_in_one_frame_keeps_the_edit(self):
+        # The edit is not recorded yet, so the root is not at the kept state
+        # it last landed on: the undo merges the step's diff over it.
+        root = new_root()
+        for name in ("p", "q"):
+            root.request_object(name, "ex.Plot")
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        root.get_object("p").title.set_state("recorded")
+        root.scheduler.flush_frame()
+        root.get_object("q").title.set_state("kept")
+        log.undo()
+        root.scheduler.flush_frame()
+        assert root.get_object("p").title.get_state() == ""
+        assert root.get_object("q").title.get_state() == "kept"
+        assert log.cursor == 0 and len(log.steps) == 1
+
+    def test_a_float_leaf_an_imported_step_reaches_is_stored_canonical(self):
+        root = make_counter_root()
+        log = attach_fresh(root)
+        edit_count(root, "a", 5)
+        text = log.export_json().replace('"count":5', '"count":5.0').replace('"cursor":1', '"cursor":0')
+        imported = HistoryLog.import_json(text)
+        twin = make_counter_root()
+        imported.attach(twin)
+        for step in (imported.redo, lambda: imported.jump_to(0), lambda: imported.jump_to(1)):
+            step()
+            value = twin.get_object("a").count._snapshot()
+            assert value == imported.cursor * 5 and type(value) is int
+        assert encode(twin.get_session_state()) == encode(imported.state_at(1))
+
     @staticmethod
     def _doc_root():
         # graphops sessions plus one entry whose variable holds a mapping.

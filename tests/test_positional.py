@@ -7,21 +7,25 @@ does any diff of such a pair (_diff_entry_list). An entry diff that names a
 built base's entries in their own places is read in place: only its items
 that are not their entry's bare mention are parsed (_entry_diff with a
 base), and they change a copy of the base (_apply_entry_diff) or the live
-hash map's children (LinkableHashMap._set_items). Each must give exactly
-what the general path gives: the same diff bytes, the same applied tree or
-error, the same children and the same triggers.
+hash map's children, which reach the value-level result (_reach). Each
+must give exactly what the general path gives: the same diff bytes, the
+same applied tree or error, the same children and the same triggers.
 """
 
 import json
+import logging
 import random
 
 import pytest
 
 import graphops
 import treegen
-from linkstate import dynamic, history, statetree
+from linkstate import history, statetree
+from linkstate.dynamic import LinkableDynamicObject, LinkableHashMap
+from linkstate.linkable import LinkableVariable
 from linkstate.statetree import (
     _IN_PLACE,
+    _apply,
     _apply_entry_diff,
     _apply_entry_diff_by_name,
     _diff_both,
@@ -348,7 +352,7 @@ def test_the_relay_reads_a_hostile_payload_in_place_as_it_reads_it_whole():
         assert outcomes[0] == outcomes[1], d
 
 
-# --- the live hash map: every child mentioned in order -------------------------------------
+# --- the live apply: one walk to the value-level apply's result ----------------------------
 
 
 def _root_from(state):
@@ -358,88 +362,140 @@ def _root_from(state):
     return root
 
 
-def _set_and_watch(root, parsed, remove_missing):
-    before = (root.callbacks.trigger_counter, root.child_list_callbacks.trigger_counter)
-    root._set_items(*parsed, remove_missing)
-    root.scheduler.flush_frame()
-    after = (root.callbacks.trigger_counter, root.child_list_callbacks.trigger_counter)
-    return (
-        root.get_names(),
-        [root.get_class_name(n) for n in root.get_names()],
-        encode_diff(root._snapshot()),
-        [b - a for a, b in zip(before, after)],
-    )
+def _read(obj):
+    """The live state read from the objects themselves, past every cache."""
+    if isinstance(obj, LinkableVariable):
+        return obj.get_state()
+    if isinstance(obj, LinkableHashMap):
+        return [_e(n, obj.get_class_name(n), _read(obj.get_object(n))) for n in obj.get_names()]
+    if isinstance(obj, LinkableDynamicObject):
+        if obj.local_class:
+            return [_e("", obj.local_class, _read(obj.get_object()))]
+        return [_e(obj.global_name, "", None)] if obj.global_name else []
+    return {name: _read(obj.get_linkable_child(name)) for name in obj.child_names()}
+
+
+def _sources(node):
+    """Every plot's dynamic slot in a plain state."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            if k == "source" and isinstance(v, list):
+                yield v
+            yield from _sources(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _sources(v)
+
+
+def _classes(root):
+    return {n: root.get_class_name(n) for n in root.get_names()}
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_items_in_child_order_leave_what_the_general_path_leaves(monkeypatch, seed):
+def test_the_live_apply_ends_where_the_value_level_apply_does(seed):
+    # Over graphops diffs (built and as read off the wire), full states and
+    # bare mention lists, under both flags, with every class registered:
+    # the live tree ends at the bytes of _apply over its snapshot, its
+    # snapshot is that result, the root triggers once when the state
+    # changes and never when it does not, and the child list reports each
+    # entry that came or went (a class change is both). The one state a
+    # live tree cannot hold is a dynamic slot of two entries (a full state
+    # merged over a slot that changed its entry): the slot takes the first,
+    # and only there the live tree and the value differ.
     rng = random.Random(seed)
     source = graphops.new_root()
     for _ in range(6):
         graphops.random_edit(rng, source)
+    compared = 0
     for step in range(12):
         a = source._snapshot()
         graphops.random_edit(rng, source)
         b = source._snapshot()
         names = [e["objectName"] for e in a]
-        in_order = [{"objectName": n} for n in names]
-        diffs = [_diff_plain(a, b), in_order, in_order[::-1], in_order + [{"__order__": names[::-1]}]]
-        for d in diffs:
-            parsed = _entry_diff(d)
-            if parsed is None:
-                continue
+        mentions = [{"objectName": n} for n in names]
+        d = _diff_plain(a, b)
+        states = [d, _plain(d), to_plain(b), mentions, mentions[::-1], mentions + [{"__order__": names[::-1]}]]
+        for state in states:
             for remove_missing in (False, True):
-                fast = _set_and_watch(_root_from(a), parsed, remove_missing)
-                monkeypatch.setattr(dynamic, "_in_child_order", lambda *args: False)
-                general = _set_and_watch(_root_from(a), parsed, remove_missing)
-                monkeypatch.undo()
-                assert fast == general, f"seed {seed} step {step}"
+                live = _root_from(a)
+                snap = live._snapshot()
+                target = _apply(snap, state, remove_missing)
+                before = (live.callbacks.trigger_counter, live.child_list_callbacks.trigger_counter, _classes(live))
+                live.set_session_state(state, remove_missing)
+                live.scheduler.flush_frame()
+                if any(len(slot) > 1 for slot in _sources(target)):
+                    continue
+                compared += 1
+                where = f"seed {seed} step {step} state {states.index(state)} remove_missing {remove_missing}"
+                assert encode(_read(live)) == encode(target), where
+                assert live._snapshot() is target or encode(live._snapshot()) == encode(target), where
+                old, new = before[2], _classes(live)
+                came_or_went = set(old).symmetric_difference(new)
+                replaced = [n for n in set(old) & set(new) if old[n] != new[n]]
+                assert live.callbacks.trigger_counter - before[0] == (_diff_plain(snap, target) != {}), where
+                assert live.child_list_callbacks.trigger_counter - before[1] == len(came_or_went) + 2 * len(replaced), where
+    assert compared > 100
+
+
+def test_a_reached_root_is_its_target_and_a_later_edit_still_shows():
+    # The filled slots keep the cache rule: after a live apply lands on its
+    # target, an edit anywhere below drops every slot on its way up.
+    rng = random.Random(3)
+    source = graphops.build_random_session(rng, edits=10)
+    live = _root_from(source._snapshot())
+    for _ in range(30):
+        graphops.random_edit(rng, source)
+        target = _apply(live._snapshot(), _diff_plain(live._snapshot(), source._snapshot()), True)
+        reached = live._reach(target)
+        assert reached == (live._snapshot() is target)
+        assert encode(_read(live)) == encode(target)
+        for var in graphops.all_variables(live)[:3]:
+            var.set_state(graphops.random_value_for(rng, var))
+        assert encode(live._snapshot()) == encode(_read(live))
+        live._reach(source._snapshot())
+
+
+# Hostile states, each with the rule the live apply follows (docs/diff-format.md).
+
+
+def test_an_entry_of_a_class_the_registry_lacks_removes_the_child_it_names():
+    for remove_missing in (False, True):
+        root = _root_from(_MAP_STATE)
+        root.set_session_state([{"objectName": "x"}, _e("y", "ex.Nope", {}), {"objectName": "z"}], remove_missing)
+        assert root.get_names() == ["x", "z"]
+
+
+def test_a_state_that_repeats_an_entry_name_is_dropped_whole_with_a_warning(caplog):
+    root = _root_from(_MAP_STATE)
+    before = encode(root._snapshot())
+    twice = [{"objectName": "x"}, _e("w", "ex.Counter", {"count": 1}), _e("w", "ex.Label", {"text": "t"})]
+    with caplog.at_level(logging.WARNING):
+        root.set_session_state(twice, False)
+    assert encode(root._snapshot()) == before and root.get_names() == ["x", "y", "z"]
+    assert len(caplog.records) == 1
+
+
+def test_a_dynamic_slot_state_of_two_entries_takes_the_first_with_a_warning(caplog):
+    root = graphops.new_root()
+    plot = root.request_object("p", "ex.Plot")
+    plot.source.request_local_object("ex.Counter").count.set_state(4)
+    two = [_e("", "ex.Label", {"text": "a"}), _e("q", "", None)]
+    with caplog.at_level(logging.WARNING):
+        plot.source.set_session_state(two)
+    assert plot.source.get_session_state() == [_e("", "ex.Label", {"text": "a", "size": 12})]
+    assert len(caplog.records) == 1
+
+
+def test_under_replace_removals_come_before_creations_in_the_child_list_events():
+    root = _root_from(_MAP_STATE)
+    seen = []
+    root.child_list_callbacks.add_immediate_callback(lambda: seen.append(root.get_names()))
+    root.set_session_state([_e("w", "ex.Counter", {"count": 1}), {"objectName": "x"}], remove_missing=True)
+    assert root.get_names() == ["w", "x"]
+    assert [sorted(names) for names in seen] == [["x", "z"], ["x"], ["w", "x"]]
 
 
 _MAP_STATE = [_e("x", state={"count": 1}), _e("y", state={"count": 2}), _e("z", "ex.Label", {"text": "t"})]
-# Diffs over a root holding _MAP_STATE: a state patch, a class change, an
-# entry of a class the registry lacks (which the map skips, so a full read
-# moves or drops its child), a reference item, pure mentions.
-MAP_DIFFS = [
-    _at(0, {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 5}}),
-    _at(2, {"objectName": "z", "className": "ex.Counter", "sessionState": {"count": 3}}),
-    _at(1, {"objectName": "y", "className": "ex.Nope", "sessionState": {}}),
-    _at(1, {"objectName": "y", "className": "ex.Nope"}),
-    _at(0, {"objectName": "x", "className": "", "sessionState": None}),
-    list(_M),
-]
-
-
-def _map_diffs():
-    for d in MAP_DIFFS:
-        yield _MAP_STATE, d
-    for seed in range(8):
-        rng = random.Random(seed)
-        source = graphops.new_root()
-        for _ in range(6):
-            graphops.random_edit(rng, source)
-        for _ in range(12):
-            a = source._snapshot()
-            graphops.random_edit(rng, source)
-            yield a, _diff_plain(a, source._snapshot())
-            yield a, [{"objectName": e["objectName"]} for e in a]
-
-
-def test_items_read_in_place_leave_what_the_full_read_leaves(monkeypatch):
-    in_place = 0
-    for i, (state, d) in enumerate(_map_diffs()):
-        for remove_missing in (False, True):
-            root = _root_from(state)
-            parsed = _entry_diff(d, root._snapshot())
-            if parsed is None:
-                continue
-            in_place += parsed[1] is _IN_PLACE
-            fast = _set_and_watch(root, parsed, remove_missing)
-            monkeypatch.setattr(dynamic, "_in_child_order", lambda *args: False)
-            general = _set_and_watch(_root_from(state), _entry_diff(d), remove_missing)
-            monkeypatch.undo()
-            assert fast == general, f"case {i}"
-    assert in_place > 100
 
 
 def test_a_client_whose_root_lacks_an_entry_reads_the_diff_whole_for_its_root():

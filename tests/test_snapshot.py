@@ -358,7 +358,9 @@ def test_one_field_edit_rebuilds_only_its_path(monkeypatch, big_root):
     built = _count_builds(monkeypatch)
     plot.label.text.set_state("edited")
     snap = root._snapshot()
-    assert built == [plot.label.text, plot.label, plot, root]
+    # The variable fills its own slot as it takes the value; the rest of
+    # the path is built on the read.
+    assert built == [plot.label, plot, root]
     assert snap[2500]["sessionState"]["label"]["text"] == "edited"
     built.clear()
     assert root._snapshot() is snap
@@ -661,9 +663,9 @@ def test_one_change_parses_one_item_in_the_relay_the_client_and_an_undo(monkeypa
         assert len(parses) == 1
         engine.on_message(Message("Diff", "s", "a", 1, one), 1)
         assert len(parses) == 2
-        log.undo()
+        log.undo()  # reaches the kept state: no diff is read
         big_root.scheduler.flush_frame()
-        assert len(parses) == 3
+        assert len(parses) == 2
         assert relay.session_state("s")[2500]["sessionState"] == {"count": 1}
         assert engine.root.get_object("c2500").count.get_state() == 1
         assert big_root.get_object("plot04321").label.size.get_state() == 12
@@ -789,11 +791,12 @@ def test_an_undo_compares_nothing_and_the_next_record_only_its_edit(monkeypatch,
     try:
         _one_field_steps(root, log, ("plot00100", "plot02500", "plot04900", "plot02500"))
         matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        parses = _count_calls(monkeypatch, statetree, "_entry_item")
         for step in (log.undo, log.redo, log.undo, log.undo):
             step()
             root.scheduler.flush_frame()
             assert root._snapshot() is log._states[log.cursor]
-        assert matched == []
+        assert matched == [] and parses == []
         # As with no undo (test_record_diff_calls_do_not_grow_with_the_tree):
         # the one changed entry, forward and backward.
         root.get_object("plot01234").title.set_state("after undo")
@@ -811,12 +814,17 @@ def test_a_jump_compares_only_the_entries_its_steps_changed(monkeypatch, big_roo
     try:
         _one_field_steps(root, log, [f"plot{i:05d}" for i in (10, 1010, 2010, 3010, 4010, 4990)])
         matched = _count_calls(monkeypatch, statetree, "_diff_matched")
+        parses = _count_calls(monkeypatch, statetree, "_entry_item")
+        reached = _count_calls(monkeypatch, LinkableObject, "_reach")
         for target in (2, 5, 0, 6, 3):
             m = abs(log.cursor - target)  # one-field steps between the two kept states
-            matched.clear()
+            reached.clear()
             log.jump_to(target)
             root.scheduler.flush_frame()
-            assert len(matched) <= m, f"jump to {target}"
+            # The kept state is reached, not diffed: below the root only the
+            # entries the steps changed are walked, each down its one path.
+            assert matched == [] and parses == [], f"jump to {target}"
+            assert len(reached) == 2 * m, f"jump to {target}"  # each plot and its label
             assert root._snapshot() is log._states[target]
             assert statetree.encode(root._snapshot()) == statetree.encode(log.state_at(target))
     finally:

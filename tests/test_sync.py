@@ -16,6 +16,7 @@ import pytest
 
 from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
+from linkstate.linkable import LinkableVariable
 from linkstate.statetree import apply_diff, encode, state_equivalent
 from linkstate.sync import socket_transport, wire
 from linkstate.sync.socket_transport import RelayServer, SocketClient
@@ -245,7 +246,7 @@ class TestRelay:
 class _Harness:
     """Zero-latency in-process wiring of one relay and n engines."""
 
-    def __init__(self, ids, deliver_immediately=True):
+    def __init__(self, ids, deliver_immediately=True, registry=build_demo_registry):
         self.relay = Relay()
         self.engines = {}
         self.queues = {cid: [] for cid in ids}
@@ -254,7 +255,7 @@ class _Harness:
             self.engines[cid] = ClientEngine(
                 client_id=cid,
                 session_id="s",
-                registry=build_demo_registry(),
+                registry=registry(),
                 send=lambda m, cid=cid: self._to_relay(m),
             )
 
@@ -451,6 +452,56 @@ class TestClientEngine:
         assert (encode(engine.root.get_session_state()), encode(engine._published), engine.last_server_seq) == before
         assert engine.quiescent()
 
+    def test_a_created_entry_takes_its_state_whole_so_a_removed_key_stays_removed(self):
+        # An entry class whose default is a mapping: a creates the entry and
+        # removes a default key in one frame; b creates the entry from the
+        # relay's state and must not publish the default key back.
+        def registry():
+            r = build_demo_registry()
+            r.register("t.Doc", lambda: LinkableVariable({"a": 1, "b": 2}))
+            return r
+
+        h = _Harness(["a", "b"], registry=registry)
+        h.join_all()
+        h.engines["a"].root.request_object("doc", "t.Doc").set_state({"b": {"__removed__": True}})
+        h.flush_all(1)
+        h.flush_all(2)
+        assert h.relay.session_state("s")[0]["sessionState"] == {"a": 1}
+        assert h.engines["b"].root.get_object("doc").get_state() == {"a": 1}
+        h.assert_converged()
+
+    @staticmethod
+    def _two_counters(sent):
+        engine = ClientEngine("x", "s", build_demo_registry(), send=sent.append)
+        welcome = [
+            {"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("c1", "c2")
+        ]
+        engine.on_message(Message("Welcome", "s", "server", 0, welcome), 0)
+        engine.flush(0)
+        return engine
+
+    def test_an_unflushed_local_edit_survives_an_inbound_diff_and_is_published(self):
+        sent = []
+        engine = self._two_counters(sent)
+        engine.root.get_object("c1").count.set_state(5)
+        remote = [{"objectName": "c1"}, {"objectName": "c2", "className": "ex.Counter", "sessionState": {"count": 7}}]
+        engine.on_message(Message("Diff", "s", "peer", 1, remote), 1)
+        assert [engine.root.get_object(n).count.get_state() for n in ("c1", "c2")] == [5, 7]
+        engine.flush(1)
+        assert [m.payload for m in sent] == [
+            [{"objectName": "c1", "className": "ex.Counter", "sessionState": {"count": 5}}, {"objectName": "c2"}]
+        ]
+
+    def test_a_float_leaf_a_wire_payload_reaches_is_stored_canonical(self):
+        sent = []
+        engine = self._two_counters(sent)
+        payload = json.loads('[{"objectName":"c1","className":"ex.Counter","sessionState":{"count":5.0}},{"objectName":"c2"}]')
+        engine.on_message(Message("Diff", "s", "peer", 1, payload), 1)
+        value = engine.root.get_object("c1").count._snapshot()
+        assert value == 5 and type(value) is int
+        engine.flush(1)
+        assert sent == []  # the stored 5 is the 5.0 the relay holds: nothing to publish
+
     def test_foreign_session_ignored(self):
         engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
         engine.on_message(Message("Welcome", "other", "server", 5, []), 0)
@@ -590,6 +641,53 @@ class TestSimulation:
             state = apply_diff(state, d, remove_missing=False)
         assert seqs == list(range(1, len(seqs) + 1))
         assert result.relay.session_state("demo") == state
+
+
+def _slot_script(seed):
+    """Three clients on plots and counters that point their slots at local
+    objects, at root entries and at nothing, and write through them."""
+    rng = random.Random(f"slots/{seed}")
+    edits = {cid: [] for cid in "abc"}
+    objects = [("p1", "ex.Plot"), ("p2", "ex.Plot"), ("n1", "ex.Counter"), ("n2", "ex.Label")]
+    for j, (name, cls) in enumerate(objects):
+        edits["abc"[j % 3]].append({"atMs": 100 + j, "op": "request", "name": name, "class": cls})
+    for k in range(60):
+        cid = rng.choice("abc")
+        plot = rng.choice(["p1", "p2"])
+        at = 300 + 10 * k + rng.randrange(5)
+        r = rng.random()
+        if r < 0.3:
+            edit = {"op": "local", "path": [plot, "source"], "class": rng.choice(["ex.Counter", "ex.Label"])}
+        elif r < 0.55:
+            edit = {"op": "global", "path": [plot, "source"], "name": rng.choice(["n1", "n2", "p1", "gone"])}
+        elif r < 0.65:
+            edit = {"op": "clear", "path": [plot, "source"]}
+        elif r < 0.85:
+            edit = {"op": "set", "path": [plot, "source", "count"], "value": k}
+        else:
+            edit = {"op": "set", "path": [rng.choice(["n1", plot]), "title" if plot == "p1" else "count"], "value": k}
+        edits[cid].append({"atMs": at, **edit})
+    return {
+        "session": "demo",
+        "durationMs": 1000,
+        # No upstream loss: a lost request overtaken by the next diff of
+        # the same object creates it at the relay from a partial state,
+        # which converges with its mapping keys in another order.
+        "net": {"latencyMs": [1, 15], "dropRelayToClientWindows": [[500, 560]]},
+        "clients": [{"id": cid, "edits": edits[cid]} for cid in "abc"],
+    }
+
+
+class TestDynamicSlotsInSimulation:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_local_global_and_clear_converge_to_the_relays_bytes(self, seed):
+        result = run_simulation(_slot_script(seed), seed=seed)
+        report = result.report
+        assert report["converged"] and report["divergences"] == {}
+        relay_hash = report["relay"]["stateHash"]
+        assert {c["stateHash"] for c in report["clients"].values()} == {relay_hash}
+        slots = [e["sessionState"]["source"] for e in result.relay.session_state("demo") if e["className"] == "ex.Plot"]
+        assert slots and all(len(slot) <= 1 for slot in slots)
 
 
 def _by_name(result):
