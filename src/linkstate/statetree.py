@@ -54,7 +54,10 @@ the items feed a live container (dynamic) and the value-level apply
 entries in the base's own places, one item each: given that base, the
 reader finds the items that differ from its mention list in one C-level
 pass (``operator.ne``) and parses only those, and the apply replaces only
-their entries. A changed item that is a removal, names another entry, is an
+their entries; the same read applies to another built list
+(``_apply_entry_diff_to``: in place if it pairs with the base, else by
+name), so a client parses an inbound diff once for its shadow and its
+root. A changed item that is a removal, names another entry, is an
 order marker or is malformed hands the whole diff to the full parse and
 the match by name (``_apply_entry_diff_by_name``). Any other list is no
 entry diff: a value apply replaces with it, the relay drops it as malformed
@@ -223,11 +226,21 @@ def _finite(literal: str) -> float:
     return x
 
 
+# One decoder and one encoder for the module: json.loads and json.dumps with
+# settings build a new one per call. Neither keeps state between calls: the
+# C scanner clears its key memo after each, and each encode makes its own
+# circular-reference markers.
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+
+
 def parse_json(text: str | bytes) -> Any:
-    """json.loads for outside input: NaN and Infinity literals, and float
-    literals beyond the float range (1e999), raise ValueError, since no
-    state tree may hold a non-finite number."""
-    return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    """json.loads for outside input, through the module's one decoder: NaN
+    and Infinity literals, and float literals beyond the float range
+    (1e999), raise ValueError, since no state tree may hold a non-finite
+    number. Bytes are decoded as json.loads does (UTF-8, -16 or -32, a BOM
+    allowed)."""
+    return _DECODER.decode(text if isinstance(text, str) else text.decode(json.detect_encoding(text), "surrogatepass"))
 
 
 def encode(node: StateNode) -> str:
@@ -252,8 +265,8 @@ def encode_diff(d: Any) -> str:
     """The canonical compact text of any plain JSON value (a diff tree, a
     wire message, a report): no whitespace, non-ASCII written as is, key
     order kept, NaN and the infinities refused. encode is this over the
-    canonical copy (to_plain)."""
-    return json.dumps(d, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    canonical copy (to_plain). One encoder, built once, serves every call."""
+    return _ENCODER.encode(d)
 
 
 def decode_diff(text: str) -> Any:
@@ -653,6 +666,16 @@ def _apply_entry_diff(base: Any, items: list | dict, order: list | str | None, r
             out[i] = _updated_entry(base[i], it, remove_missing)
         return out
     return _apply_entry_diff_by_name(base, items, order, remove_missing)
+
+
+def _apply_entry_diff_to(base: Any, over: Any, items: list | dict, order: list | str | None, remove_missing: bool) -> list:
+    """_apply_entry_diff to base of what _entry_diff read over another built
+    list, over: in place where the two pair up, else by name, with items
+    read in place spelled out as the whole item list (an unchanged entry's
+    item is its name), so nothing is parsed again."""
+    if order is _IN_PLACE and _paired(over, base) is None:
+        items, order = [items.get(i) or x[OBJECT_NAME_KEY] for i, x in enumerate(_mentions(over))], None
+    return _apply_entry_diff(base, items, order, remove_missing)
 
 
 def _apply_entry_diff_by_name(

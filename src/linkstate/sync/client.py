@@ -25,12 +25,14 @@ their places has only its changed items parsed, and the value-level apply
 gives the new `_published`. A root with no edit since `_published` (its
 snapshot is `_published`) reaches the new one (linkable._reach), which
 leaves its snapshot being `_published` again, so the next flush's diff is
-one identity check. A root with edits not yet published applies the
-payload over its own snapshot (set_session_state, the same walk), which
-keeps them for the next flush. `{}` or any other payload changes neither,
-so a hostile one cannot replace the `_published` shadow. `_published` is
-always a snapshot or an apply's result, a trusted built entry list, so
-that apply checks no entry's shape.
+one identity check. A root with edits not yet published reaches the same
+parsed items applied over its own snapshot, which keeps them for the next
+flush: in place when the snapshot pairs with `_published`, else by name
+(statetree._apply_entry_diff_to), so the payload is still parsed once.
+`{}` or any other payload changes neither, so a hostile one cannot
+replace the `_published` shadow. `_published` is always a snapshot or an
+apply's result, a trusted built entry list, so that apply checks no
+entry's shape.
 
 The root cannot always hold what `_published` holds: it keeps no entry of
 a class its registry lacks, no anonymous or reference root entry, and no
@@ -48,7 +50,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_entry_diff, _diff_plain, _entry_diff, is_empty_diff
+from ..statetree import _apply_entry_diff, _apply_entry_diff_to, _diff_plain, _entry_diff, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -201,15 +203,20 @@ class ClientEngine:
         # empty for pure remote changes because _published advances in step.
         # An entry diff is parsed once, over _published; {} or any other
         # payload changes neither. A root with no edit since _published
-        # reaches the new _published; one with unpublished edits applies
-        # the payload over its own snapshot, which keeps them.
+        # reaches the new _published; one with unpublished edits reaches the
+        # same items applied over its own snapshot, which keeps them: in
+        # place where the two lists pair up, else by name.
         parsed = _entry_diff(msg.payload, self._published)
         if parsed is not None:
-            published = _apply_entry_diff(self._published, *parsed, False)
-            if self.root._snapshot() is self._published:
-                self.root._reach(published)
-            else:
-                self.root.set_session_state(msg.payload, remove_missing=False)
+            published = target = _apply_entry_diff(self._published, *parsed, False)
+            snapshot = self.root._snapshot()
+            if snapshot is not self._published:
+                try:
+                    target = _apply_entry_diff_to(snapshot, self._published, *parsed, False)
+                except (TypeError, ValueError) as e:
+                    target = snapshot  # the root keeps its state
+                    self.root._refuse(f"dropping invalid state: {e}")
+            self.root._reach(target)
             self._published = published
 
     def _full_reset(self, msg: Message) -> None:

@@ -107,28 +107,28 @@ class RelayServer:
         if not data:
             self._close(conn)
             return
+        # Each message is handled as the framer yields it, so the frames
+        # before an undecodable one count whatever recv() they arrived in.
         try:
-            messages = list(conn.framer.feed(data))
+            for msg in conn.framer.feed(data):
+                # A client id belongs to the first open connection that uses it.
+                if self._routes.setdefault(msg.sender_id, conn) is not conn:
+                    log.warning("closing a connection that sent as %r, which another connection holds", msg.sender_id)
+                    self._close(conn)
+                    return
+                for cid, _, frame in encode_fanout(self.relay.handle(msg)):
+                    target = self._routes.get(cid)
+                    if target is not None and len(target.out) > MAX_UNSENT_BYTES:
+                        log.warning("closing a peer that stopped reading (%d bytes unsent)", len(target.out))
+                        self._close(target)
+                    elif target is not None:
+                        target.out += frame
+                        self._write(target)
+                if conn.sock.fileno() == -1:
+                    return  # closed as a peer that stopped reading
         except MalformedMessage as e:
             log.warning("closing connection on unframeable data: %s", e)
             self._close(conn)
-            return
-        for msg in messages:
-            if conn.sock.fileno() == -1:
-                return
-            # A client id belongs to the first open connection that uses it.
-            if self._routes.setdefault(msg.sender_id, conn) is not conn:
-                log.warning("closing a connection that sent as %r, which another connection holds", msg.sender_id)
-                self._close(conn)
-                return
-            for cid, _, frame in encode_fanout(self.relay.handle(msg)):
-                target = self._routes.get(cid)
-                if target is not None and len(target.out) > MAX_UNSENT_BYTES:
-                    log.warning("closing a peer that stopped reading (%d bytes unsent)", len(target.out))
-                    self._close(target)
-                elif target is not None:
-                    target.out += frame
-                    self._write(target)
 
     def _write(self, conn: _Conn) -> None:
         try:
@@ -182,23 +182,24 @@ class SocketClient:
         arrived to the engine; returns how many there were.
 
         Unframeable bytes from the relay end the stream as if the relay had
-        closed it: the socket is closed, and later sends are dropped.
+        closed it there: the messages before them are handled, the socket is
+        closed, and later sends are dropped.
         """
         self._write()
         handled = 0
         while True:
             try:
                 data = self._sock.recv(_RECV_BYTES)
-                messages = list(self._framer.feed(data))
             except OSError:  # nothing more for now, or the relay is gone
                 return handled
+            try:
+                for msg in self._framer.feed(data):
+                    self.engine.on_message(msg, now_ms)
+                    handled += 1
             except MalformedMessage as e:
                 log.warning("closing the relay connection on unframeable data: %s", e)
                 self._sock.close()
                 return handled
-            for msg in messages:
-                self.engine.on_message(msg, now_ms)
-                handled += 1
             if not data:
                 return handled
 

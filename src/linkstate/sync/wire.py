@@ -30,30 +30,39 @@ class Message:
     payload: Any = None
 
 
-def encode_frame(msg: Message) -> bytes:
+def encode_frame(msg: Message, payload_text: str | None = None) -> bytes:
+    """The frame of msg. payload_text, when given, is encode_diff(msg.payload)
+    already made; the frame's bytes are the same either way."""
     if msg.kind not in KINDS:
         raise MalformedMessage(f"unknown message kind {msg.kind!r}")
-    body = encode_diff(
+    if payload_text is None:
+        payload_text = encode_diff(msg.payload)
+    # payload is the last key, so the envelope with a null one ends in `null}`
+    envelope = encode_diff(
         {
             "kind": msg.kind,
             "sessionId": msg.session_id,
             "senderId": msg.sender_id,
             "serverSeq": msg.server_seq,
-            "payload": msg.payload,
+            "payload": None,
         }
-    ).encode("utf-8")
+    )
+    body = (envelope[:-5] + payload_text + "}").encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
 
 def encode_fanout(outbound: list[tuple[str, Message]]) -> Iterator[tuple[str, Message, bytes]]:
     """The relay's outbound (target, message) list with each message's
-    frame. The relay hands every other member one shared Diff message, so
-    each distinct message object is encoded once."""
+    frame. The relay hands every other member one shared Diff message and
+    the sender an Ack with the same payload, so each distinct payload is
+    encoded once and each distinct message gets one envelope around it."""
+    texts: dict[int, str] = {}
     frames: dict[int, bytes] = {}
     for target, msg in outbound:
         frame = frames.get(id(msg))
         if frame is None:
-            frame = frames[id(msg)] = encode_frame(msg)
+            text = texts.get(id(msg.payload)) or texts.setdefault(id(msg.payload), encode_diff(msg.payload))
+            frame = frames[id(msg)] = encode_frame(msg, text)
         yield target, msg, frame
 
 

@@ -644,6 +644,38 @@ def test_client_parses_an_inbound_root_diff_once(monkeypatch):
     assert _plain_equivalent(engine._published, engine.root._snapshot())
 
 
+@pytest.mark.parametrize("create", [False, True], ids=["paired", "by-name"])
+def test_a_client_with_unpublished_edits_parses_an_inbound_diff_once(monkeypatch, create):
+    # one local edit not yet published: c0100's count, or a new counter
+    sent = []
+    engine = ClientEngine("a", "s", build_demo_registry(), sent.append)
+    engine.on_message(Message("Welcome", "s", "server", 0, _counter_entries(1000)), 0)
+    engine.flush(0)
+    local = "mine" if create else "c0100"
+    if create:
+        engine.root.request_object(local, "ex.Counter")
+    engine.root.get_object(local).count.set_state(5)
+    assert engine.root._snapshot() is not engine._published
+    one = [{"objectName": f"c{i:04d}"} for i in range(1000)]
+    one[500] = {"objectName": "c0500", "className": "ex.Counter", "sessionState": {"count": 9}}
+    parses = _count_calls(monkeypatch, statetree, "_entry_item")
+    by_name = _count_calls(monkeypatch, statetree, "_apply_entry_diff_by_name")
+    engine.on_message(Message("Diff", "s", "b", 1, one), 1)
+    assert len(parses) == 1  # the item read over _published feeds the root too
+    # a local creation leaves the snapshot unpaired with _published: by name
+    assert len(by_name) == (1 if create else 0)
+    assert engine.root.get_object("c0500").count.get_state() == 9
+    assert _plain_equivalent(engine._published, statetree.apply_diff(_counter_entries(1000), one))
+    published = engine._published
+    engine.flush(2)
+    (msg,) = sent
+    assert engine.root.get_object(local).count.get_state() == 5
+    # the local edit alone forms the next flush's diff
+    changed = [x for x in msg.payload if x.keys() != {"objectName"}]
+    assert [x["objectName"] for x in changed] == [local]
+    assert _plain_equivalent(statetree.apply_diff(published, msg.payload), engine.root._snapshot())
+
+
 def test_one_change_parses_one_item_in_the_relay_the_client_and_an_undo(monkeypatch, big_root):
     one = [{"objectName": f"c{i:04d}"} for i in range(5000)]
     one[2500] = {"objectName": "c2500", "className": "ex.Counter", "sessionState": {"count": 1}}

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+import graphops
 import treegen
 from treegen import entry
 from linkstate.errors import ParseError
 from linkstate.statetree import (
     apply_diff,
     decode,
+    decode_diff,
     diff,
     encode,
+    encode_diff,
+    parse_json,
     state_equivalent,
     to_plain,
     validate_node,
@@ -86,6 +90,60 @@ def test_decode_rejects_non_finite_literals():
 def test_decode_malformed_raises_parse_error():
     with pytest.raises(ParseError):
         decode("{not json")
+
+
+# --- the shared decoder and encoder -----------------------------------------
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_parse_json_refuses_non_finite_numbers_in_text_and_bytes(number):
+    for text in (number, '{"x":[1,' + number + "]}"):
+        for given in (text, text.encode("utf-8")):
+            with pytest.raises(ValueError):
+                parse_json(given)
+
+
+@pytest.mark.parametrize("codec", ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32"])
+def test_parse_json_decodes_bytes_as_json_loads(codec):
+    text = '{"title":"Grüße \\u2603 ☃","size":[1,2.5,null,true]}'
+    body = text.encode(codec)
+    assert parse_json(body) == json.loads(body) == json.loads(text)
+    # a BOM is taken off bytes only, as json.loads does
+    with pytest.raises(json.JSONDecodeError):
+        parse_json("\ufeff" + text)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1,", "", '{"a":1}x'])
+def test_bad_json_raises_json_decode_error_and_parse_error(text):
+    with pytest.raises(json.JSONDecodeError):
+        parse_json(text)
+    with pytest.raises(json.JSONDecodeError):
+        parse_json(text.encode("utf-8"))
+    for parse in (decode, decode_diff):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_parse_json_and_encode_diff_build_no_codec_per_call(monkeypatch):
+    built = []
+    for cls in (json.JSONDecoder, json.JSONEncoder):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _real=real, **kw: built.append(1) or _real(self, *a, **kw))
+    text = encode_diff({"a": [1, 2.5, "é"]})
+    assert parse_json(text) == {"a": [1, 2.5, "é"]}
+    assert built == []
+
+
+def test_parse_json_matches_json_loads_over_random_sessions():
+    rng = random.Random(18)
+    for _ in range(40):
+        old = graphops.build_random_session(rng, edits=rng.randint(1, 8)).get_session_state()
+        new_root = graphops.build_random_session(rng, edits=rng.randint(1, 8))
+        for tree in (old, new_root.get_session_state(), diff(old, new_root.get_session_state())):
+            text = encode_diff(tree)
+            parsed = parse_json(text)
+            assert parsed == json.loads(text)
+            assert encode_diff(parsed) == json.dumps(json.loads(text), ensure_ascii=False, separators=(",", ":"))
 
 
 def test_decode_detects_entry_list():

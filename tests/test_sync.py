@@ -127,6 +127,35 @@ class TestWire:
             list(Framer().feed(frame))
 
 
+    def test_fan_out_frames_are_the_frames_of_their_messages(self):
+        payload = [{"objectName": "plot☃", "className": "ex.Label", "sessionState": {"text": "Grüße, 世界"}}]
+        msgs = [Message(kind, "sé", "ü", 3, payload) for kind in sorted(wire.KINDS)]
+        outbound = [(f"t{i}", m) for i, m in enumerate(msgs + msgs[:2])]
+        frames = list(wire.encode_fanout(outbound))
+        assert [(t, m) for t, m, _ in frames] == outbound
+        for _, msg, frame in frames:
+            whole = wire.encode_diff(
+                {"kind": msg.kind, "sessionId": msg.session_id, "senderId": msg.sender_id, "serverSeq": 3, "payload": payload}
+            ).encode("utf-8")
+            assert frame == encode_frame(msg) == len(whole).to_bytes(4, "big") + whole
+            assert decode_frame(frame) == msg
+
+    def test_a_fan_out_encodes_its_payload_once_per_relay_message(self, monkeypatch):
+        relay = Relay()
+        for i in range(32):
+            relay.handle(Message("Hello", "s", f"c{i:02d}"))
+        encoded = []
+        real = wire.encode_diff
+        monkeypatch.setattr(wire, "encode_diff", lambda d: encoded.append(d) or real(d))
+        for count in range(3):
+            payload = [{"objectName": "n", "className": "ex.Counter", "sessionState": {"count": count}}]
+            outbound = relay.handle(Message("Diff", "s", "c00", 0, payload))
+            assert len(list(wire.encode_fanout(outbound))) == 32
+            # the payload alone, or an envelope that holds it
+            carried = [d for d in encoded if d is payload or (type(d) is dict and d.get("payload") is payload)]
+            assert len(carried) == 1
+
+
 class TestRelay:
     def test_first_hello_welcome_empty(self):
         relay = Relay()
@@ -929,6 +958,50 @@ class TestSocketTransport:
             conn.close()
             relay.close()
 
+    def test_the_relay_handles_the_frames_before_a_bad_one_in_the_same_read(self):
+        server = RelayServer()
+        raw = socket.create_connection(server.address)
+        clients = []
+        try:
+            clients = [SocketClient("b", "s", server.address)]
+            (b,) = clients
+            assert _settle(clients, lambda: b.engine.joined, server)
+            created = [{"objectName": "n", "className": "ex.Counter", "sessionState": {"count": 4}}]
+            raw.sendall(
+                encode_frame(Message("Hello", "s", "a"))
+                + encode_frame(Message("Diff", "s", "a", 0, created))
+                + _frame("{not json")
+            )
+            assert _closed_by_server(server, raw)
+            assert _settle(clients, lambda: b.engine.root.get_names() == ["n"], server)
+            assert b.engine.root.get_object("n").count.get_state() == 4
+            assert "a" not in server._routes
+        finally:
+            raw.close()
+            for c in clients:
+                c.close()
+            server.stop()
+
+    def test_a_client_handles_the_frames_before_a_bad_one_in_the_same_read(self):
+        relay = socket.create_server(("127.0.0.1", 0))
+        client = SocketClient("a", "s", relay.getsockname())
+        conn, _ = relay.accept()
+        try:
+            state = [{"objectName": "n", "className": "ex.Counter", "sessionState": {"count": 2}}]
+            conn.sendall(encode_frame(Message("Welcome", "s", "server", 5, state)) + _frame("{not json"))
+            end = time.monotonic() + 10
+            handled = 0
+            while client._sock.fileno() != -1 and time.monotonic() < end:
+                handled += client.pump(0)
+            assert client._sock.fileno() == -1
+            assert handled == 1
+            assert client.engine.joined and client.engine.last_server_seq == 5
+            assert client.engine.root.get_object("n").count.get_state() == 2
+        finally:
+            client.close()
+            conn.close()
+            relay.close()
+
     def test_thirty_two_clients_share_the_one_thread(self):
         threads = threading.active_count()
         server = RelayServer()
@@ -959,9 +1032,9 @@ class TestSocketTransport:
             encoded = []
             real = wire.encode_frame
 
-            def counted(msg):
+            def counted(msg, *payload_text):
                 encoded.append(msg.kind)
-                return real(msg)
+                return real(msg, *payload_text)
 
             monkeypatch.setattr(wire, "encode_frame", counted)
             monkeypatch.setattr(socket_transport, "encode_frame", counted)
