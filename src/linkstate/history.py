@@ -23,10 +23,13 @@ built lists too (_built).
 
 The log keeps the snapshot recorded after each step: snapshots are never
 mutated and share every unchanged subtree, so a kept state costs one root
-list plus the changed path. A snapshot is kept only while the root matches
-the log's state at the cursor: edits absorbed while capture is paused (or
-made before an undo in the same frame) put the root off the log, and the
-states recorded after that are not kept. state_at and jump_to read the
+list plus the changed path. A snapshot is kept only while the root is on
+the log: its snapshot *is* the kept state at the cursor, not merely one
+equivalent to it. attach lands the root there (an imported log's root
+reaches the state at the log's cursor), and so do a record and every
+navigation where they can. Edits absorbed while capture is paused (or made
+before an undo in the same frame) put the root off the log, and the states
+recorded after that are not kept. state_at and jump_to read the
 kept state; where none is kept (that case, or a log read from JSON), they
 apply the forward diffs to the nearest kept state. An apply never mutates
 its base, so replay copies nothing; stored steps and kept states are never
@@ -39,12 +42,12 @@ walking only the subtrees whose snapshot is not the kept one, it makes the
 kept subtrees its cached snapshots, so no diff is computed or parsed. Any
 other root merges the step's diff, which keeps the edits it absorbed.
 jump_to reaches the state at its index, kept or replayed, in one walk.
-After any navigation or capture resume a root whose snapshot is equivalent
-to the kept state reaches it too, which triggers nothing; a leaf whose value
-is equal but keyed in another order (a merge cannot put a re-added key back
-in its old place) takes the kept value. So the root encodes exactly as
-state_at(cursor), and the next record and navigation compare the changed
-entries alone.
+After attach, any navigation or a capture resume a root whose snapshot is
+equivalent to the kept state reaches it too, which triggers nothing; a leaf
+whose value is equal but keyed in another order (a merge cannot put a
+re-added key back in its old place) takes the kept value. So the root
+encodes exactly as state_at(cursor), and the next record and navigation
+compare the changed entries alone.
 
 verify replays every step from the baseline and compares by identity
 first (statetree._diff_plain), so each step costs its changed entries. A
@@ -124,10 +127,10 @@ class HistoryLog:
         # kept; _states[0] is the baseline, None until the log has one.
         self._states: list[Any] = [None]
         self._cursor = 0
-        self._last: Any = None  # plain snapshot of the root, never mutated
-        # Whether _last is equivalent to the kept _states[_cursor], so that
-        # the snapshot recorded next is the log's state after its step.
-        self._on_log = False
+        # The plain snapshot of the root, never mutated. The root is on the
+        # log while _last is the kept _states[_cursor]: the snapshot recorded
+        # next is then the log's state after its step, and is kept.
+        self._last: Any = None
         self._capturing = True
         self._next_label = ""
 
@@ -189,8 +192,7 @@ class HistoryLog:
                 raise ValueError("root state does not match the log at its cursor")
             self._states[self._cursor] = at_cursor
         self._root = root
-        self._last = current
-        self._on_log = True
+        self._track(root)
         self._recorder = root.callbacks.add_grouped_callback(self._record)
 
     def detach(self) -> None:
@@ -218,7 +220,7 @@ class HistoryLog:
         del self._steps[self._cursor :]
         del self._states[self._cursor + 1 :]
         self._steps.append(HistoryStep(forward, backward, int(self._clock()), self._next_label))
-        self._states.append(current if self._on_log else _MISSING)
+        self._states.append(current if self._last is self._states[self._cursor] else _MISSING)
         self._next_label = ""
         self._cursor = len(self._steps)
         self._last = current
@@ -242,7 +244,7 @@ class HistoryLog:
         # state at index; any other (off the log, or edited since) merges
         # the step's diff, which keeps the edits it absorbed.
         kept = self._states[index]
-        if self._on_log and kept is not _MISSING and root._snapshot() is self._last:
+        if kept is not _MISSING and root._snapshot() is self._last is self._states[self._cursor]:
             root._reach(kept)
         else:
             root.set_session_state(step_diff, remove_missing=True)
@@ -264,9 +266,8 @@ class HistoryLog:
         # the one the next record diffs against.
         kept = self._states[self._cursor]
         snap = root._snapshot()
-        self._on_log = kept is not _MISSING and (
-            snap is kept or (_diff_plain(snap, kept) == {} and root._reach(kept))
-        )
+        if kept is not _MISSING and snap is not kept and _diff_plain(snap, kept) == {}:
+            root._reach(kept)
         self._last = root._snapshot()
 
     def state_at(self, index: int) -> StateNode:

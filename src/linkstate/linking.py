@@ -9,29 +9,45 @@ skipped outright when the diff is empty, i.e. the endpoint states are
 already equivalent. Together these bound propagation (at
 most two effective triggers per endpoint per edit in a chain of two links)
 without any state version counters.
+
+Both kinds of link share one `Link`. It refuses a pair with a disposed
+endpoint, an object linked to itself or a pair already linked, before it
+adds anything. It owns the echo guard, which runs before a copy reads
+either side and skips it while a copy is in flight or an endpoint is
+disposed, and the (collection, handle) pair of every callback it added,
+which unlink() detaches. A link kind supplies only its read-compare-write
+for each direction.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Callable
 
-from .callbacks import CallbackCollection
+from .callbacks import CallbackCollection, CallbackEntry
 from .errors import AlreadyUnlinked, DuplicateLink, SelfLink
 from .linkable import LinkableObject, LinkableVariable
 from .statetree import StateNode, _diff_plain, is_empty_diff, state_equivalent
-
-log = logging.getLogger(__name__)
 
 
 class Link:
     """Active two-way link; call unlink() to detach both callbacks."""
 
-    def __init__(self, a, b, detach: Callable[[], None]):
+    def __init__(self, a, b):
+        for end in (a, b):
+            end._check_live()
+        if a is b:
+            raise SelfLink("an object cannot be linked to itself")
+        for link in getattr(a, "_active_links", []):
+            if link.active and link.connects(a, b):
+                raise DuplicateLink("these endpoints are already linked")
         self._endpoints = (a, b)
-        self._detach = detach
+        self._callbacks: list[tuple[CallbackCollection, CallbackEntry]] = []
         self._copying = False
         self.active = True
+        for end in (a, b):
+            if not hasattr(end, "_active_links"):
+                end._active_links = []
+            end._active_links.append(self)
 
     def connects(self, x, y) -> bool:
         a, b = self._endpoints
@@ -41,63 +57,43 @@ class Link:
         if not self.active:
             raise AlreadyUnlinked("link was already removed")
         self.active = False
-        self._detach()
+        for collection, handle in self._callbacks:
+            if not collection.disposed:
+                collection.remove_callback(handle)
         for end in self._endpoints:
-            links = getattr(end, "_active_links", None)
-            if links is not None and self in links:
-                links.remove(self)
+            end._active_links.remove(self)
+
+    def _on(self, collection: CallbackCollection, copy: Callable[[], None]) -> None:
+        """Run copy, guarded, whenever collection triggers."""
+        handle = collection.add_immediate_callback(lambda: self._copy(copy))
+        self._callbacks.append((collection, handle))
+
+    def _copy(self, copy: Callable[[], None]) -> None:
+        a, b = self._endpoints
+        if not self.active or self._copying or a.disposed or b.disposed:
+            return
+        self._copying = True
+        try:
+            copy()
+        finally:
+            self._copying = False
 
 
-def _register_link(a, b, link: Link) -> None:
-    for end in (a, b):
-        if not hasattr(end, "_active_links"):
-            end._active_links = []
-        end._active_links.append(link)
-
-
-def _check_linkable_pair(a, b) -> None:
-    if a is b:
-        raise SelfLink("an object cannot be linked to itself")
-    for link in getattr(a, "_active_links", []):
-        if link.active and link.connects(a, b):
-            raise DuplicateLink("these endpoints are already linked")
+def _copy_state(src: LinkableObject, dst: LinkableObject) -> None:
+    # The cached snapshots share every unchanged subtree, so the diff walks
+    # only what changed since the endpoints last matched.
+    d = _diff_plain(dst._snapshot(), src._snapshot())
+    if not is_empty_diff(d):
+        dst.set_session_state(d, remove_missing=True)
 
 
 def link_session_state(primary: LinkableObject, secondary: LinkableObject) -> Link:
     """Keep two linkable objects state-equivalent; the secondary adopts the
     primary's state at link time."""
-    primary._check_live()
-    secondary._check_live()
-    _check_linkable_pair(primary, secondary)
-
-    def copy(src: LinkableObject, dst: LinkableObject) -> None:
-        if not link.active or link._copying:
-            return
-        if src.disposed or dst.disposed:
-            return
-        # The cached snapshots share every unchanged subtree, so the diff
-        # walks only what changed since the endpoints last matched.
-        d = _diff_plain(dst._snapshot(), src._snapshot())
-        if is_empty_diff(d):
-            return
-        link._copying = True
-        try:
-            dst.set_session_state(d, remove_missing=True)
-        finally:
-            link._copying = False
-
-    h_a = primary.callbacks.add_immediate_callback(lambda: copy(primary, secondary))
-    h_b = secondary.callbacks.add_immediate_callback(lambda: copy(secondary, primary))
-
-    def detach() -> None:
-        if not primary.callbacks.disposed:
-            primary.callbacks.remove_callback(h_a)
-        if not secondary.callbacks.disposed:
-            secondary.callbacks.remove_callback(h_b)
-
-    link = Link(primary, secondary, detach)
-    _register_link(primary, secondary, link)
-    copy(primary, secondary)
+    link = Link(primary, secondary)
+    link._on(primary.callbacks, lambda: _copy_state(primary, secondary))
+    link._on(secondary.callbacks, lambda: _copy_state(secondary, primary))
+    link._copy(lambda: _copy_state(primary, secondary))
     return link
 
 
@@ -112,47 +108,19 @@ def link_external_property(
     notify is triggered by the external side whenever its property changed;
     the external side adopts the variable's state at link time.
     """
-    variable._check_live()
-    _check_linkable_pair(variable, notify)
+    link = Link(variable, notify)
 
     def var_changed() -> None:
-        if not link.active or link._copying or variable.disposed:
-            return
         value = variable.get_state()
-        if state_equivalent(value, getter()):
-            return
-        link._copying = True
-        try:
+        if not state_equivalent(value, getter()):
             setter(value)
-        finally:
-            link._copying = False
 
     def external_changed() -> None:
-        if not link.active or link._copying or variable.disposed:
-            return
         value = getter()
-        if state_equivalent(value, variable.get_state()):
-            return
-        link._copying = True
-        try:
+        if not state_equivalent(value, variable.get_state()):
             variable.set_state(value)
-        finally:
-            link._copying = False
 
-    h_var = variable.callbacks.add_immediate_callback(var_changed)
-    h_ext = notify.add_immediate_callback(external_changed)
-
-    def detach() -> None:
-        if not variable.callbacks.disposed:
-            variable.callbacks.remove_callback(h_var)
-        if not notify.disposed:
-            notify.remove_callback(h_ext)
-
-    link = Link(variable, notify, detach)
-    _register_link(variable, notify, link)
-    link._copying = True
-    try:
-        setter(variable.get_state())
-    finally:
-        link._copying = False
+    link._on(variable.callbacks, var_changed)
+    link._on(notify, external_changed)
+    link._copy(lambda: setter(variable.get_state()))
     return link

@@ -10,7 +10,11 @@ Values are treated as immutable; every public API hands out fresh copies.
 Nothing here mutates a tree it is given: the private ``_apply``
 returns a new version of its base that shares every subtree the diff does
 not touch (path copying), so history replay and the client and relay
-shadows apply diffs without copying the whole tree first.
+shadows apply diffs without copying the whole tree first. Where a diff
+node has nothing to merge into (a new key, a created entry's state, a
+mapping over a non-mapping), ``_apply`` materializes it over a fresh
+``{}``: removal markers vanish, order markers go, and the value shares
+nothing with the diff.
 
 Live objects cache their state as plain snapshots (linkable). Snapshots are
 shared, not owned: an unchanged subtree is the same object in the snapshots
@@ -503,19 +507,6 @@ def _is_removal(v: Any) -> bool:
     return isinstance(v, dict) and v.get(REMOVED_MARKER) is True
 
 
-def _materialize(d: Any) -> Any:
-    """Read a diff node as a full value (used where the base has nothing to
-    merge into). Removal markers vanish; order markers are dropped. The
-    result is a copy: it shares nothing with d."""
-    if isinstance(d, dict):
-        if len(d) == 1 and VALUE_MARKER in d:
-            return to_plain(d[VALUE_MARKER])
-        return {k: _materialize(v) for k, v in d.items() if not _is_removal(v)}
-    if isinstance(d, list):
-        return _apply(None, d, False)  # nothing to merge into
-    return d
-
-
 def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
     """Apply the plain diff d to the plain tree base. Neither is changed:
     the result shares every subtree of base that d leaves alone (a mapping
@@ -534,10 +525,10 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
                 elif k in out:
                     out[k] = _apply(out[k], sub, remove_missing)
                 else:
-                    out[k] = _materialize(sub)
+                    out[k] = _apply({}, sub, remove_missing)
             return out
         # Mismatched site: the merge has nothing to merge into.
-        return _materialize(d)
+        return _apply({}, d, remove_missing)
     if isinstance(d, list):
         parsed = _entry_diff(d, base)
         if parsed is not None:
@@ -642,7 +633,7 @@ def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | str | Non
 def _new_entry(it: EntryItem | str) -> dict:
     if type(it) is str:
         return {OBJECT_NAME_KEY: it, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}
-    state = _materialize(it.state) if it.has_state else None
+    state = _apply({}, it.state, False) if it.has_state else None
     return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
 
 

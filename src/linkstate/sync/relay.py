@@ -13,7 +13,11 @@ none of the state's entries. A diff that names the state's entries in their
 own places (a client's edit) is read in place: one C-level pass against the
 state's mention list finds the changed items, only those are parsed, and
 the new state is a copy with their entries replaced, sharing the mention
-list. Any other diff is parsed once and applied by name.
+list. Any other diff is parsed once and applied by name, and is refused
+as malformed if two of its items name one entry (but for the removal and
+re-creation of a demotion): the relay's state could take it, but a client
+that has removed the entry, its removal not yet applied, would create the
+entry from each item.
 """
 
 from __future__ import annotations
@@ -23,10 +27,27 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import StateNode, _apply_entry_diff, _entry_diff
+from ..statetree import _IN_PLACE, EntryItem, StateNode, _apply_entry_diff, _entry_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
+
+
+def _names_each_entry_once(items: list[EntryItem | str]) -> bool:
+    """No two items of a root diff name one entry, but for a removal followed
+    by one re-creation (the demotion to a reference that
+    statetree._diff_matched writes). A client whose shadow lacks the entry
+    would create it from each item, and its apply would fail."""
+    seen: dict[str, EntryItem | str] = {}  # the last item that named each entry
+    for it in items:
+        name = it if type(it) is str else it.name
+        prev = seen.get(name) if name else None  # an anonymous item names no entry
+        if prev is not None and not (
+            type(prev) is EntryItem and prev.removed and type(it) is EntryItem and it.has_class_key and not it.removed
+        ):
+            return False
+        seen[name] = it
+    return True
 
 
 @dataclass
@@ -92,6 +113,8 @@ class Relay:
             parsed = _entry_diff(msg.payload, session.state)
             if parsed is None:
                 raise MalformedMessage("a root diff must be an entry diff or {}")
+            if parsed[1] is not _IN_PLACE and not _names_each_entry_once(parsed[0]):
+                raise MalformedMessage("a root diff may not name an entry twice")
             try:
                 session.state = _apply_entry_diff(session.state, *parsed, False)
             except (TypeError, ValueError, RecursionError) as e:

@@ -3,9 +3,11 @@
 The virtual-time simulator is the reference; this module exists so the relay
 can be exercised across real sockets. `RelayServer` is one `selectors` loop
 over nonblocking sockets, matching the single-threaded `Relay` actor inside
-it: each connection has a `Framer` for what it sends and a buffer for what it
-has not yet taken. `SocketClient` reads its own nonblocking socket when
-pumped. `run_realtime` runs the simulator's driver on the wall clock with the
+it. Both ends of a connection are one `_Conn`: a nonblocking socket with
+Nagle's algorithm off, a `Framer` for what arrives and a buffer for what is
+not yet sent, with the one nonblocking `send()` and `recv()`. The server
+holds one per peer; `SocketClient` holds one and reads it when pumped.
+`run_realtime` runs the simulator's driver on the wall clock with the
 server and every client polled from that one loop, so a realtime run uses
 the calling thread alone.
 """
@@ -36,19 +38,41 @@ MAX_UNSENT_BYTES = MAX_FRAME_BYTES
 _RECV_BYTES = 65536
 
 
-def _connected(sock: socket.socket) -> socket.socket:
-    # Frames are small and latency-bound: never hold one back for the ACK of
-    # the one before it (Nagle's algorithm).
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.setblocking(False)
-    return sock
-
-
 class _Conn:
+    """One end of a TCP connection."""
+
     def __init__(self, sock: socket.socket):
+        # Frames are small and latency-bound: never hold one back for the ACK
+        # of the one before it (Nagle's algorithm).
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
         self.sock = sock
         self.framer = Framer()
         self.out = bytearray()
+
+    def send(self) -> bool:
+        """Write as much of the unsent bytes as the socket takes now, the
+        rest on a later call. False if the peer is gone: the bytes are then
+        lost, like a dropped frame."""
+        if self.out:
+            try:
+                del self.out[: self.sock.send(self.out)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self.out.clear()
+                return False
+        return True
+
+    def recv(self) -> bytes | None:
+        """The bytes that have arrived (b"" if none yet), or None once the
+        peer closed or is gone."""
+        try:
+            return self.sock.recv(_RECV_BYTES) or None
+        except BlockingIOError:
+            return b""
+        except OSError:
+            return None
 
 
 class RelayServer:
@@ -95,16 +119,11 @@ class RelayServer:
             sock, _ = self._listener.accept()
         except BlockingIOError:
             return
-        self._selector.register(_connected(sock), selectors.EVENT_READ, _Conn(sock))
+        self._selector.register(sock, selectors.EVENT_READ, _Conn(sock))
 
     def _read(self, conn: _Conn) -> None:
-        try:
-            data = conn.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            data = b""
-        if not data:
+        data = conn.recv()
+        if data is None:
             self._close(conn)
             return
         # Each message is handled as the framer yields it, so the frames
@@ -131,11 +150,7 @@ class RelayServer:
             self._close(conn)
 
     def _write(self, conn: _Conn) -> None:
-        try:
-            del conn.out[: conn.sock.send(conn.out)]
-        except BlockingIOError:
-            pass
-        except OSError:
+        if not conn.send():
             self._close(conn)
             return
         events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.out else 0)
@@ -154,9 +169,7 @@ class SocketClient:
     caller's thread."""
 
     def __init__(self, client_id: str, session_id: str, address, registry=None):
-        self._sock = _connected(socket.create_connection(address))
-        self._framer = Framer()
-        self._out = bytearray()
+        self._conn = _Conn(socket.create_connection(address))
         self.engine = ClientEngine(
             client_id=client_id,
             session_id=session_id,
@@ -165,17 +178,8 @@ class SocketClient:
         )
 
     def _send(self, msg: Message) -> None:
-        self._out += encode_frame(msg)
-        self._write()
-
-    def _write(self) -> None:
-        if self._out:
-            try:
-                del self._out[: self._sock.send(self._out)]
-            except BlockingIOError:
-                pass  # the rest goes out on a later send or pump
-            except OSError:
-                self._out.clear()  # the relay is gone: the bytes are lost, like a dropped frame
+        self._conn.out += encode_frame(msg)
+        self._conn.send()
 
     def pump(self, now_ms: int) -> int:
         """Send what is still queued, then hand every message that has
@@ -185,26 +189,23 @@ class SocketClient:
         closed it there: the messages before them are handled, the socket is
         closed, and later sends are dropped.
         """
-        self._write()
+        self._conn.send()
         handled = 0
         while True:
-            try:
-                data = self._sock.recv(_RECV_BYTES)
-            except OSError:  # nothing more for now, or the relay is gone
+            data = self._conn.recv()
+            if not data:  # nothing more for now, or the relay is gone
                 return handled
             try:
-                for msg in self._framer.feed(data):
+                for msg in self._conn.framer.feed(data):
                     self.engine.on_message(msg, now_ms)
                     handled += 1
             except MalformedMessage as e:
                 log.warning("closing the relay connection on unframeable data: %s", e)
-                self._sock.close()
-                return handled
-            if not data:
+                self._conn.sock.close()
                 return handled
 
     def close(self) -> None:
-        self._sock.close()
+        self._conn.sock.close()
 
 
 class _WallLoop(_Loop):

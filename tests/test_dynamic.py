@@ -7,7 +7,7 @@ import pytest
 
 import graphops
 from treegen import entry
-from linkstate.demo import Counter, Plot, build_demo_registry
+from linkstate.demo import Counter, build_demo_registry
 from linkstate.dynamic import ClassRegistry, LinkableDynamicObject, LinkableHashMap
 from linkstate.errors import (
     DuplicateClass,

@@ -411,6 +411,26 @@ class TestNavigationLandsOnTheLog:
         twin.scheduler.flush_frame()
         assert twin._snapshot() is imported._states[1]  # on the log, so the new step keeps its state
 
+    def test_attach_lands_an_equivalent_root_on_the_imported_logs_state(self):
+        # The twin holds the state at the cursor with its keys in another
+        # order; attach makes the kept state the twin's snapshot.
+        root = LinkableObject()
+        v = root.register_linkable_child("v", LinkableVariable({"a": 1, "b": 2}))
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        v.set_state({"c": 3})
+        root.scheduler.flush_frame()
+        imported = HistoryLog.import_json(log.export_json())
+        twin = LinkableObject()
+        w = twin.register_linkable_child("v", LinkableVariable({"c": 3, "b": 2, "a": 1}))
+        twin.scheduler.flush_frame()
+        imported.attach(twin)
+        assert encode(twin.get_session_state()) == encode(imported.state_at(1)) == '{"v":{"a":1,"b":2,"c":3}}'
+        assert twin._snapshot() is imported._states[imported.cursor]
+        w.set_state({"d": 4})
+        twin.scheduler.flush_frame()
+        assert twin._snapshot() is imported._states[2]  # on the log, so the new step keeps its state
+
     def test_an_entry_an_undo_creates_again_takes_its_state_whole(self):
         # The entry class's default is a mapping; the re-created entry must
         # not keep a default key its kept state lacks.

@@ -1,6 +1,6 @@
 """Source hygiene under src/linkstate: no module imports a name it never
 uses, no attribute stored on self goes unread, and no private function or
-method goes unreferenced.
+method goes unreferenced. The import check covers tests/ too.
 
 Package __init__ modules are exempt from the import check: their imports are
 the re-exports.
@@ -13,7 +13,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "linkstate"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TESTS = REPO / "tests"
+MODULES = sorted(p for d in (SRC, TESTS) for p in d.rglob("*.py") if p.name != "__init__.py")
 
 
 def _parsed(*dirs):
@@ -50,7 +51,7 @@ def _used(tree):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else REPO)))
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
@@ -120,7 +121,7 @@ def _references(trees):
 
 def test_every_field_stored_on_self_is_read():
     src = _parsed(SRC)
-    read = _read_attributes(tree for _, tree in src + _parsed(REPO / "tests", REPO / "bench"))
+    read = _read_attributes(tree for _, tree in src + _parsed(TESTS, REPO / "bench"))
     unread = [f"{path.relative_to(SRC)}:{line} self.{attr}" for path, tree in src for attr, line in _unread_fields(tree, read)]
     assert not unread, f"fields stored and never read: {', '.join(unread)}"
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import graphops
-from linkstate import linkable, statetree
+from linkstate import linkable, linking, statetree
 from linkstate.callbacks import CallbackCollection
 from linkstate.errors import AlreadyUnlinked, Disposed, DuplicateLink, SelfLink
 from linkstate.linkable import LinkableNumber, LinkableVariable
@@ -87,6 +87,17 @@ def test_link_disposed_object_rejected():
     b.dispose()
     with pytest.raises(Disposed):
         link_session_state(a, b)
+
+
+def test_a_bridge_to_a_disposed_notify_is_refused_and_leaves_the_variable_alone():
+    v = LinkableNumber(default=1)
+    notify = CallbackCollection()
+    notify.dispose()
+    with pytest.raises(Disposed):
+        link_external_property(v, lambda: 0, lambda x: None, notify)
+    assert v.callbacks._immediate == []
+    v.set_state(2)
+    assert v.get_state() == 2
 
 
 def test_chain_converges_with_bounded_triggers():
@@ -252,3 +263,66 @@ def test_linked_roots_stay_equivalent_through_structural_edits():
         step()
         assert state_equivalent(a.get_session_state(), b.get_session_state()), f"step {i}"
     assert b.get_names() == ["q"] and b.get_class_name("q") == "ex.Label"
+
+
+def test_a_setter_that_triggers_notify_is_one_set_and_its_echo_reads_nothing():
+    calls = []
+    external = {"value": None}
+    notify = CallbackCollection()
+
+    def getter():
+        calls.append("get")
+        return external["value"]
+
+    def setter(x):
+        calls.append("set")
+        external["value"] = x
+        notify.trigger()  # the external side announces the value it was given
+
+    v = LinkableNumber(default=1)
+    link_external_property(v, getter, setter, notify)
+    assert calls == ["set"]
+    calls.clear()
+    v.set_state(2)
+    assert calls == ["get", "set"]  # the compare, the copy, and no read inside the echo
+    assert v.get_state() == external["value"] == 2
+
+
+def test_an_equivalent_value_on_either_side_sets_nothing(monkeypatch):
+    sets = []
+    external = {"value": None}
+    notify = CallbackCollection()
+    v = LinkableNumber(default=3)
+    link_external_property(v, lambda: external["value"], lambda x: sets.append(x) or external.update(value=x), notify)
+    assert sets == [3]
+    monkeypatch.setattr(v, "set_state", lambda x: sets.append(("variable", x)))
+    external["value"] = 3.0
+    notify.trigger()  # the external side changed to an equivalent value
+    v.callbacks.trigger()  # the variable triggered without a new value
+    assert sets == [3]
+
+
+@pytest.mark.parametrize("kind", ["session", "external"])
+def test_a_link_with_a_disposed_endpoint_copies_nothing_and_unlink_detaches_the_live_side(kind, monkeypatch):
+    reads = []
+    a = LinkableNumber(default=1)
+    if kind == "session":
+        b = LinkableNumber(default=1)
+        live, link = a.callbacks, link_session_state(a, b)
+        dead = b
+        monkeypatch.setattr(linking, "_diff_plain", lambda *args: reads.append(args))
+    else:
+        live = CallbackCollection()
+        link = link_external_property(a, lambda: reads.append("get"), lambda x: reads.append(("set", x)), live)
+        reads.clear()
+        dead = a
+    registered = len(live._immediate)
+    dead.dispose()
+    if kind == "session":
+        a.set_state(2)
+    else:
+        live.trigger()
+    assert reads == []  # the guard stops the copy before it reads either side
+    link.unlink()
+    assert len(live._immediate) == registered - 1
+    assert not link.active

@@ -7,7 +7,6 @@ import pytest
 
 from linkstate.errors import EmptyComponent, KeyTypeMismatch, MissingColumn
 from linkstate.qkeys import (
-    JoinedTable,
     KeyManager,
     KeyedColumn,
     join_columns,

@@ -17,7 +17,7 @@ import pytest
 from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
 from linkstate.linkable import LinkableVariable
-from linkstate.statetree import apply_diff, encode, state_equivalent
+from linkstate.statetree import apply_diff, diff, encode, state_equivalent
 from linkstate.sync import socket_transport, wire
 from linkstate.sync.socket_transport import RelayServer, SocketClient
 from linkstate.sync.wire import MAX_FRAME_BYTES
@@ -237,6 +237,46 @@ class TestRelay:
         assert len(relay.applied_log("s")) == 1
         # the empty diff is still a well-formed root diff
         assert [m.server_seq for _, m in relay.handle(Message("Diff", "s", "a", 0, {}))] == [2, 2]
+
+    @staticmethod
+    def _counters(relay, *names):
+        relay.handle(Message("Hello", "s", "a"))
+        start = [{"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in names]
+        relay.handle(Message("Diff", "s", "a", 0, start))
+        return start
+
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": n}} for n in (1, 2)],
+            [{"objectName": "x"}, {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}],
+            [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}, {"objectName": "x", "__removed__": True}],
+            [{"objectName": "x", "__removed__": True}] * 2,
+            [{"objectName": "x", "__removed__": True}, {"objectName": "x"}],
+            [{"objectName": "x", "__removed__": True}] + [{"objectName": "x", "className": "", "sessionState": None}] * 2,
+        ],
+    )
+    def test_a_root_diff_that_names_an_entry_twice_is_dropped(self, items):
+        relay = Relay()
+        self._counters(relay, "c0", "x")
+        state = relay.session_state("s")
+        payload = [{"objectName": "c0", "className": "ex.Counter", "sessionState": {"count": 5}}] + items
+        assert relay.handle(Message("Diff", "s", "a", 0, payload)) == []
+        assert relay.session_state("s") is state
+        assert relay.session_seq("s") == 1
+
+    def test_a_demotion_names_its_entry_twice_and_applies(self):
+        relay = Relay()
+        start = self._counters(relay, "c0", "x")
+        demoted = [start[0], {"objectName": "x", "className": "", "sessionState": None}]
+        d = diff(start, demoted)
+        assert d == [
+            {"objectName": "c0"},
+            {"objectName": "x", "__removed__": True},
+            {"objectName": "x", "className": "", "sessionState": None},
+        ]
+        assert [m.server_seq for _, m in relay.handle(Message("Diff", "s", "a", 0, d))] == [2]
+        assert encode(relay.session_state("s")) == encode(demoted)
 
     def test_diff_nested_deeper_than_the_recursion_limit_is_dropped(self):
         relay = Relay()
@@ -520,6 +560,35 @@ class TestClientEngine:
         assert [m.payload for m in sent] == [
             [{"objectName": "c1", "className": "ex.Counter", "sessionState": {"count": 5}}, {"objectName": "c2"}]
         ]
+
+    def test_a_diff_naming_an_entry_twice_never_reaches_a_client_that_removed_it(self):
+        # b removes x and flushes; before its diff reaches the relay, a sends
+        # c0: 5 with two items for x. b's shadow no longer holds x, so it
+        # would create x from each item.
+        relay = Relay()
+        in_flight = []
+        b = ClientEngine("b", "s", build_demo_registry(), send=in_flight.append)
+
+        def to_relay(msg, now):
+            for target, out in relay.handle(decode_frame(encode_frame(msg))):
+                if target == "b":
+                    b.on_message(decode_frame(encode_frame(out)), now)
+
+        b.hello(0)
+        to_relay(in_flight.pop(), 0)
+        to_relay(Message("Hello", "s", "a"), 0)
+        counters = [{"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("c0", "x")]
+        to_relay(Message("Diff", "s", "a", 0, counters), 0)
+        b.root.remove_object("x")
+        b.flush(1)
+        twice = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": n}} for n in (1, 2)]
+        to_relay(Message("Diff", "s", "a", 0, [{"objectName": "c0", "className": "ex.Counter", "sessionState": {"count": 5}}] + twice), 2)
+        to_relay(in_flight.pop(), 3)
+        assert in_flight == []
+        assert encode(relay.session_state("s")) == encode(counters[:1])
+        assert encode(b.root.get_session_state()) == encode(counters[:1])
+        b.flush(4)
+        assert in_flight == [] and b.quiescent()
 
     def test_a_float_leaf_a_wire_payload_reaches_is_stored_canonical(self):
         sent = []
@@ -948,9 +1017,9 @@ class TestSocketTransport:
         try:
             conn.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
             end = time.monotonic() + 10
-            while client._sock.fileno() != -1 and time.monotonic() < end:
+            while client._conn.sock.fileno() != -1 and time.monotonic() < end:
                 assert client.pump(0) == 0
-            assert client._sock.fileno() == -1
+            assert client._conn.sock.fileno() == -1
             assert client.pump(1) == 0
             client.engine.flush(2)  # the Hello is dropped, not raised
         finally:
@@ -991,9 +1060,9 @@ class TestSocketTransport:
             conn.sendall(encode_frame(Message("Welcome", "s", "server", 5, state)) + _frame("{not json"))
             end = time.monotonic() + 10
             handled = 0
-            while client._sock.fileno() != -1 and time.monotonic() < end:
+            while client._conn.sock.fileno() != -1 and time.monotonic() < end:
                 handled += client.pump(0)
-            assert client._sock.fileno() == -1
+            assert client._conn.sock.fileno() == -1
             assert handled == 1
             assert client.engine.joined and client.engine.last_server_seq == 5
             assert client.engine.root.get_object("n").count.get_state() == 2
