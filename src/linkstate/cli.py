@@ -8,7 +8,6 @@ stderr. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Any
@@ -251,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LinkstateError, FileNotFoundError, json.JSONDecodeError, OSError) as e:
+    except (LinkstateError, ValueError, RecursionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

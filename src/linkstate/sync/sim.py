@@ -6,6 +6,12 @@ seeded generator, so a (script, seed) pair always produces the same delivery
 trace and the same report, byte for byte. Frames really are encoded and
 decoded at the pipe boundaries; nothing mutable crosses between actors.
 
+load_script reads a script through one spec table per level: PERIODS for the
+top-level periods, NET_OPTIONS and their checks, and EDIT_OPS with each
+field's checks. A check is a predicate and the refusal it raises, so a bad
+script fails with one ScriptError naming its first fault. docs/sim-script.md
+lists the same tables, and tier-1 compares the two.
+
 The driver (`_drive`) is shared with realtime runs (socket_transport): it
 schedules the joins, the edits at their atMs and each client's flush ticks,
 applies the settle rule and reads the end report. Only the loop's clock and
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
+from copy import copy
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
@@ -25,185 +31,168 @@ from ..demo import build_demo_registry
 from ..dynamic import LinkableDynamicObject, LinkableHashMap
 from ..errors import LinkstateError, ScriptError, UnknownName
 from ..linkable import LinkableObject, LinkableVariable
-from ..statetree import diff, encode, encode_diff, state_equivalent, validate_node
+from ..statetree import diff, encode, encode_diff, parse_json, state_equivalent, validate_node
 from .client import ClientEngine
 from .relay import Relay
 from .wire import Message, decode_frame, encode_fanout, encode_frame
 
-EDIT_OPS = frozenset({"request", "set", "remove", "reorder", "local", "global", "clear"})
-
-
 # -- script loading ---------------------------------------------------------------
+
+
+def _count(v: Any, least: int) -> bool:
+    """A non-bool int of at least least."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _text(v: Any) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _names(v: Any) -> bool:
+    """A non-empty list of non-empty names."""
+    return isinstance(v, list) and v != [] and all(map(_text, v))
+
+
+def _span(v: Any, gap: int) -> bool:
+    """[lo, hi] of non-negative ints with lo + gap <= hi."""
+    return isinstance(v, list) and len(v) == 2 and _count(v[0], 0) and _count(v[1], 0) and v[0] + gap <= v[1]
+
+
+def _probability(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v < 1
 
 
 def _fail(msg: str) -> None:
     raise ScriptError(msg)
 
 
+def _check(v: Any, checks, key: str, cid: str | None = None, op: str | None = None) -> None:
+    """Refuse v, the value at key, with the refusal of its first check that
+    returns false or raises. A refusal may name key, v, op and why (what the
+    check raised); an edit's (cid given) starts with its client."""
+    for ok, refusal in checks:
+        try:
+            passed, why = ok(v), None
+        except (TypeError, ValueError, RecursionError) as e:
+            passed, why = False, e
+        if not passed:
+            _fail(("" if cid is None else f"client {cid!r}: ") + refusal.format(key=key, v=v, op=op, why=why))
+
+
+_POSITIVE = ((lambda v: _count(v, 1), "{key} must be a positive integer"),)
+
+# The top-level periods, each a positive integer: key -> default.
+PERIODS = {"durationMs": 2000, "flushIntervalMs": 10, "settleCapMs": 10000}
+
+# The net options: key -> default, and key -> (check, refusal) pairs in check
+# order.
+NET_OPTIONS = {
+    "latencyMs": 5,
+    "order": "fifo",
+    "dropClientToRelay": 0.0,
+    "dropRelayToClientWindows": [],
+    "ackTimeoutMs": 250,
+    "gapTimeoutMs": 250,
+}
+_NET_CHECKS = {
+    "latencyMs": (
+        (lambda v: not isinstance(v, list) or _span(v, 0), "latencyMs range must be [lo, hi] with 0 <= lo <= hi"),
+        (lambda v: isinstance(v, list) or _count(v, 0), "latencyMs must be a non-negative integer or [lo, hi]"),
+    ),
+    "order": ((lambda v: v in ("fifo", "reorder"), "net order must be 'fifo' or 'reorder'"),),
+    "dropClientToRelay": ((_probability, "dropClientToRelay must be a probability in [0, 1)"),),
+    "dropRelayToClientWindows": (
+        (lambda v: isinstance(v, list), "dropRelayToClientWindows must be a list of [startMs, endMs]"),
+        (lambda v: all(_span(w, 1) for w in v), "each drop window must be [startMs, endMs] with start < end"),
+    ),
+    "ackTimeoutMs": _POSITIVE,
+    "gapTimeoutMs": _POSITIVE,
+}
+
+# Each op's fields in check order. A loaded edit holds atMs, op and these.
+EDIT_OPS = {
+    "request": ("name", "class"),
+    "set": ("path", "value"),
+    "remove": ("name",),
+    "reorder": ("names",),
+    "local": ("path", "class"),
+    "global": ("path", "name"),
+    "clear": ("path",),
+}
+
+_CLASSES = frozenset(build_demo_registry().class_names())
+_STRING = (_text, "op {op!r} needs a non-empty string {key!r}")
+
+# Each field's (check, refusal) pairs in check order. validate_node raises
+# on a value that is no state tree.
+_FIELD_CHECKS = {
+    "name": (_STRING,),
+    "class": (_STRING, (lambda v: v in _CLASSES, "unknown class {v!r}")),
+    "path": ((_names, "op {op!r} needs 'path' as a list of names"),),
+    "names": ((lambda v: _names(v) and len(set(v)) == len(v), "'reorder' needs a list of distinct names"),),
+    "value": ((lambda v: validate_node(v) is None, "invalid 'value': {why}"),),
+}
+
+
 def load_script(data: Any) -> dict:
     """Parse and validate a simulation script into canonical dict form."""
     if isinstance(data, (str, bytes)):
         try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
+            data = parse_json(data)
+        except (ValueError, RecursionError) as e:
             _fail(f"script is not valid JSON: {e}")
     if not isinstance(data, dict):
         _fail("script must be a JSON object")
-    session = data.get("session")
-    if not isinstance(session, str) or not session:
+    script = {"session": data.get("session")}
+    if not _text(script["session"]):
         _fail("script needs a non-empty 'session' string")
-
-    duration = data.get("durationMs", 2000)
-    interval = data.get("flushIntervalMs", 10)
-    settle_cap = data.get("settleCapMs", 10000)
-    for label, v in (("durationMs", duration), ("flushIntervalMs", interval), ("settleCapMs", settle_cap)):
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            _fail(f"{label} must be a positive integer")
-
-    net = _load_net(data.get("net", {}))
-
+    for key, default in PERIODS.items():
+        script[key] = data.get(key, default)
+        _check(script[key], _POSITIVE, key)
+    script["net"] = _load_net(data.get("net", {}))
     raw_clients = data.get("clients")
     if not isinstance(raw_clients, list) or not raw_clients:
         _fail("script needs a non-empty 'clients' list")
-    registry = build_demo_registry()
-    clients = []
-    seen_ids = set()
+    clients = script["clients"] = []
     for entry in raw_clients:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), str) or not entry["id"]:
+        if not isinstance(entry, dict) or not _text(entry.get("id")):
             _fail("every client needs a non-empty string 'id'")
         cid = entry["id"]
-        if cid in seen_ids:
+        if any(c["id"] == cid for c in clients):
             _fail(f"duplicate client id {cid!r}")
-        seen_ids.add(cid)
         edits = entry.get("edits", [])
         if not isinstance(edits, list):
             _fail(f"client {cid!r}: 'edits' must be a list")
-        clients.append({"id": cid, "edits": [_load_edit(cid, e, registry) for e in edits]})
-
-    return {
-        "session": session,
-        "durationMs": duration,
-        "flushIntervalMs": interval,
-        "settleCapMs": settle_cap,
-        "net": net,
-        "clients": clients,
-    }
+        clients.append({"id": cid, "edits": [_load_edit(cid, e) for e in edits]})
+    return script
 
 
 def _load_net(raw: Any) -> dict:
     if not isinstance(raw, dict):
         _fail("'net' must be an object")
-    known = {
-        "latencyMs",
-        "order",
-        "dropClientToRelay",
-        "dropRelayToClientWindows",
-        "ackTimeoutMs",
-        "gapTimeoutMs",
-    }
     for key in raw:
-        if key not in known:
+        if key not in NET_OPTIONS:
             _fail(f"unknown net option {key!r}")
-    latency = raw.get("latencyMs", 5)
-    if isinstance(latency, list):
-        if (
-            len(latency) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in latency)
-            or latency[0] > latency[1]
-        ):
-            _fail("latencyMs range must be [lo, hi] with 0 <= lo <= hi")
-    elif not isinstance(latency, int) or isinstance(latency, bool) or latency < 0:
-        _fail("latencyMs must be a non-negative integer or [lo, hi]")
-    order = raw.get("order", "fifo")
-    if order not in ("fifo", "reorder"):
-        _fail("net order must be 'fifo' or 'reorder'")
-    drop_c2r = raw.get("dropClientToRelay", 0.0)
-    if not isinstance(drop_c2r, (int, float)) or isinstance(drop_c2r, bool) or not 0 <= drop_c2r < 1:
-        _fail("dropClientToRelay must be a probability in [0, 1)")
-    windows = raw.get("dropRelayToClientWindows", [])
-    if not isinstance(windows, list):
-        _fail("dropRelayToClientWindows must be a list of [startMs, endMs]")
-    for w in windows:
-        if (
-            not isinstance(w, list)
-            or len(w) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in w)
-            or w[0] >= w[1]
-        ):
-            _fail("each drop window must be [startMs, endMs] with start < end")
-    ack = raw.get("ackTimeoutMs", 250)
-    gap = raw.get("gapTimeoutMs", 250)
-    for label, v in (("ackTimeoutMs", ack), ("gapTimeoutMs", gap)):
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            _fail(f"{label} must be a positive integer")
-    return {
-        "latencyMs": latency,
-        "order": order,
-        "dropClientToRelay": float(drop_c2r),
-        "dropRelayToClientWindows": windows,
-        "ackTimeoutMs": ack,
-        "gapTimeoutMs": gap,
-    }
+    # copy: a default list is not shared between scripts
+    net = {key: raw.get(key, copy(default)) for key, default in NET_OPTIONS.items()}
+    for key, checks in _NET_CHECKS.items():
+        _check(net[key], checks, key)
+    net["dropClientToRelay"] = float(net["dropClientToRelay"])
+    return net
 
 
-def _load_edit(cid: str, raw: Any, registry) -> dict:
+def _load_edit(cid: str, raw: Any) -> dict:
     if not isinstance(raw, dict):
         _fail(f"client {cid!r}: every edit must be an object")
-    at = raw.get("atMs")
-    if not isinstance(at, int) or isinstance(at, bool) or at < 0:
+    at, op = raw.get("atMs"), raw.get("op")
+    if not _count(at, 0):
         _fail(f"client {cid!r}: edit needs a non-negative integer 'atMs'")
-    op = raw.get("op")
-    if op not in EDIT_OPS:
+    if not isinstance(op, str) or op not in EDIT_OPS:
         _fail(f"client {cid!r}: unknown op {op!r}")
-
-    def need_str(key):
-        v = raw.get(key)
-        if not isinstance(v, str) or not v:
-            _fail(f"client {cid!r}: op {op!r} needs a non-empty string {key!r}")
-        return v
-
-    def need_path():
-        v = raw.get("path")
-        if not isinstance(v, list) or not v or not all(isinstance(p, str) and p for p in v):
-            _fail(f"client {cid!r}: op {op!r} needs 'path' as a list of names")
-        return v
-
     edit = {"atMs": at, "op": op}
-    if op == "request":
-        edit["name"] = need_str("name")
-        edit["class"] = need_str("class")
-        if not registry.has(edit["class"]):
-            _fail(f"client {cid!r}: unknown class {edit['class']!r}")
-    elif op == "set":
-        edit["path"] = need_path()
-        value = raw.get("value")
-        try:
-            validate_node(value)
-        except (TypeError, ValueError) as e:
-            _fail(f"client {cid!r}: invalid 'value': {e}")
-        edit["value"] = value
-    elif op == "remove":
-        edit["name"] = need_str("name")
-    elif op == "reorder":
-        names = raw.get("names")
-        if (
-            not isinstance(names, list)
-            or not names
-            or not all(isinstance(n, str) and n for n in names)
-            or len(set(names)) != len(names)
-        ):
-            _fail(f"client {cid!r}: 'reorder' needs a list of distinct names")
-        edit["names"] = names
-    elif op == "local":
-        edit["path"] = need_path()
-        edit["class"] = need_str("class")
-        if not registry.has(edit["class"]):
-            _fail(f"client {cid!r}: unknown class {edit['class']!r}")
-    elif op == "global":
-        edit["path"] = need_path()
-        edit["name"] = need_str("name")
-    elif op == "clear":
-        edit["path"] = need_path()
+    for key in EDIT_OPS[op]:
+        edit[key] = raw.get(key)
+        _check(edit[key], _FIELD_CHECKS[key], key, cid, op)
     return edit
 
 

@@ -50,6 +50,12 @@ class TestInspect:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_a_non_finite_number_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"a": NaN}')
+        assert main(["inspect", str(p)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["inspect", "/definitely/not/here.json"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -93,6 +99,14 @@ class TestDiffApply:
         assert main(["apply", str(fb), str(fd)]) == 0
         dropped = json.loads(capsys.readouterr().out)
         assert [e["objectName"] for e in dropped] == ["a"]
+
+    def test_a_state_that_repeats_an_entry_name_is_an_error_not_a_traceback(self, state_file, tmp_path, capsys):
+        entry = {"objectName": "x", "className": "ex.Counter", "sessionState": None}
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps([entry, entry]))
+        assert main(["diff", state_file, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
 
 def _history_file(tmp_path):
@@ -265,6 +279,12 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"session":"s","clients":[]}')
         assert main(["simulate", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_a_script_nested_too_deeply_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["simulate", str(deep)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_bundled_name_resolves_without_path(self, capsys):
