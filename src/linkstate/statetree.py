@@ -47,7 +47,17 @@ pending and published diffs) shares the unchanged items, and an unchanged
 entry costs one pointer per diff. A list with an anonymous entry has none:
 ``{"objectName": ""}`` is an anonymous entry item, not a mention. Internal
 diffs may share mention dicts because nothing mutates them; the public
-``diff`` and ``apply_diff`` work on plain copies, which carry none.
+``diff`` and ``apply_diff`` work on plain copies, which carry none. A
+mention list also caches its text, ``[{"objectName":…},…]`` as
+``encode_diff`` writes it, with each item's start offset, built on first
+use. The wire uses it both ways: a client's flush diff is an
+``_InPlaceDiff``, which carries the mention list it was built against, so
+``encode_diff`` copies the unchanged runs from the text and encodes only
+the other items; and a payload read against a base (``_read_in_place``)
+is compared with the base's mention text at item boundaries, only the
+items that differ are parsed, and the result is an ``_InPlaceDiff`` whose
+other items are the mention list's own dicts. History's diffs stay plain
+lists.
 
 An entry diff is a non-empty list whose every element is an entry item (an
 entry, maybe with a removal marker) or an order marker alone; a full entry
@@ -86,9 +96,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
+from json.encoder import encode_basestring
 from operator import is_not, ne
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ParseError
 
@@ -171,7 +182,27 @@ class _EntryList(list):
     __slots__ = ("mentions",)
 
 
-def _mentions(entries: _EntryList) -> list | None:
+class _Mentions(list):
+    """A mention list, [{"objectName": n}, ...]. The slot caches its text
+    (_mention_text)."""
+
+    __slots__ = ("text",)
+
+
+class _InPlaceDiff(list):
+    """An entry diff built or read against a mention list, which it carries:
+    a copy of the list with some items replaced. encode_diff writes it from
+    the list's text, and _entry_diff over a base with that mention list
+    takes only the items that are not its own dicts as changed."""
+
+    __slots__ = ("mentions",)
+
+    def __init__(self, mentions: _Mentions):
+        super().__init__(mentions)
+        self.mentions = mentions
+
+
+def _mentions(entries: _EntryList) -> _Mentions | None:
     """The bare mention of each entry, [{"objectName": n}, ...], or None if
     an entry is anonymous ({"objectName": ""} is an anonymous entry item, not
     a mention). Built once and shared, read-only, by every list derived from
@@ -180,8 +211,22 @@ def _mentions(entries: _EntryList) -> list | None:
     m = getattr(entries, "mentions", None)
     if m is None:
         names = list(map(dict.get, entries, repeat(OBJECT_NAME_KEY), repeat("")))
-        m = entries.mentions = [{OBJECT_NAME_KEY: n} for n in names] if all(names) else False
+        if all(names):
+            m = _Mentions({OBJECT_NAME_KEY: n} for n in names)
+            m.text = None
+        entries.mentions = m or False
     return m or None
+
+
+def _mention_text(m: _Mentions) -> tuple[str, list[int]]:
+    """m's canonical text, as encode_diff writes it, and the offset at which
+    each item starts, then the text's length: item i is text[b[i]:b[i+1]-1],
+    followed by its "," or the closing "]". Built on first use; a name is
+    written by encode_basestring, as the encoder writes it."""
+    if m.text is None:
+        items = ['{"objectName":' + encode_basestring(x[OBJECT_NAME_KEY]) + "}" for x in m]
+        m.text = "[" + ",".join(items) + "]", list(accumulate(map((1).__add__, map(len, items)), initial=1))
+    return m.text
 
 
 def _in_place_copy(base: _EntryList) -> _EntryList:
@@ -269,8 +314,83 @@ def encode_diff(d: Any) -> str:
     """The canonical compact text of any plain JSON value (a diff tree, a
     wire message, a report): no whitespace, non-ASCII written as is, key
     order kept, NaN and the infinities refused. encode is this over the
-    canonical copy (to_plain). One encoder, built once, serves every call."""
+    canonical copy (to_plain). One encoder, built once, serves every call.
+    An in-place diff (_InPlaceDiff) with few changed items is spliced: each
+    run of its mention list's own dicts is a slice of the list's text, and
+    only the other items go through the encoder. The text is the same."""
+    if type(d) is _InPlaceDiff:
+        m = d.mentions
+        if len(d) == len(m):
+            at = list(compress(range(len(m)), map(is_not, d, m)))
+            if 4 * len(at) <= len(m):
+                t, b = _mention_text(m)
+                parts = []
+                prev = 0
+                for i in at:
+                    parts += t[prev : b[i]], _ENCODER.encode(d[i])
+                    prev = b[i + 1] - 1
+                parts.append(t[prev:])
+                return "".join(parts)
     return _ENCODER.encode(d)
+
+
+def _read_in_place(text: str, start: int, end: int, base: Any) -> _InPlaceDiff | None:
+    """The entry diff written in text[start:end], read against the built
+    list base: its text is compared with the text of base's mention list
+    at item boundaries, one slice compare per probe, and only the items
+    that differ are parsed. Every other item is the mention list's own dict.
+    None unless the text is base's mention text with a few items replaced,
+    each by an item of its own entry that no removal marks (the in-place
+    read of _entry_diff); the caller then parses the text whole. Where it
+    answers, the value equals that parse's."""
+    m = _mentions(base) if type(base) is _EntryList else None
+    if m is None or not text.startswith("[", start):
+        return None
+    t, b = _mention_text(m)
+    n = len(m)
+    out = _InPlaceDiff(m)
+    budget = 2 + n // 16  # changed items worth reading apart from a whole parse
+    i, p = 0, start + 1  # item i of t is written at text[p]
+    while True:
+        k = _common_items(text, p, t, b, i)
+        p += b[k] - b[i]
+        if k == n:
+            return out if p == end else None
+        budget -= 1
+        if budget < 0:
+            return None
+        try:
+            x, p = _DECODER.scan_once(text, p)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        it = _entry_item(x)
+        if type(it) is not EntryItem or it.removed or it.name != m[k][OBJECT_NAME_KEY]:
+            return None
+        out[k] = x
+        i = k + 1
+        if text.startswith("]", p):
+            return out if i == n and p + 1 == end else None
+        if i == n or not text.startswith(",", p):
+            return None
+        p += 1
+
+
+def _common_items(text: str, p: int, t: str, b: list[int], i: int) -> int:
+    """The largest k such that t's items i to k-1, with the "," after each
+    (and the closing "]" for k = len(b) - 1), are written at text[p]: the
+    whole rest first, then by bisection, each probe comparing only the
+    items not yet known to match."""
+    n = len(b) - 1
+    if text.startswith(t[b[i] :], p) if i else text.startswith(t, p - 1):
+        return n
+    lo, hi = i, n  # items i..lo-1 are written there, items i..hi-1 are not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if text.startswith(t[b[lo] : b[mid]], p + b[lo] - b[i]):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def decode_diff(text: str) -> Any:
@@ -385,11 +505,23 @@ def _differing(a: list, b: list) -> list[int]:
     return list(compress(range(len(a)), map(is_not, a, b)))
 
 
-def _diff_in_place(m: list, a: list, b: list, at: list[int]) -> Any:
+def _diff_for_wire(a: Any, b: Any) -> Any:
+    """_diff_plain(a, b) as a client publishes it: where the two lists pair
+    up by position the diff is an _InPlaceDiff, which carries their mention
+    list, so encode_diff writes it from the list's text. History keeps its
+    diffs plain lists."""
+    m = _paired(a, b)
+    if m is None:
+        return _diff_plain(a, b)
+    return _diff_in_place(m, a, b, _differing(a, b), _InPlaceDiff)
+
+
+def _diff_in_place(m: _Mentions, a: list, b: list, at: list[int], copy: Callable = list.copy) -> Any:
     """The diff of two lists that pair up by position, whose mention list is
-    m, given the positions at where their entries differ: a copy of m with
-    each of those positions replaced by its items (a demotion writes two),
-    or {} when none of them changes."""
+    m, given the positions at where their entries differ: copy(m), a plain
+    list by default, with each of those positions replaced by its items (a
+    demotion writes two), or {} when none of them changes. (list.copy
+    copies the _Mentions subclass as fast as a list; list(m) iterates it.)"""
     parts = []
     changed = False
     for i in at:
@@ -398,7 +530,7 @@ def _diff_in_place(m: list, a: list, b: list, at: list[int]) -> Any:
         parts.append((i, items))
     if not changed:
         return {}
-    out = list(m)
+    out = copy(m)
     for i, items in reversed(parts):
         out[i : i + 1] = items
     return out
@@ -619,8 +751,10 @@ def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | str | Non
     if m is not None:
         # Every other item equals the bare mention of base's entry at its
         # place, which the full parse reads as that entry's name: a no-op.
+        # A diff built or read against m holds m's own dicts there.
         changed = {}
-        for i in compress(range(len(d)), map(ne, d, m)):
+        differs = is_not if type(d) is _InPlaceDiff and d.mentions is m else ne
+        for i in compress(range(len(d)), map(differs, d, m)):
             it = _entry_item(d[i])
             if type(it) is not EntryItem or it.removed or it.name != m[i][OBJECT_NAME_KEY]:
                 break  # not an item of its own entry: read the whole diff

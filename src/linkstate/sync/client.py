@@ -17,7 +17,10 @@ A flush diffs `_published` against the root's cached snapshot (see linkable),
 so an unchanged subtree costs one identity check, and then keeps that
 snapshot as `_published` (equivalent to applying the sent diff), so the next
 flush walks only what changed since. The two share one mention list, so the
-flush's diff is a C-level identity pass plus the changed entries.
+flush's diff is a C-level identity pass plus the changed entries, and it
+carries that list (statetree._InPlaceDiff), so its frame is written from
+the list's text. Inbound frames are decoded against `_published`
+(read_base).
 
 An inbound payload is applied only if it is an entry diff, read once
 (statetree._entry_diff) over `_published`: a diff that names its entries in
@@ -50,7 +53,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_entry_diff, _apply_entry_diff_to, _diff_plain, _entry_diff, is_empty_diff
+from ..statetree import _apply_entry_diff, _apply_entry_diff_to, _diff_for_wire, _entry_diff, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -137,7 +140,7 @@ class ClientEngine:
         if self._dirty:
             self._dirty = False
             snapshot = self.root._snapshot()
-            d = _diff_plain(self._published, snapshot)
+            d = _diff_for_wire(self._published, snapshot)
             self._published = snapshot
             if not is_empty_diff(d):
                 self._pending.append([d, now_ms])
@@ -156,6 +159,11 @@ class ClientEngine:
             self.hello(now_ms)
 
     # -- inbound -----------------------------------------------------------------
+
+    def read_base(self, session_id: str) -> Any:
+        """The state a payload is read against on the wire
+        (wire.decode_body): _published, which the payload is applied to."""
+        return self._published
 
     def on_message(self, msg: Message, now_ms: int) -> None:
         if msg.session_id != self.session_id:

@@ -13,11 +13,14 @@ none of the state's entries. A diff that names the state's entries in their
 own places (a client's edit) is read in place: one C-level pass against the
 state's mention list finds the changed items, only those are parsed, and
 the new state is a copy with their entries replaced, sharing the mention
-list. Any other diff is parsed once and applied by name, and is refused
-as malformed if two of its items name one entry (but for the removal and
-re-creation of a demotion): the relay's state could take it, but a client
-that has removed the entry, its removal not yet applied, would create the
-entry from each item.
+list. On the wire such a diff is decoded against the state (read_base), so
+its unchanged items already are the mention list's dicts, and the fan-out
+that forwards it is written from the mention list's text. Any other diff
+is parsed once and applied by name, and is refused as malformed if two of
+its items name one entry (but for the removal and re-creation of a
+demotion): the relay's state could take it, but a client that has removed
+the entry, its removal not yet applied, would create the entry from each
+item.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ class Relay:
 
     def applied_log(self, session_id: str) -> list[tuple[int, str, Any]]:
         return list(self._sessions[session_id].applied)
+
+    def read_base(self, session_id: str) -> StateNode | None:
+        """The state a payload for session_id is read against on the wire
+        (wire.decode_body), or None for a session not yet started."""
+        session = self._sessions.get(session_id)
+        return session.state if session is not None else None
 
     def handle(self, msg: Message) -> list[tuple[str, Message]]:
         try:

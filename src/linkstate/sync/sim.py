@@ -225,15 +225,18 @@ class _Loop:
 
 
 class _Pipe:
-    """One direction of one link: latency, ordering policy, optional drops."""
+    """One direction of one link: latency, ordering policy, optional drops.
+    A frame that arrives is decoded against the receiver's reference
+    (wire.decode_frame) and delivered."""
 
-    def __init__(self, loop, rng, net, label, deliver, drop_check, trace, counters):
+    def __init__(self, loop, rng, net, label, deliver, reference, drop_check, trace, counters):
         self.loop = loop
         self.rng = rng
         self.latency = net["latencyMs"]
         self.fifo = net["order"] == "fifo"
         self.label = label
         self.deliver = deliver
+        self.reference = reference
         self.drop_check = drop_check
         self.trace = trace
         self.counters = counters
@@ -262,7 +265,7 @@ class _Pipe:
 
     def _arrive(self, frame: bytes) -> None:
         self.counters["framesDelivered"] += 1
-        self.deliver(decode_frame(frame))
+        self.deliver(decode_frame(frame, self.reference))
 
 
 # -- scripted edits ----------------------------------------------------------------
@@ -285,8 +288,9 @@ def _resolve(root: LinkableHashMap, path: list[str]):
 
 def apply_edit(root: LinkableHashMap, edit: dict) -> bool:
     """Run one scripted edit on a replica. Returns False when the edit's
-    target no longer exists (a remote change or a resync removed it);
-    scripts continue, the skip is counted."""
+    target no longer exists (a remote change or a resync removed it) or the
+    target's verifier refuses a set value; scripts continue, the skip is
+    counted."""
     op = edit["op"]
     try:
         if op == "request":
@@ -305,6 +309,8 @@ def apply_edit(root: LinkableHashMap, edit: dict) -> bool:
             if not isinstance(target, LinkableVariable):
                 return False
             target.set_state(edit["value"])
+            if target.last_verify_failed:  # the verifier refused it: the old value stays
+                return False
         else:
             target = _resolve(root, edit["path"])
             if not isinstance(target, LinkableDynamicObject):
@@ -472,9 +478,8 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
 
     def connect(client: _ScriptClient) -> ClientEngine:
         cid = client.cid
-        up = _Pipe(loop, rng, net, f"{cid}->relay", relay_receive, c2r_drop, trace, counters)
-        to_client[cid] = _Pipe(loop, rng, net, f"relay->{cid}", client.on_frame, r2c_drop, trace, counters)
-        return ClientEngine(
+        up = _Pipe(loop, rng, net, f"{cid}->relay", relay_receive, relay.read_base, c2r_drop, trace, counters)
+        engine = ClientEngine(
             client_id=cid,
             session_id=session,
             registry=build_demo_registry(),
@@ -482,6 +487,10 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
             ack_timeout_ms=net["ackTimeoutMs"],
             gap_timeout_ms=net["gapTimeoutMs"],
         )
+        to_client[cid] = _Pipe(
+            loop, rng, net, f"relay->{cid}", client.on_frame, engine.read_base, r2c_drop, trace, counters
+        )
+        return engine
 
     end = _drive(script, loop, relay, connect, script["durationMs"] + script["settleCapMs"])
     trace_hash = _sha256("\n".join(trace))

@@ -129,7 +129,7 @@ class RelayServer:
         # Each message is handled as the framer yields it, so the frames
         # before an undecodable one count whatever recv() they arrived in.
         try:
-            for msg in conn.framer.feed(data):
+            for msg in conn.framer.feed(data, self.relay.read_base):
                 # A client id belongs to the first open connection that uses it.
                 if self._routes.setdefault(msg.sender_id, conn) is not conn:
                     log.warning("closing a connection that sent as %r, which another connection holds", msg.sender_id)
@@ -196,7 +196,7 @@ class SocketClient:
             if not data:  # nothing more for now, or the relay is gone
                 return handled
             try:
-                for msg in self._conn.framer.feed(data):
+                for msg in self._conn.framer.feed(data, self.engine.read_base):
                     self.engine.on_message(msg, now_ms)
                     handled += 1
             except MalformedMessage as e:

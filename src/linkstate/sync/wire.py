@@ -3,22 +3,39 @@
 Each frame is a 4-byte big-endian payload length followed by one JSON object
 with the fields `kind`, `sessionId`, `senderId`, `serverSeq`, `payload`.
 Documented in docs/protocol.md.
+
+A receiver may hand the decoder a reference: given a message's sessionId,
+the built entry list it will apply the payload to (the relay's session
+state, a client's published shadow). A body written as the encoder writes
+it, `...,"payload":[...]}`, then has its envelope parsed apart from its
+payload, and an in-place entry diff over that list is read against the
+text of the list's mention list (statetree._read_in_place): only its
+changed items are parsed, and its other items are the mention list's own
+dicts. Anything else is parsed whole, so the value, and any error, is the
+same with or without a reference.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterator
 
 from ..errors import MalformedMessage
-from ..statetree import encode_diff, parse_json
+from ..statetree import _read_in_place, encode_diff, parse_json
 
 KINDS = frozenset({"Hello", "Welcome", "Diff", "FullState", "Ack"})
 
 MAX_FRAME_BYTES = 64 * 1024 * 1024  # refuse absurd length prefixes
 
 _LENGTH = struct.Struct(">I")
+
+_PAYLOAD_KEY = ',"payload":'
+_ENVELOPE_HEAD = {kind: '{"kind":"' + kind + '","sessionId":' for kind in KINDS}
+
+Reference = Callable[[str], Any]
+"""Given a sessionId, the built entry list a payload for it is read against."""
 
 
 @dataclass(frozen=True)
@@ -37,17 +54,18 @@ def encode_frame(msg: Message, payload_text: str | None = None) -> bytes:
         raise MalformedMessage(f"unknown message kind {msg.kind!r}")
     if payload_text is None:
         payload_text = encode_diff(msg.payload)
-    # payload is the last key, so the envelope with a null one ends in `null}`
-    envelope = encode_diff(
-        {
-            "kind": msg.kind,
-            "sessionId": msg.session_id,
-            "senderId": msg.sender_id,
-            "serverSeq": msg.server_seq,
-            "payload": None,
-        }
-    )
-    body = (envelope[:-5] + payload_text + "}").encode("utf-8")
+    sid, sender, seq = msg.session_id, msg.sender_id, msg.server_seq
+    if type(sid) is str and type(sender) is str and type(seq) is int:
+        # The fields formatted as the encoder writes them.
+        head = (
+            f'{_ENVELOPE_HEAD[msg.kind]}{encode_basestring(sid)},"senderId":{encode_basestring(sender)},'
+            f'"serverSeq":{seq}'
+        )
+    else:
+        # payload is the last key, so the envelope with a null one ends in `,"payload":null}`
+        head = encode_diff({"kind": msg.kind, "sessionId": sid, "senderId": sender, "serverSeq": seq, "payload": None})
+        head = head[: -len(_PAYLOAD_KEY) - 5]
+    body = (head + _PAYLOAD_KEY + payload_text + "}").encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
 
@@ -66,9 +84,41 @@ def encode_fanout(outbound: list[tuple[str, Message]]) -> Iterator[tuple[str, Me
         yield target, msg, frame
 
 
-def decode_body(body: bytes) -> Message:
+def _read_against(text: str, reference: Reference) -> dict | None:
+    """The body's object, its envelope parsed apart from its payload and the
+    payload read against reference's entry list; None if the body is not
+    split that way or the payload is no in-place diff over that list."""
+    i = text.find(_PAYLOAD_KEY)
+    j = i + len(_PAYLOAD_KEY)
+    # An in-place diff starts with its first item; a payload that does not
+    # (null, {}, an empty state) is left to the whole parse unread.
+    if i < 0 or not text.startswith("[{", j) or not text.endswith("}"):
+        return None
     try:
-        data = parse_json(body.decode("utf-8"))
+        data = parse_json(text[:i] + "}")
+    except (ValueError, RecursionError):
+        return None
+    # With no member before it, the payload key could not follow a ",". A
+    # payload key in the envelope as well loses to this one, as in the whole
+    # parse.
+    if not (isinstance(data, dict) and data) or not isinstance(data.get("sessionId"), str):
+        return None
+    payload = _read_in_place(text, j, len(text) - 1, reference(data["sessionId"]))
+    if payload is None:
+        return None
+    data["payload"] = payload
+    return data
+
+
+def decode_body(body: bytes, reference: Reference | None = None) -> Message:
+    """The message in one frame body. With a reference, an in-place entry
+    diff is read against it (see the module docstring); the message is the
+    same."""
+    try:
+        text = body.decode("utf-8")
+        data = _read_against(text, reference) if reference is not None else None
+        if data is None:
+            data = parse_json(text)
     except (ValueError, RecursionError) as e:
         # ValueError: bad UTF-8, bad JSON, a non-finite number or an integer
         # too long to convert; RecursionError: nested deeper than the
@@ -89,8 +139,9 @@ def decode_body(body: bytes) -> Message:
     return Message(kind, session_id, sender_id, server_seq, data.get("payload"))
 
 
-def decode_frame(frame: bytes) -> Message:
-    """Decode one complete frame (prefix plus body)."""
+def decode_frame(frame: bytes, reference: Reference | None = None) -> Message:
+    """Decode one complete frame (prefix plus body), reading its payload
+    against reference if one is given (decode_body)."""
     if len(frame) < _LENGTH.size:
         raise MalformedMessage("frame shorter than its length prefix")
     (length,) = _LENGTH.unpack_from(frame)
@@ -99,7 +150,7 @@ def decode_frame(frame: bytes) -> Message:
     body = frame[_LENGTH.size :]
     if len(body) != length:
         raise MalformedMessage(f"frame body is {len(body)} bytes, prefix says {length}")
-    return decode_body(body)
+    return decode_body(body, reference)
 
 
 class Framer:
@@ -108,7 +159,10 @@ class Framer:
     def __init__(self):
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> Iterator[Message]:
+    def feed(self, data: bytes, reference: Reference | None = None) -> Iterator[Message]:
+        """The messages completed by data, each decoded as the iterator
+        reaches it, so a reference answers with the state the messages
+        before it left."""
         self._buf.extend(data)
         while True:
             if len(self._buf) < _LENGTH.size:
@@ -121,4 +175,4 @@ class Framer:
                 return
             body = bytes(self._buf[_LENGTH.size : end])
             del self._buf[:end]
-            yield decode_body(body)
+            yield decode_body(body, reference)

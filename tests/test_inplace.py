@@ -26,7 +26,15 @@ from linkstate.statetree import (
     encode_diff,
     to_plain,
 )
-from linkstate.sync import ClientEngine, Message, Relay, client as client_module, relay as relay_module, run_simulation
+from linkstate.sync import (
+    ClientEngine,
+    Message,
+    Relay,
+    relay as relay_module,
+    run_simulation,
+    sim,
+    wire,
+)
 
 from graphops import build_random_session, random_edit
 
@@ -170,7 +178,6 @@ def test_client_shadow_is_the_flushed_snapshot_and_a_flush_walks_only_the_edit(m
         return real(a, b)
 
     monkeypatch.setattr(statetree, "_diff_plain", counted)
-    monkeypatch.setattr(client_module, "_diff_plain", counted)
     engine.root.get_object("c0500").count.set_state(7)
     engine.flush(1)
     assert engine._published is engine.root._snapshot()
@@ -394,3 +401,30 @@ def test_generated_lossy_simulation_reports_match_the_recorded_digest():
     assert resyncs > 0 and retransmits > 0
     assert reports.hexdigest() == LOSSY_REPORTS_SHA256
     assert traces.hexdigest() == LOSSY_TRACES_SHA256
+
+
+# Every frame the simulator sends, in send order: the bundled scenarios at
+# seeds 1-3, then one generated lossy script. The reports and traces above
+# carry frame sizes only; this pins the bytes. sha256 over the frames
+# (each carries its own length prefix), recorded before payloads were read
+# and written against their mention lists' text.
+FRAMES_SHA256 = "898cf17001bd9e4c3b692573e1932fdb68298606bd49827a909e13ad9c7a2238"
+
+
+def test_simulated_frames_match_the_recorded_digest(monkeypatch):
+    frames = hashlib.sha256()
+    real_send = sim._Pipe.send
+
+    def send(self, msg, frame=None):
+        frame = wire.encode_frame(msg) if frame is None else frame
+        frames.update(frame)
+        real_send(self, msg, frame)
+
+    monkeypatch.setattr(sim._Pipe, "send", send)
+    for name in SCENARIOS:
+        script = (importlib.resources.files("linkstate") / "scenarios" / f"{name}.json").read_text(encoding="utf-8")
+        for seed in (1, 2, 3):
+            run_simulation(script, seed=seed)
+    result = run_simulation(_lossy_script(3), seed=3)
+    assert all(c["retransmits"] and c["resyncs"] for c in result.report["clients"].values())
+    assert frames.hexdigest() == FRAMES_SHA256

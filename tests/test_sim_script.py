@@ -272,3 +272,15 @@ def test_every_edit_whose_target_is_gone_is_skipped_and_counted():
     assert result.report["clients"]["a"]["skippedEdits"] == 6
     assert [e["objectName"] for e in result.relay.session_state("s")] == ["c"]
 
+
+
+def test_a_set_the_replicas_verifier_refuses_is_skipped_and_counted():
+    script = _edits(
+        {"atMs": 50, "op": "request", "name": "c", "class": "ex.Counter"},
+        {"atMs": 60, "op": "set", "path": ["c", "count"], "value": "x"},  # a Counter's count is a number
+        {"atMs": 70, "op": "set", "path": ["c", "count"], "value": 3},
+    )
+    result = run_simulation(script, seed=1)
+    assert result.report["converged"]
+    assert result.report["clients"]["a"]["skippedEdits"] == 1
+    assert result.relay.session_state("s")[0]["sessionState"] == {"count": 3}
