@@ -56,26 +56,28 @@ use. The wire uses it both ways: a client's flush diff is an
 the other items; and a payload read against a base (``_read_in_place``)
 is compared with the base's mention text at item boundaries, only the
 items that differ are parsed, and the result is an ``_InPlaceDiff`` whose
-other items are the mention list's own dicts. History's diffs stay plain
-lists.
+other items are the mention list's own dicts. The read only splits the
+text into items; what they mean is ``_entry_diff``'s to decide. History's
+diffs stay plain lists.
 
 An entry diff is a non-empty list whose every element is an entry item (an
 entry, maybe with a removal marker) or an order marker alone; a full entry
 list is one too. ``_entry_diff`` is its one reader, and ``_entry_item``
-parses each item: a bare ``{"objectName": n}`` mention becomes just n, and
-the items feed a live container (dynamic) and the value-level apply
-(``_apply_entry_diff``) alike. Almost every diff names a built base's
+parses each item: a bare ``{"objectName": n}`` mention becomes just n. The
+value-level apply (``_apply_entry_diff``) takes what it read, and a live
+container reaches the result. Almost every diff names a built base's
 entries in the base's own places, one item each: given that base, the
 reader finds the items that differ from its mention list in one C-level
-pass (``operator.ne``) and parses only those, and the apply replaces only
-their entries; the same read applies to another built list
-(``_apply_entry_diff_to``: in place if it pairs with the base, else by
-name), so a client parses an inbound diff once for its shadow and its
-root. A changed item that is a removal, names another entry, is an
-order marker or is malformed hands the whole diff to the full parse and
-the match by name (``_apply_entry_diff_by_name``). Any other list is no
-entry diff: a value apply replaces with it, the relay drops it as malformed
-at the root, and a live container ignores it.
+pass (``operator.ne``, or an identity pass over a diff read against that
+list) and parses only those, each once, and returns them with the mention
+list they were read over. The apply replaces only their entries in a base
+that pairs with that list, and spells them out by name over any other
+base, so a client parses an inbound diff once for its shadow and its root.
+A changed item that is a removal, names another entry, is an order marker
+or is malformed hands the whole diff to the full parse and the match by
+name (``_apply_entry_diff_by_name``). Any other list is no entry diff: a
+value apply replaces with it, the relay drops it as malformed at the root,
+and a live container ignores it.
 
 Diffs are themselves plain JSON trees that can double as partial session
 states. See docs/diff-format.md for the encoding; the short version:
@@ -190,10 +192,11 @@ class _Mentions(list):
 
 
 class _InPlaceDiff(list):
-    """An entry diff built or read against a mention list, which it carries:
-    a copy of the list with some items replaced. encode_diff writes it from
-    the list's text, and _entry_diff over a base with that mention list
-    takes only the items that are not its own dicts as changed."""
+    """A diff built or a payload read against a mention list, which it
+    carries: a copy of the list with some items replaced. encode_diff
+    writes it from the list's text, and _entry_diff over a base with that
+    mention list takes only the items that are not its own dicts as
+    changed."""
 
     __slots__ = ("mentions",)
 
@@ -237,17 +240,23 @@ def _in_place_copy(base: _EntryList) -> _EntryList:
     return out
 
 
-def _paired(a: Any, b: Any) -> list | None:
+def _paired(a: Any, b: Any) -> _Mentions | None:
     """The mention list of two built entry lists whose entries have the same
     names in the same order (b then shares a's), else None."""
-    if type(a) is not _EntryList or type(b) is not _EntryList or len(a) != len(b):
-        return None
-    ma = _mentions(a)
+    m = _mentions(a) if type(a) is _EntryList else None
+    return m if m is not None and _pairs_with(b, m) else None
+
+
+def _pairs_with(b: Any, m: _Mentions) -> bool:
+    """Whether b is a built entry list whose entries have m's names in m's
+    order; b then shares m."""
+    if type(b) is not _EntryList or len(b) != len(m):
+        return False
     mb = _mentions(b)
-    if ma is None or (mb is not ma and mb != ma):
-        return None
-    b.mentions = ma
-    return ma
+    if mb is not m and mb != m:
+        return False
+    b.mentions = m
+    return True
 
 
 def _entry_shaped(obj: Any) -> bool:
@@ -321,7 +330,7 @@ def encode_diff(d: Any) -> str:
     if type(d) is _InPlaceDiff:
         m = d.mentions
         if len(d) == len(m):
-            at = list(compress(range(len(m)), map(is_not, d, m)))
+            at = _differing(d, m)
             if 4 * len(at) <= len(m):
                 t, b = _mention_text(m)
                 parts = []
@@ -335,14 +344,14 @@ def encode_diff(d: Any) -> str:
 
 
 def _read_in_place(text: str, start: int, end: int, base: Any) -> _InPlaceDiff | None:
-    """The entry diff written in text[start:end], read against the built
+    """The JSON array written in text[start:end], read against the built
     list base: its text is compared with the text of base's mention list
     at item boundaries, one slice compare per probe, and only the items
-    that differ are parsed. Every other item is the mention list's own dict.
-    None unless the text is base's mention text with a few items replaced,
-    each by an item of its own entry that no removal marks (the in-place
-    read of _entry_diff); the caller then parses the text whole. Where it
-    answers, the value equals that parse's."""
+    that differ are parsed, as whole JSON values. Every other item is the
+    mention list's own dict. None unless the text is base's mention text
+    with a few items replaced; the caller then parses the text whole. Where
+    it answers, the value equals that parse's. It only splits: whether the
+    items it parsed make an in-place diff is _entry_diff's to decide."""
     m = _mentions(base) if type(base) is _EntryList else None
     if m is None or not text.startswith("[", start):
         return None
@@ -360,13 +369,9 @@ def _read_in_place(text: str, start: int, end: int, base: Any) -> _InPlaceDiff |
         if budget < 0:
             return None
         try:
-            x, p = _DECODER.scan_once(text, p)
+            out[k], p = _DECODER.scan_once(text, p)
         except (StopIteration, ValueError, RecursionError):
             return None
-        it = _entry_item(x)
-        if type(it) is not EntryItem or it.removed or it.name != m[k][OBJECT_NAME_KEY]:
-            return None
-        out[k] = x
         i = k + 1
         if text.startswith("]", p):
             return out if i == n and p + 1 == end else None
@@ -734,17 +739,14 @@ def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
     return items, order
 
 
-_IN_PLACE = "in place"
-"""The order of an entry diff read in place (_entry_diff)."""
-
-
-def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | str | None] | None:
+def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | None] | None:
     """The items and order marker of d, or None if d is not an entry diff
     (a non-empty list that _entry_items reads). Over a built base whose
     entries d names in their own places, one item each, with no removal
     (the common diff), only the items that are not their entry's bare
-    mention are read: one C-level pass against base's mention list finds
-    them, and they come back as {position: item} with the order _IN_PLACE."""
+    mention are read, each once: one C-level pass against base's mention
+    list m finds them, and they come back as {position: item} with m in the
+    order's place (the in-place read, which _apply_entry_diff applies)."""
     if not (isinstance(d, list) and d):
         return None
     m = _mentions(base) if type(base) is _EntryList and len(d) == len(base) else None
@@ -760,7 +762,7 @@ def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | str | Non
                 break  # not an item of its own entry: read the whole diff
             changed[i] = it
         else:
-            return changed, _IN_PLACE
+            return changed, m
     return _entry_items(d)
 
 
@@ -781,26 +783,20 @@ def _updated_entry(e: dict, it: EntryItem, remove_missing: bool) -> dict:
     return e
 
 
-def _apply_entry_diff(base: Any, items: list | dict, order: list | str | None, remove_missing: bool) -> list:
-    # Items read in place (_entry_diff) change their own entries of a built
-    # base: a copy of it gets the changed entries, and nothing moves or
-    # goes. Any other diff matches its items to base's entries by name.
-    if order is _IN_PLACE:
-        out = _in_place_copy(base)
-        for i, it in items.items():
-            out[i] = _updated_entry(base[i], it, remove_missing)
-        return out
+def _apply_entry_diff(base: Any, items: list | dict, order: list | None, remove_missing: bool) -> list:
+    # Items read in place over the mention list m (_entry_diff) change their
+    # own entries of a built base that pairs with m: a copy of it gets the
+    # changed entries, and nothing moves or goes. Over any other base they
+    # are spelled out by name (an unchanged entry's item is its name), so
+    # nothing is parsed again. Any other diff matches by name.
+    if type(order) is _Mentions:
+        if _pairs_with(base, order):
+            out = _in_place_copy(base)
+            for i, it in items.items():
+                out[i] = _updated_entry(base[i], it, remove_missing)
+            return out
+        items, order = [items.get(i) or x[OBJECT_NAME_KEY] for i, x in enumerate(order)], None
     return _apply_entry_diff_by_name(base, items, order, remove_missing)
-
-
-def _apply_entry_diff_to(base: Any, over: Any, items: list | dict, order: list | str | None, remove_missing: bool) -> list:
-    """_apply_entry_diff to base of what _entry_diff read over another built
-    list, over: in place where the two pair up, else by name, with items
-    read in place spelled out as the whole item list (an unchanged entry's
-    item is its name), so nothing is parsed again."""
-    if order is _IN_PLACE and _paired(over, base) is None:
-        items, order = [items.get(i) or x[OBJECT_NAME_KEY] for i, x in enumerate(_mentions(over))], None
-    return _apply_entry_diff(base, items, order, remove_missing)
 
 
 def _apply_entry_diff_by_name(

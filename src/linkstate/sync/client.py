@@ -25,17 +25,19 @@ the list's text. Inbound frames are decoded against `_published`
 An inbound payload is applied only if it is an entry diff, read once
 (statetree._entry_diff) over `_published`: a diff that names its entries in
 their places has only its changed items parsed, and the value-level apply
-gives the new `_published`. A root with no edit since `_published` (its
-snapshot is `_published`) reaches the new one (linkable._reach), which
-leaves its snapshot being `_published` again, so the next flush's diff is
-one identity check. A root with edits not yet published reaches the same
-parsed items applied over its own snapshot, which keeps them for the next
-flush: in place when the snapshot pairs with `_published`, else by name
-(statetree._apply_entry_diff_to), so the payload is still parsed once.
-`{}` or any other payload changes neither, so a hostile one cannot
-replace the `_published` shadow. `_published` is always a snapshot or an
-apply's result, a trusted built entry list, so that apply checks no
-entry's shape.
+(statetree._apply_entry_diff) gives the new `_published`. A root with no
+edit since `_published` (its snapshot is `_published`) reaches the new one
+(linkable._reach), which leaves its snapshot being `_published` again, so
+the next flush's diff is one identity check. A root with edits not yet
+published reaches the same parsed items applied over its own snapshot,
+which keeps them for the next flush: in place when the snapshot pairs with
+the mention list they were read over, else by name, so the payload is
+still parsed once. `{}` or any other payload changes neither, so a hostile
+one cannot replace the `_published` shadow, and nor does an entry diff
+that fails to apply over either (only a foreign relay sends one: two
+creations of one name, say); it is dropped with a warning. `_published`
+is always a snapshot or an apply's result, a trusted built entry list, so
+that apply checks no entry's shape.
 
 The root cannot always hold what `_published` holds: it keeps no entry of
 a class its registry lacks, no anonymous or reference root entry, and no
@@ -53,7 +55,7 @@ from typing import Any, Callable
 
 from ..callbacks import FrameScheduler
 from ..dynamic import ClassRegistry, LinkableHashMap
-from ..statetree import _apply_entry_diff, _apply_entry_diff_to, _diff_for_wire, _entry_diff, is_empty_diff
+from ..statetree import _apply_entry_diff, _diff_for_wire, _entry_diff, is_empty_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -212,18 +214,17 @@ class ClientEngine:
         # An entry diff is parsed once, over _published; {} or any other
         # payload changes neither. A root with no edit since _published
         # reaches the new _published; one with unpublished edits reaches the
-        # same items applied over its own snapshot, which keeps them: in
-        # place where the two lists pair up, else by name.
+        # same items applied over its own snapshot, which keeps them. A
+        # payload that fails to apply over either changes neither.
         parsed = _entry_diff(msg.payload, self._published)
         if parsed is not None:
-            published = target = _apply_entry_diff(self._published, *parsed, False)
             snapshot = self.root._snapshot()
-            if snapshot is not self._published:
-                try:
-                    target = _apply_entry_diff_to(snapshot, self._published, *parsed, False)
-                except (TypeError, ValueError) as e:
-                    target = snapshot  # the root keeps its state
-                    self.root._refuse(f"dropping invalid state: {e}")
+            try:
+                published = _apply_entry_diff(self._published, *parsed, False)
+                target = published if snapshot is self._published else _apply_entry_diff(snapshot, *parsed, False)
+            except (TypeError, ValueError, RecursionError) as e:
+                log.warning("%s: %s seq=%d does not apply, dropped: %s", self.client_id, msg.kind, msg.server_seq, e)
+                return
             self.root._reach(target)
             self._published = published
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import _IN_PLACE, EntryItem, StateNode, _apply_entry_diff, _entry_diff
+from ..statetree import EntryItem, StateNode, _apply_entry_diff, _entry_diff
 from .wire import Message
 
 log = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ class Relay:
             parsed = _entry_diff(msg.payload, session.state)
             if parsed is None:
                 raise MalformedMessage("a root diff must be an entry diff or {}")
-            if parsed[1] is not _IN_PLACE and not _names_each_entry_once(parsed[0]):
+            if type(parsed[0]) is list and not _names_each_entry_once(parsed[0]):
                 raise MalformedMessage("a root diff may not name an entry twice")
             try:
                 session.state = _apply_entry_diff(session.state, *parsed, False)

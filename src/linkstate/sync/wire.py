@@ -8,11 +8,12 @@ A receiver may hand the decoder a reference: given a message's sessionId,
 the built entry list it will apply the payload to (the relay's session
 state, a client's published shadow). A body written as the encoder writes
 it, `...,"payload":[...]}`, then has its envelope parsed apart from its
-payload, and an in-place entry diff over that list is read against the
-text of the list's mention list (statetree._read_in_place): only its
-changed items are parsed, and its other items are the mention list's own
-dicts. Anything else is parsed whole, so the value, and any error, is the
-same with or without a reference.
+payload, and a payload written as the text of the list's mention list
+with a few items replaced (an in-place entry diff over that list) is read
+against that text (statetree._read_in_place): only the replaced items are
+parsed, and its other items are the mention list's own dicts. Anything
+else is parsed whole, so the value, and any error, is the same with or
+without a reference.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def encode_fanout(outbound: list[tuple[str, Message]]) -> Iterator[tuple[str, Me
 def _read_against(text: str, reference: Reference) -> dict | None:
     """The body's object, its envelope parsed apart from its payload and the
     payload read against reference's entry list; None if the body is not
-    split that way or the payload is no in-place diff over that list."""
+    split that way or the payload is not that list's mention text with a
+    few items replaced."""
     i = text.find(_PAYLOAD_KEY)
     j = i + len(_PAYLOAD_KEY)
     # An in-place diff starts with its first item; a payload that does not

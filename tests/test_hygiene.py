@@ -1,6 +1,7 @@
 """Source hygiene under src/linkstate: no module imports a name it never
-uses, no attribute stored on self goes unread, and no private function or
-method goes unreferenced. The import check covers tests/ too.
+uses, no attribute stored on self goes unread, and no private function,
+method, module-level constant, sentinel or class goes unreferenced. The
+import check covers tests/ too.
 
 Package __init__ modules are exempt from the import check: their imports are
 the re-exports.
@@ -89,23 +90,46 @@ def _unread_fields(tree, read):
             yield node.attr, node.lineno
 
 
-def _unreferenced_private_functions(tree, references):
-    """(name, line) for each private (single-underscore) function or method
-    of tree that no node outside its own definition names: a Name, an
-    attribute or a string (a getattr name)."""
-    defs = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not node.name.endswith("__")
-    ]
-    for d in defs:
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _unreferenced(tree, defs, references):
+    """(name, line) for each (name, first line, last line) definition in
+    tree that no node outside its own lines names: a Name, an attribute or
+    a string (a getattr name, a quoted annotation)."""
+    for name, first, last in defs:
         if not any(
-            name == d.name and not (ref_tree is tree and d.lineno <= line <= d.end_lineno)
-            for ref_tree, line, name in references
+            ref == name and not (ref_tree is tree and first <= line <= last) for ref_tree, line, ref in references
         ):
-            yield d.name, d.lineno
+            yield name, first
+
+
+def _unreferenced_private_functions(tree, references):
+    """The private (single-underscore) functions and methods of tree that
+    nothing references (_unreferenced)."""
+    defs = [
+        (node.name, node.lineno, node.end_lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(node.name)
+    ]
+    return _unreferenced(tree, defs, references)
+
+
+def _unreferenced_private_module_names(tree, references):
+    """The private names tree binds at module level, classes and assigned
+    constants or sentinels, that nothing references (_unreferenced)."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defs += [(name, node.lineno, node.end_lineno) for name in names if _private(name)]
+    return _unreferenced(tree, defs, references)
 
 
 def _references(trees):
@@ -135,6 +159,37 @@ def test_every_private_function_is_referenced():
         for name, line in _unreferenced_private_functions(tree, references)
     ]
     assert not unused, f"private functions nothing references: {', '.join(unused)}"
+
+
+def test_every_private_module_name_is_referenced():
+    src = _parsed(SRC)
+    references = list(_references(tree for _, tree in src))
+    unused = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, tree in src
+        for name, line in _unreferenced_private_module_names(tree, references)
+    ]
+    assert not unused, f"private module-level names nothing references: {', '.join(unused)}"
+
+
+def test_the_check_sees_an_unreferenced_private_constant_sentinel_and_class():
+    tree = ast.parse(
+        "_USED = 1\n"
+        "_DEAD = object()\n"
+        "_TABLE: dict = {}\n"
+        "class _Node:\n"
+        "    def next(self) -> '_Node':\n"
+        "        return _USED\n"
+        "class _Base:\n"
+        "    pass\n"
+        "class Public(_Base):\n"
+        "    __slots__ = ()\n"
+    )
+    assert list(_unreferenced_private_module_names(tree, list(_references([tree])))) == [
+        ("_DEAD", 2),
+        ("_TABLE", 3),
+        ("_Node", 4),
+    ]
 
 
 def test_the_checks_see_an_unread_field_and_an_unreferenced_private_function():

@@ -24,7 +24,6 @@ from linkstate import history, statetree
 from linkstate.dynamic import LinkableDynamicObject, LinkableHashMap
 from linkstate.linkable import LinkableVariable
 from linkstate.statetree import (
-    _IN_PLACE,
     _apply,
     _apply_entry_diff,
     _apply_entry_diff_by_name,
@@ -293,7 +292,7 @@ def test_apply_by_position_equals_apply_by_name():
     n = in_place = 0
     for i, (base, d) in enumerate(_apply_cases()):
         parsed = _entry_diff(d, base)
-        in_place += parsed is not None and parsed[1] is _IN_PLACE
+        in_place += parsed is not None and parsed[1] is _mentions(base) is not None
         for remove_missing in (False, True):
             got = _outcome(base, _apply_entry_diff, parsed, remove_missing)
             assert got == _outcome(base, _apply_entry_diff_by_name, _entry_diff(d), remove_missing), f"case {i}"
@@ -318,7 +317,7 @@ def test_the_head_takes_the_common_diff_and_hands_over_the_rest(monkeypatch):
         calls.clear()
         parsed_items.clear()
         parsed = _entry_diff(d, _NAMED)
-        if parsed[1] is _IN_PLACE:
+        if parsed[1] is _mentions(_NAMED):
             # only the items that are not their entry's bare mention are read
             assert parsed_items == [x for x, m in zip(d, _M) if x != m]
         try:
@@ -516,7 +515,7 @@ def test_a_client_whose_root_lacks_an_entry_reads_the_diff_whole_for_its_root():
     assert engine.root.get_names() == ["c1", "c2"]
     assert [e["objectName"] for e in engine._published] == ["c1", "lbl", "c2"]
     d = [{"objectName": "c1"}, _e("lbl", state={"count": 4}), {"objectName": "c2"}]
-    assert _entry_diff(d, engine._published)[1] is _IN_PLACE
+    assert _entry_diff(d, engine._published)[1] is _mentions(engine._published)
     engine.on_message(Message("Diff", "s", "a", 2, d), 2)
     assert engine.root.get_names() == ["c1", "lbl", "c2"]
     assert engine.root.get_object("lbl").count.get_state() == 4

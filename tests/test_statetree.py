@@ -342,6 +342,15 @@ def test_apply_skips_bare_mention_of_unknown_entry():
     assert state_equivalent(out, base)
 
 
+
+@pytest.mark.parametrize("base", [None, 5, {"a": 1}])
+def test_an_entry_diff_over_a_base_that_is_no_entry_list_gives_the_entries_it_names(base):
+    assert apply_diff(base, [{"objectName": "a"}]) == [entry("a", "", None)]
+    created = [{"objectName": "n", "className": "ex.Counter", "sessionState": {"count": 3}}, {"objectName": "a"}]
+    assert apply_diff(base, created) == [entry("n", "ex.Counter", {"count": 3}), entry("a", "", None)]
+    with pytest.raises(ValueError, match="duplicate entry names"):
+        apply_diff(base, [created[0], created[0]])
+
 # --- oracle loops -----------------------------------------------------------------
 
 def _assert_no_empty_subdiff(base, d):

@@ -634,6 +634,30 @@ class TestClientEngine:
         ]
         assert self._edit_after(payload) == expected
 
+    @pytest.mark.parametrize("local_edit", [None, "remove x"])
+    def test_a_diff_that_does_not_apply_changes_neither_state(self, local_edit, caplog):
+        # Only a foreign relay sends such a diff: two creations of n over the
+        # shadow, or two of x over a root that has removed x (not yet
+        # published).
+        engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
+        welcome = [
+            {"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("c", "x")
+        ]
+        engine.on_message(Message("Welcome", "s", "server", 0, welcome), 0)
+        named = "n" if local_edit is None else "x"
+        twice = [{"objectName": named, "className": "ex.Counter", "sessionState": {"count": k}} for k in (1, 2)]
+        if local_edit is not None:
+            engine.root.remove_object("x")
+        published, snapshot = engine._published, engine.root._snapshot()
+        with caplog.at_level(logging.WARNING):
+            engine.on_message(Message("Diff", "s", "peer", 1, [{"objectName": "c"}] + twice), 1)
+        assert engine.last_server_seq == 1
+        assert engine._published is published and engine.root._snapshot() is snapshot
+        assert "does not apply" in caplog.text
+        # the stream goes on
+        engine.on_message(Message("Diff", "s", "peer", 2, [welcome[0] | {"sessionState": {"count": 3}}]), 2)
+        assert engine.last_server_seq == 2 and engine.root.get_object("c").count.get_state() == 3
+
     def test_an_empty_diff_applies_without_a_warning(self, caplog):
         engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
         engine.on_message(Message("Welcome", "s", "server", 0, []), 0)
@@ -1066,6 +1090,33 @@ class TestSocketTransport:
             assert handled == 1
             assert client.engine.joined and client.engine.last_server_seq == 5
             assert client.engine.root.get_object("n").count.get_state() == 2
+        finally:
+            client.close()
+            conn.close()
+            relay.close()
+
+    def test_a_diff_that_does_not_apply_leaves_the_pumped_client_serving(self, caplog):
+        relay = socket.create_server(("127.0.0.1", 0))
+        client = SocketClient("a", "s", relay.getsockname())
+        conn, _ = relay.accept()
+        try:
+            state = [{"objectName": "c", "className": "ex.Counter", "sessionState": {"count": 2}}]
+            n = {"objectName": "n", "className": "ex.Counter", "sessionState": {"count": 1}}
+            conn.sendall(
+                encode_frame(Message("Welcome", "s", "server", 0, state))
+                + encode_frame(Message("Diff", "s", "b", 1, [{"objectName": "c"}, n, n]))
+                + encode_frame(Message("Diff", "s", "b", 2, [state[0] | {"sessionState": {"count": 5}}]))
+            )
+            end = time.monotonic() + 10
+            handled = 0
+            with caplog.at_level(logging.WARNING):
+                while handled < 3 and time.monotonic() < end:
+                    handled += client.pump(0)
+            assert handled == 3 and client._conn.sock.fileno() != -1
+            assert "does not apply" in caplog.text
+            assert client.engine.last_server_seq == 2
+            assert client.engine.root.get_names() == ["c"]
+            assert client.engine.root.get_object("c").count.get_state() == 5
         finally:
             client.close()
             conn.close()

@@ -6,7 +6,7 @@ or the same MalformedMessage text. An in-place diff spliced from its
 mention list's text (encode_diff) must be what the encoder writes, and so
 must a formatted envelope (encode_frame). Both transports read against the
 receiver's base, and a one-change diff hands the JSON codec as much text at
-N=500 as at N=5000.
+N=500 as at N=5000, and each of its receivers parses its changed item once.
 """
 
 import json
@@ -414,3 +414,52 @@ def test_a_one_change_diff_hands_the_codec_text_that_does_not_grow_with_n(monkey
     large = _one_change_codec_text(monkeypatch, 5000)
     assert large == small
     assert all(0 < chars < 200 for chars in large.values()), large
+
+
+# -- each changed item is parsed once, from the frame to the apply --------------------------
+
+
+def _one_change_entry_items(monkeypatch, n):
+    """The _entry_item calls each receiver makes for a one-change frame it
+    decodes against its reference and applies, over a session of n
+    counters: the relay, a client, a client with an unpublished edit in
+    place and one with an unpublished creation."""
+    relay = Relay()
+    counters = [{"objectName": f"c{i:04d}", "className": "ex.Counter", "sessionState": {"count": 0}} for i in range(n)]
+    relay.handle(Message("Hello", "s", "seed"))
+    relay.handle(Message("Diff", "s", "seed", 0, counters))
+    sent = []
+    engines = {cid: ClientEngine(cid, "s", build_demo_registry(), sent.append if cid == "a" else lambda msg: None)
+               for cid in ("a", "client", "edited", "created")}
+    for engine in engines.values():
+        for _, msg in relay.handle(Message("Hello", "s", engine.client_id)):
+            engine.on_message(msg, 0)
+        engine.flush(0)
+    engines["edited"].root.get_object("c0007").count.set_state(3)
+    engines["created"].root.request_object("new", "ex.Counter")
+    engines["a"].root.get_object("c0321").count.set_state(9)
+    engines["a"].flush(1)
+    frame = encode_frame(sent[-1])
+    items = []
+    real = statetree._entry_item
+    monkeypatch.setattr(statetree, "_entry_item", lambda x: items.append(x) or real(x))
+    calls = {}
+    before = len(items)
+    outbound = relay.handle(decode_frame(frame, relay.read_base))
+    calls["relay"] = len(items) - before
+    frames = {target: f for target, _, f in wire.encode_fanout(outbound)}
+    for cid in ("client", "edited", "created"):
+        engine = engines[cid]
+        before = len(items)
+        engine.on_message(decode_frame(frames[cid], engine.read_base), 2)
+        calls[cid] = len(items) - before
+        assert engine.root.get_object("c0321").count.get_state() == 9
+    assert engines["edited"].root.get_object("c0007").count.get_state() == 3
+    assert engines["created"].root.get_names()[-1] == "new"
+    return calls
+
+
+def test_a_one_change_frame_parses_its_changed_item_once_per_receiver(monkeypatch):
+    for n in (500, 5000):
+        assert _one_change_entry_items(monkeypatch, n) == {"relay": 1, "client": 1, "edited": 1, "created": 1}, n
+        monkeypatch.undo()
