@@ -1,21 +1,32 @@
 """Dynamically created objects: class registry, hash map, local/global wrapper.
 
-A LinkableHashMap reaches an entry-list target (linkable._reach) by
-mutation: entries are created, retargeted, updated, reordered and disposed
-so the map holds the target. The map is the only object that creates or
-destroys children at runtime, which is what makes whole session trees
-reconstructible from plain data. A target whose names pair with the
-snapshot's (the common apply: one edit, an undo, a remote message) is
-reached at the positions whose entries are not the snapshot's, found with
-one C-level identity pass; any other goes by name: removals first, then
-creations and reaches in target order, a created child taking its entry's
-state whole rather than merged into its defaults, then one reorder. An
-entry the map cannot hold (an anonymous one, a reference, a class the
-registry lacks) leaves no child, and the map's snapshot is then not the
-target. A state that is no entry list is ignored whole, with one warning,
-and [] holds no entries. A snapshot rebuilt for changed children alone
-keeps the names of the last one, so it shares that list's mention list
-(statetree).
+Both containers here reach a target through linkable._reach, which owns the
+identity shortcut, the one delay/resume and the fill; each supplies only
+_reach_parts (the type refusal, the walk, and whether the target shows).
+A state that is no entry list is ignored whole, with one warning, and []
+holds no entries.
+
+A LinkableHashMap reaches an entry-list target by mutation: entries are
+created, retargeted, updated, reordered and disposed so the map holds the
+target. The map is the only object that creates or destroys children at
+runtime, which is what makes whole session trees reconstructible from plain
+data. A target whose names pair with the snapshot's (the common apply: one
+edit, an undo, a remote message, a linked copy) is reached at the positions
+whose entries are not the snapshot's, found with one C-level identity pass;
+any other goes by name: removals first, then creations and reaches in
+target order, a created child taking its entry's state whole rather than
+merged into its defaults, then one reorder. An entry the map cannot hold
+(an anonymous one, a reference, a class the registry lacks) leaves no child,
+and the map's snapshot is then not the target. A snapshot rebuilt for
+changed children alone keeps the names of the last one, so it shares that
+list's mention list (statetree).
+
+Whether an entry-list target shows has one rule (_shows): an entry shows a
+child when it has just the three keys, the child's name and class, and the
+child's snapshot object itself. The wrapper, and the map after a by-name
+walk or any walk that made the map itself trigger, build the snapshot and
+compare it with the target entry by entry (_shows_built); the map's paired
+walk looks only at the positions it reached and those noted stale.
 
 LinkableDynamicObject wraps at most one object and serializes as a one-entry
 entry list: an anonymous entry with an inline state in local mode, or a
@@ -52,10 +63,22 @@ from .statetree import (
 log = logging.getLogger(__name__)
 
 
-def _shows(e: dict, name: str, cls: str, state) -> bool:
-    """Whether e is the entry a snapshot builds for the object called name,
-    of class cls, whose snapshot is state."""
-    return len(e) == 3 and e[OBJECT_NAME_KEY] == name and e[CLASS_NAME_KEY] == cls and e[SESSION_STATE_KEY] is state
+def _shows(t: dict, b: dict) -> bool:
+    """Whether the target entry t is the entry b a snapshot builds: b's name
+    and class, b's state object itself, and no other key."""
+    return (
+        len(t) == 3
+        and t[OBJECT_NAME_KEY] == b[OBJECT_NAME_KEY]
+        and t[CLASS_NAME_KEY] == b[CLASS_NAME_KEY]
+        and t[SESSION_STATE_KEY] is b[SESSION_STATE_KEY]
+    )
+
+
+def _shows_built(obj: LinkableObject, target) -> bool:
+    """Whether the entry list target is, entry by entry, the snapshot obj
+    builds now (_shows). An entry that is the built one shows by identity."""
+    built = obj._build_snapshot()
+    return len(built) == len(target) and all(_shows(target[i], built[i]) for i in _differing(built, target))
 
 
 class ClassRegistry:
@@ -228,62 +251,44 @@ class LinkableHashMap(LinkableObject):
         self._last = entries
         return entries
 
-    def _reach(self, target) -> bool:
+    def _reach_parts(self, snap, target) -> bool:
         # A target paired with the snapshot (the same names in the same
         # places) is reached at the positions whose entries differ. Any
         # other goes by name: removals first, then creations and reaches in
         # target order, then one reorder. An entry the map cannot hold (an
         # anonymous one, a reference, a class the registry lacks) leaves no
         # child.
-        snap = self._snapshot()
-        if snap is target:
-            return True
         if type(target) is not _EntryList and target != []:
             return self._refuse(f"ignoring a state that is no entry list: {type(target).__name__!r}")
-        self.callbacks.delay()
-        try:
-            m = _paired(snap, target)
-            if m is not None:
-                at = _differing(snap, target)
-                for i in at:
-                    self._reach_entry(m[i][OBJECT_NAME_KEY], target[i])
-            else:
-                last = {e[OBJECT_NAME_KEY]: e for e in snap}
-                held = {e[OBJECT_NAME_KEY]: e for e in target if last.get(e.get(OBJECT_NAME_KEY)) is e or self._holds(e)}
-                gone = self._children.keys() - held.keys()
-                for name in [n for n in self._children if n in gone]:
-                    self.remove_object(name)
-                for name, e in held.items():
-                    if last.get(name) is not e:
-                        self._reach_entry(name, e)
-                if list(held) != list(self._children):
-                    self.set_name_order([n for n in held if n in self._children])
-            # A callback may have changed an entry already reached: fill the
-            # slot only if every entry reached or noted stale shows its
-            # child, all of them (a full build like target) once the map
-            # itself triggered.
-            noted = self.callbacks._stale_children
-            if m is not None and noted is not None:
-                look = set(at).union(map(self._slots.get, noted))
-                look.discard(None)
-                reached = all(self._shows_child(target[i], m[i][OBJECT_NAME_KEY]) for i in look)
-            else:
-                if m is not None:
-                    held = {e[OBJECT_NAME_KEY]: e for e in target}
-                children = self._children
-                reached = (
-                    len(held) == len(target)
-                    and list(held) == list(children)
-                    and all(map(_shows, held.values(), held, map(self._classes.get, held), map(_cached, children.values())))
-                )
-                if reached:
-                    self._slots = {child.callbacks: i for i, child in enumerate(children.values())}
-            if reached:
-                self._last = target
-                self._fill(target)
-            return reached
-        finally:
-            self.callbacks.resume()
+        m = _paired(snap, target)
+        if m is not None:
+            at = _differing(snap, target)
+            for i in at:
+                self._reach_entry(m[i][OBJECT_NAME_KEY], target[i])
+        else:
+            last = {e[OBJECT_NAME_KEY]: e for e in snap}
+            held = {e[OBJECT_NAME_KEY]: e for e in target if last.get(e.get(OBJECT_NAME_KEY)) is e or self._holds(e)}
+            gone = self._children.keys() - held.keys()
+            for name in [n for n in self._children if n in gone]:
+                self.remove_object(name)
+            for name, e in held.items():
+                if last.get(name) is not e:
+                    self._reach_entry(name, e)
+            if list(held) != list(self._children):
+                self.set_name_order([n for n in held if n in self._children])
+        # A callback may have changed an entry already reached. Where the
+        # names paired and the map itself did not trigger, only the entries
+        # reached or noted stale are looked at; otherwise the whole snapshot.
+        noted = self.callbacks._stale_children
+        if m is not None and noted is not None:
+            look = set(at).union(map(self._slots.get, noted))
+            look.discard(None)
+            reached = all(self._shows_child(target[i], m[i][OBJECT_NAME_KEY]) for i in look)
+        else:
+            reached = _shows_built(self, target)
+        if reached:
+            self._last = target
+        return reached
 
     def _holds(self, e: dict) -> bool:
         """Whether the map can hold the entry e: a named one of a registered class."""
@@ -302,7 +307,8 @@ class LinkableHashMap(LinkableObject):
         self._children[name]._reach(e.get(SESSION_STATE_KEY))
 
     def _shows_child(self, e: dict, name: str) -> bool:
-        return _shows(e, name, self._classes[name], _cached(self._children[name]))
+        child = self._children[name]
+        return _shows(e, {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: self._classes[name], SESSION_STATE_KEY: _cached(child)})
 
     def dispose(self) -> None:
         if self._disposed:
@@ -458,43 +464,28 @@ class LinkableDynamicObject(LinkableObject):
             return _EntryList([{OBJECT_NAME_KEY: self._global_name, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}])
         return _EntryList()
 
-    def _reach(self, target) -> bool:
+    def _reach_parts(self, snap, target) -> bool:
         # The wrapper holds [], one anonymous local entry or one named
         # reference, which carries no state. Of a target of two or more
         # entries (a merge over a slot whose entry changed) it takes the
         # first, the one the state named first, with a diagnostic.
-        snap = self._snapshot()
-        if snap is target:
-            return True
         if type(target) is not _EntryList and target != []:
             return self._refuse(f"ignoring a state that is no entry list: {type(target).__name__!r}")
         if len(target) > 1:
             self._refuse(f"taking the first of {len(target)} entries")
-        self.callbacks.delay()
-        try:
-            if not target:
-                self.remove_object()
-            elif name := target[0].get(OBJECT_NAME_KEY):
-                try:
-                    self.request_global_object(name)
-                except NoRoot as e:
-                    self._refuse(str(e))
-            elif cls := target[0].get(CLASS_NAME_KEY):
-                try:
-                    self.request_local_object(cls)._reach(target[0].get(SESSION_STATE_KEY))
-                except UnknownClass as e:
-                    self._refuse(str(e))
-            # As for a hash map: fill the slot only if the target shows what
-            # a snapshot would, with the local object's own snapshot.
-            built = self._build_snapshot()
-            reached = len(built) == len(target) and all(
-                _shows(t, b[OBJECT_NAME_KEY], b[CLASS_NAME_KEY], b[SESSION_STATE_KEY]) for b, t in zip(built, target)
-            )
-            if reached:
-                self._fill(target)
-            return reached
-        finally:
-            self.callbacks.resume()
+        if not target:
+            self.remove_object()
+        elif name := target[0].get(OBJECT_NAME_KEY):
+            try:
+                self.request_global_object(name)
+            except NoRoot as e:
+                self._refuse(str(e))
+        elif cls := target[0].get(CLASS_NAME_KEY):
+            try:
+                self.request_local_object(cls)._reach(target[0].get(SESSION_STATE_KEY))
+            except UnknownClass as e:
+                self._refuse(str(e))
+        return _shows_built(self, target)
 
     def dispose(self) -> None:
         if self._disposed:

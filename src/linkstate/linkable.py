@@ -8,10 +8,10 @@ optional predicate.
 Applying a session state is one walk for every class: set_session_state
 computes the target with the value-level apply over the object's snapshot
 (statetree._apply: Mappings merge key-wise, anything else replaces), and
-the object reaches it (_reach). Each class says only how it reaches a
-target; nothing else reads a state or a diff into live objects. A whole
-composite application runs under delay/resume, so observers see at most
-one effective trigger.
+the object reaches it (_reach). Nothing else reads a state or a diff into
+live objects: the history, the sync client and a link hand a root the
+state to reach. A whole composite application runs under delay/resume, so
+observers see at most one effective trigger.
 
 Every object caches its state as a plain snapshot (statetree's plain form)
 in its callback collection's cache slot. A snapshot is built from the
@@ -27,17 +27,24 @@ trusted built lists (_EntryList): whatever diffs or applies over a
 snapshot, or over a value an apply built from one, checks no entry shape.
 
 A reach walks only the subtrees whose snapshot is not the target's part.
-A composite reaches each child the target has a key for and leaves the
-others alone (unknown keys are ignored: forward compatibility); a variable
-checks the target's canonical copy with its verifier, triggers only when
-the value changes, and keeps the target object itself where it is
-canonical. Caches fill bottom-up with the target's own objects, so a
-reached tree's snapshot is its target: the history hands the root the state
-it keeps at the cursor and the sync client the state it shares, and the
-next diff against either compares by identity. Callbacks run at every
-nested resume and may change a subtree already reached, so a level fills
-its own slot, before its resume, only where each child's slot holds its
-part; otherwise the slot stays empty and the next read rebuilds it.
+Every container reaches the same way (LinkableObject._reach): the identity
+shortcut, one delay/resume around its walk, and a fill of its slot with the
+target when the walk says the target shows. A container class supplies only
+_reach_parts: its refusal of a target of the wrong type, its walk, and
+whether the target now shows. A composite reaches each child the target has
+a key for and leaves the others alone (unknown keys are ignored: forward
+compatibility); the hash map and the wrapper are in dynamic. A variable, the
+leaf, reaches on its own: it checks the target's canonical copy with its
+verifier, triggers only when the value changes, keeps the target object
+itself where it is canonical, and fills its slot with its value even where
+that is not the target. Caches fill bottom-up with the target's own
+objects, so a reached tree's snapshot is its target: the history hands the
+root the state it keeps at the cursor, the sync client the state it
+shares and a link the other endpoint's snapshot, and the next diff or copy
+against either compares by identity. Callbacks run at every nested resume
+and may change a subtree already reached, so a level fills its own slot,
+before its resume, only where each child's slot holds its part; otherwise
+the slot stays empty and the next read rebuilds it.
 """
 
 from __future__ import annotations
@@ -198,31 +205,34 @@ class LinkableObject:
 
     def _reach(self, target: Any) -> bool:
         """Bring the live object to the plain target state; True when its
-        snapshot now is target. A composite reaches each child the target
-        has a key for and leaves the others alone; a non-Mapping target is
-        ignored with a diagnostic."""
+        snapshot now is target. The container walks its parts under one
+        delay/resume (_reach_parts) and fills its slot with target when
+        they show it."""
         snap = self._snapshot()
         if snap is target:
             return True
-        if type(target) is not dict:
-            return self._refuse(f"ignoring non-Mapping state {type(target).__name__!r}")
-        children = self._children
         self.callbacks.delay()
         try:
-            for (name, child), part in zip(children.items(), snap.values()):
-                sub = target.get(name, part)
-                if sub is not part:
-                    child._reach(sub)
-            # A callback may have changed a child already reached: fill
-            # the slot only over children whose slots hold their parts.
-            reached = list(target) == list(children) and all(
-                map(is_, map(_cached, children.values()), target.values())
-            )
+            reached = self._reach_parts(snap, target)
             if reached:
                 self._fill(target)
             return reached
         finally:
             self.callbacks.resume()
+
+    def _reach_parts(self, snap: Any, target: Any) -> bool:
+        """Reach each child the target has a key for and leave the others
+        alone; a non-Mapping target is ignored with a diagnostic. True when
+        every child's slot holds its part of target: a callback may have
+        changed a child already reached."""
+        if type(target) is not dict:
+            return self._refuse(f"ignoring non-Mapping state {type(target).__name__!r}")
+        children = self._children
+        for (name, child), part in zip(children.items(), snap.values()):
+            sub = target.get(name, part)
+            if sub is not part:
+                child._reach(sub)
+        return list(target) == list(children) and all(map(is_, map(_cached, children.values()), target.values()))
 
     def _fill(self, state: Any) -> None:
         # Every child's cache already holds its part of state.

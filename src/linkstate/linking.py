@@ -1,22 +1,25 @@
 """Two-way state linking between objects, and variable-to-external bridging.
 
-A link keeps two endpoints state-equivalent: on trigger it diffs the
-cached snapshots of the two and applies the diff to the other endpoint
-(remove-missing, so the result is the source's state), which costs what
-changed, not the whole tree. Echo is cut two ways: a copy in flight
-suppresses the link's own reaction on the other side, and a would-be copy is
-skipped outright when the diff is empty, i.e. the endpoint states are
-already equivalent. Together these bound propagation (at
-most two effective triggers per endpoint per edit in a chain of two links)
-without any state version counters.
+A link keeps two endpoints state-equivalent: on trigger the other endpoint
+reaches the source's cached snapshot (linkable._reach), the one way a state
+reaches live objects. The far end then holds the source's snapshot objects
+themselves, so the next copy finds every unchanged subtree by identity and
+walks only the one an edit replaced: a link costs what changed, not the
+whole tree, and computes no diff. Where the far end takes every value (no
+verifier refuses one), the endpoints end byte-identical, key order
+included. Echo is cut two ways: a copy in flight suppresses the link's
+own reaction on the other side, and a copy to an endpoint that already holds
+the source's snapshot returns at once, while one to an equivalent endpoint
+triggers nothing. Together these bound propagation (at most two effective
+triggers per endpoint per edit in a chain of two links) without any state
+version counters.
 
 Both kinds of link share one `Link`. It refuses a pair with a disposed
 endpoint, an object linked to itself or a pair already linked, before it
 adds anything. It owns the echo guard, which runs before a copy reads
 either side and skips it while a copy is in flight or an endpoint is
 disposed, and the (collection, handle) pair of every callback it added,
-which unlink() detaches. A link kind supplies only its read-compare-write
-for each direction.
+which unlink() detaches. A link kind supplies only each direction's copy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 from .callbacks import CallbackCollection, CallbackEntry
 from .errors import AlreadyUnlinked, DuplicateLink, SelfLink
 from .linkable import LinkableObject, LinkableVariable
-from .statetree import StateNode, _diff_plain, is_empty_diff, state_equivalent
+from .statetree import StateNode, state_equivalent
 
 
 class Link:
@@ -80,11 +83,9 @@ class Link:
 
 
 def _copy_state(src: LinkableObject, dst: LinkableObject) -> None:
-    # The cached snapshots share every unchanged subtree, so the diff walks
-    # only what changed since the endpoints last matched.
-    d = _diff_plain(dst._snapshot(), src._snapshot())
-    if not is_empty_diff(d):
-        dst.set_session_state(d, remove_missing=True)
+    # dst reaches the source's snapshot object itself: after the copy the
+    # two endpoints share every subtree, and the next copy walks the edit.
+    dst._reach(src._snapshot())
 
 
 def link_session_state(primary: LinkableObject, secondary: LinkableObject) -> Link:

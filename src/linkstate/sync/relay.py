@@ -99,7 +99,9 @@ class Relay:
             raise MalformedMessage("empty sessionId or senderId")
         if msg.kind not in ("Hello", "Diff"):
             raise MalformedMessage(f"clients may not send {msg.kind!r}")
-        session = self._sessions.setdefault(msg.session_id, _Session(msg.session_id))
+        session = self._sessions.get(msg.session_id)
+        if session is None:
+            session = self._sessions[msg.session_id] = _Session(msg.session_id)
 
         if msg.kind == "Hello":
             # First contact gets Welcome; later Hellos are resync requests.

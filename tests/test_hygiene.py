@@ -4,13 +4,14 @@ method, module-level constant, sentinel or class goes unreferenced. The
 import check covers tests/ too.
 
 Package __init__ modules are exempt from the import check: their imports are
-the re-exports.
+the re-exports. The code-line counter (code_lines.py) is checked here too.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from code_lines import code_lines
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "linkstate"
@@ -207,3 +208,23 @@ def test_the_checks_see_an_unread_field_and_an_unreferenced_private_function():
     )
     assert list(_unread_fields(tree, _read_attributes([tree]))) == [("dead", 3)]
     assert list(_unreferenced_private_functions(tree, list(_references([tree])))) == [("_recursive", 7)]
+
+
+def test_the_line_counter_counts_code_not_comments_layout_or_docstrings():
+    source = (
+        '"""Module docstring,\n'  # not counted: a bare string statement
+        'second line."""\n'
+        "\n"  # layout
+        "# a comment\n"
+        "import os  # a trailing comment\n"  # 1
+        "X = 1\n"  # 2
+        '"""An attribute docstring."""\n'
+        "def f(a,\n"  # 3
+        "      b):\n"  # 4
+        "    'Docstring.'\n"
+        "    return f'{a}' + '''two\n"  # 5: a string inside an expression
+        "lines'''\n"  # 6: the same token's second line
+        "    (\n"  # 7: a bare expression that is no string
+        "        b)\n"  # 8
+    )
+    assert code_lines(source) == 8

@@ -236,12 +236,41 @@ def test_a_linked_edit_copies_the_edit_not_the_tree(monkeypatch):
     assert state_equivalent(a.get_session_state(), b.get_session_state())
     calls = _count_outermost_to_plain(monkeypatch)
     a.get_object("plot250").label.text.set_state("edited")
-    # the edited value, the diff's one payload and the other end's value;
-    # copying both whole roots, as a link once did, made 1,505 calls here
-    assert len(calls) == 3
+    # the edited value and the other end's value; copying both whole
+    # roots, as a link once did, made 1,505 calls here
+    assert len(calls) == 2
     monkeypatch.undo()
     assert b.get_object("plot250").label.text.get_state() == "edited"
     assert state_equivalent(a.get_session_state(), b.get_session_state())
+
+
+@pytest.mark.parametrize("n", [500, 5000])
+def test_a_linked_edit_compares_no_entry_and_the_far_root_holds_the_sources_snapshot(monkeypatch, n):
+    a = graphops.new_root()
+    b = graphops.new_root()
+    for i in range(n):
+        a.request_object(f"plot{i:05d}", "ex.Plot")
+        b.request_object(f"plot{i:05d}", "ex.Plot")
+    link_session_state(a, b)  # equivalent but separately built trees
+    matched = []
+    real = statetree._diff_matched
+    monkeypatch.setattr(statetree, "_diff_matched", lambda *args: matched.append(1) or real(*args))
+    a.get_object(f"plot{n // 2:05d}").title.set_state("edited")
+    assert matched == []  # a diff of the two roots compares all n entries
+    assert b._snapshot() is a._snapshot()
+    assert b.get_object(f"plot{n // 2:05d}").title.get_state() == "edited"
+    b.get_object("plot00001").title.set_state("back")
+    assert matched == []
+    assert a._snapshot() is b._snapshot()
+    assert a.get_object("plot00001").title.get_state() == "back"
+
+
+def test_linked_variables_end_byte_identical():
+    a = LinkableVariable({"x": 1, "y": 2})
+    b = LinkableVariable({"x": 1, "y": 2})
+    link_session_state(a, b)
+    a.set_session_state({"__value__": {"y": 3, "x": 1}})
+    assert statetree.encode(a.get_state()) == statetree.encode(b.get_state()) == '{"y":3,"x":1}'
 
 
 def test_linked_roots_stay_equivalent_through_structural_edits():
@@ -310,7 +339,7 @@ def test_a_link_with_a_disposed_endpoint_copies_nothing_and_unlink_detaches_the_
         b = LinkableNumber(default=1)
         live, link = a.callbacks, link_session_state(a, b)
         dead = b
-        monkeypatch.setattr(linking, "_diff_plain", lambda *args: reads.append(args))
+        monkeypatch.setattr(linking, "_copy_state", lambda *args: reads.append(args))
     else:
         live = CallbackCollection()
         link = link_external_property(a, lambda: reads.append("get"), lambda x: reads.append(("set", x)), live)

@@ -847,7 +847,7 @@ def test_a_jump_compares_only_the_entries_its_steps_changed(monkeypatch, big_roo
         _one_field_steps(root, log, [f"plot{i:05d}" for i in (10, 1010, 2010, 3010, 4010, 4990)])
         matched = _count_calls(monkeypatch, statetree, "_diff_matched")
         parses = _count_calls(monkeypatch, statetree, "_entry_item")
-        reached = _count_calls(monkeypatch, LinkableObject, "_reach")
+        reached = _count_calls(monkeypatch, LinkableObject, "_reach_parts")
         for target in (2, 5, 0, 6, 3):
             m = abs(log.cursor - target)  # one-field steps between the two kept states
             reached.clear()

@@ -18,7 +18,7 @@ from linkstate.demo import build_demo_registry
 from linkstate.errors import MalformedMessage, ScriptError
 from linkstate.linkable import LinkableVariable
 from linkstate.statetree import apply_diff, diff, encode, state_equivalent
-from linkstate.sync import socket_transport, wire
+from linkstate.sync import relay as relay_module, socket_transport, wire
 from linkstate.sync.socket_transport import RelayServer, SocketClient
 from linkstate.sync.wire import MAX_FRAME_BYTES
 from linkstate.sync import (
@@ -310,6 +310,18 @@ class TestRelay:
         assert [t for t, _ in out] == ["a"]
         assert relay.session_state("s2") == []
         assert relay.session_seq("s2") == 0
+
+    def test_a_session_is_built_once_not_per_message(self, monkeypatch):
+        built = []
+        session_class = relay_module._Session
+        monkeypatch.setattr(relay_module, "_Session", lambda sid: built.append(sid) or session_class(sid))
+        relay = Relay()
+        relay.handle(Message("Hello", "s", "a"))
+        d = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}]
+        relay.handle(Message("Diff", "s", "a", 0, d))
+        relay.handle(Message("Diff", "s", "a", 1, {}))
+        assert built == ["s"]
+        assert relay.session_seq("s") == 2
 
 
 class _Harness:
