@@ -287,17 +287,14 @@ class LinkableVariable(LinkableObject):
         if not self._accepts(value):
             raise TypeMismatch(f"{type(self).__name__} rejects {value!r}")
 
-    def get_state(self) -> StateNode:
-        self._check_live()
-        return to_plain(self._value)
-
     def set_state(self, value: StateNode) -> None:
         """Merge-apply value onto the current state (Mappings merge key-wise,
         everything else replaces) and trigger when the result differs."""
         self.set_session_state(value)
 
-    # Attributes of each class, so the benchmark's tracer can wrap them per class.
-    get_session_state = get_state
+    # Attributes of each class, so the benchmark's tracer can wrap them per
+    # class; get_state is the same read under the variable's own name.
+    get_state = get_session_state = LinkableObject.get_session_state
     set_session_state = LinkableObject.set_session_state
 
     def _build_snapshot(self) -> Any:

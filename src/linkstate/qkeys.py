@@ -130,7 +130,6 @@ def load_csv_column(
     key_column: str,
     value_column: str,
     key_type: str,
-    title: str | None = None,
 ) -> KeyedColumn:
     """Read one keyed column out of a CSV file (first row is the header).
 
@@ -159,4 +158,4 @@ def load_csv_column(
                 duplicates += 1
                 log.warning("%s:%d: duplicate key %s, keeping the later row", path, line, key)
             entries[key.intern_id] = _parse_cell(row[value_idx] if value_idx < len(row) else "")
-    return KeyedColumn(key_type, title if title is not None else value_column, entries, duplicates)
+    return KeyedColumn(key_type, value_column, entries, duplicates)

@@ -62,20 +62,22 @@ diffs stay plain lists.
 
 An entry diff is a non-empty list whose every element is an entry item (an
 entry, maybe with a removal marker) or an order marker alone; a full entry
-list is one too. ``_entry_diff`` is its one reader, and ``_entry_item``
-parses each item: a bare ``{"objectName": n}`` mention becomes just n. The
-value-level apply (``_apply_entry_diff``) takes what it read, and a live
-container reaches the result. Almost every diff names a built base's
-entries in the base's own places, one item each: given that base, the
-reader finds the items that differ from its mention list in one C-level
-pass (``operator.ne``, or an identity pass over a diff read against that
-list) and parses only those, each once, and returns them with the mention
-list they were read over. The apply replaces only their entries in a base
-that pairs with that list, and spells them out by name over any other
-base, so a client parses an inbound diff once for its shadow and its root.
-A changed item that is a removal, names another entry, is an order marker
-or is malformed hands the whole diff to the full parse and the match by
-name (``_apply_entry_diff_by_name``). Any other list is no entry diff: a
+list is one too. One shape check (``_shaped``) serves an entry and an item,
+whose key set only adds the removal marker. An order marker that is no list
+of distinct names is ignored. ``_entry_diff`` is the diff's one reader, and
+``_entry_item`` parses each item: a bare ``{"objectName": n}`` mention
+becomes just n. The value-level apply (``_apply_entry_diff``) takes what it
+read, and a live container reaches the result. Almost every diff names a
+built base's entries in the base's own places, one item each: given that
+base, the reader finds the items that differ from its mention list in one
+C-level pass (``operator.ne``, or an identity pass over a diff read against
+that list) and parses only those, each once, and returns them with the
+mention list they were read over. The apply replaces only their entries in
+a base that pairs with that list, and spells them out by name over any
+other base, so a client parses an inbound diff once for its shadow and its
+root. A changed item that is a removal, names another entry, is an order
+marker or is malformed hands the whole diff to the full parse and the match
+by name (``_apply_entry_diff_by_name``). Any other list is no entry diff: a
 value apply replaces with it, the relay drops it as malformed at the root,
 and a live container ignores it.
 
@@ -259,14 +261,21 @@ def _pairs_with(b: Any, m: _Mentions) -> bool:
     return True
 
 
-def _entry_shaped(obj: Any) -> bool:
+def _shaped(x: Any, keys: frozenset) -> bool:
+    """Whether x is a dict of only the given keys, with a name or a class,
+    each a string: an entry (RESERVED_ENTRY_KEYS) or an entry item, which
+    may also carry a removal marker (_DIFF_ITEM_KEYS)."""
     return (
-        isinstance(obj, dict)
-        and obj.keys() <= RESERVED_ENTRY_KEYS
-        and (OBJECT_NAME_KEY in obj or CLASS_NAME_KEY in obj)
-        and isinstance(obj.get(OBJECT_NAME_KEY, ""), str)
-        and isinstance(obj.get(CLASS_NAME_KEY, ""), str)
+        isinstance(x, dict)
+        and x.keys() <= keys
+        and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
+        and isinstance(x.get(OBJECT_NAME_KEY, ""), str)
+        and isinstance(x.get(CLASS_NAME_KEY, ""), str)
     )
+
+
+def _entry_shaped(obj: Any) -> bool:
+    return _shaped(obj, RESERVED_ENTRY_KEYS)
 
 
 def _is_entry_list(obj: Any) -> bool:
@@ -310,13 +319,10 @@ def encode(node: StateNode) -> str:
 
 
 def decode(text: str) -> StateNode:
-    """Inverse of encode. Raises ParseError on malformed JSON and ValueError
-    on NaN/Infinity literals and out-of-range numbers."""
-    try:
-        data = parse_json(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON: {e}") from e
-    return to_plain(data)
+    """Inverse of encode: the canonical copy (to_plain) of decode_diff's
+    parse. Raises ParseError on malformed JSON and ValueError on NaN/Infinity
+    literals, out-of-range numbers and anything to_plain refuses."""
+    return to_plain(decode_diff(text))
 
 
 def encode_diff(d: Any) -> str:
@@ -554,10 +560,6 @@ def _diff_entry_list_by_name(a: list, b: list) -> Any:
             a_names[n] = i
         else:
             a_anon.append(i)
-    if len(a_names) + len(a_anon) < len(a) and _plain_equivalent(a, b):
-        # Repeated names (no applied tree holds them) defeat matching by name,
-        # but equal lists still diff to nothing.
-        return {}
     out: list = []
     matched_a = set()
     partners = []  # index into a (or None) for each entry of b
@@ -605,13 +607,11 @@ def _diff_matched(out: list, old: dict, e: dict, n: str) -> bool:
     cls = e.get(CLASS_NAME_KEY, "")
     st = e.get(SESSION_STATE_KEY)
     old_cls = old.get(CLASS_NAME_KEY, "")
-    if cls == "" and old_cls != "":
-        # Demotion to a by-name reference. A bare reference entry reads as
-        # a mention on an existing target, so tombstone the old one first.
-        out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-        out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: "", SESSION_STATE_KEY: to_plain(st)})
-        return True
     if old_cls != cls:
+        if cls == "":
+            # Demotion to a by-name reference. A bare reference entry reads
+            # as a mention on an existing target, so tombstone the old one.
+            out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
         # Recreated under a different class: full entry.
         out.append({OBJECT_NAME_KEY: n, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: to_plain(st)})
         return True
@@ -703,14 +703,9 @@ def _entry_item(x: Any) -> EntryItem | str | None:
     name = x.get(OBJECT_NAME_KEY, "")
     if len(x) == 1 and type(name) is str and name:
         return name
-    cls = x.get(CLASS_NAME_KEY, "")
-    if not (
-        isinstance(name, str)
-        and isinstance(cls, str)
-        and x.keys() <= _DIFF_ITEM_KEYS
-        and (OBJECT_NAME_KEY in x or CLASS_NAME_KEY in x)
-    ):
+    if not _shaped(x, _DIFF_ITEM_KEYS):
         return None
+    cls = x.get(CLASS_NAME_KEY, "")
     st = x.get(SESSION_STATE_KEY)
     has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
     removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
@@ -721,7 +716,8 @@ def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
     """The one parse of a whole entry list or entry diff: its items
     (_entry_item) and its order marker, if any, or None if d holds any
     element that is neither an item nor an order marker alone. A marker
-    whose value is not a list of names is ignored with a diagnostic."""
+    whose value is not a list of distinct names is ignored with a
+    diagnostic: a repeated name would repeat its entry."""
     items: list[EntryItem | str] = []
     order: list | None = None
     for x in d:
@@ -730,7 +726,7 @@ def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
             items.append(it)
         elif isinstance(x, dict) and x.keys() == {ORDER_MARKER}:
             o = x[ORDER_MARKER]
-            if isinstance(o, list) and all(isinstance(n, str) for n in o):
+            if isinstance(o, list) and all(isinstance(n, str) for n in o) and len(set(o)) == len(o):
                 order = o
             else:
                 log.warning("ignoring malformed order marker: %r", x)
@@ -880,8 +876,9 @@ def _apply_entry_diff_by_name(
             final += [i for i in range(len(entries)) if i not in mentioned and i not in removed_idx]
 
     out = [entries[i] for i in final]
-    # A built base holds no repeated name, and an item only creates a name
-    # no surviving entry of base holds, so only two creations can clash.
+    # A built base holds no repeated name, an order marker names each entry
+    # once, and an item only creates a name no surviving entry of base
+    # holds, so only two creations can clash.
     if (not trusted or len(entries) - len(base) > 1) and not _names_unique(out):
         raise ValueError("duplicate entry names in an entry list")
     return _EntryList(out)

@@ -74,13 +74,12 @@ class ClientEngine:
         session_id: str,
         registry: ClassRegistry,
         send: Callable[[Message], None],
-        scheduler: FrameScheduler | None = None,
         ack_timeout_ms: int = 250,
         gap_timeout_ms: int = 250,
     ):
         self.client_id = client_id
         self.session_id = session_id
-        self.scheduler = scheduler or FrameScheduler()
+        self.scheduler = FrameScheduler()
         self.root = LinkableHashMap(registry, self.scheduler)
         self._send = send
         self.ack_timeout_ms = ack_timeout_ms

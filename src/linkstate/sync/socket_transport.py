@@ -168,12 +168,12 @@ class SocketClient:
     """One engine bridged onto a TCP connection, driven by pump() on the
     caller's thread."""
 
-    def __init__(self, client_id: str, session_id: str, address, registry=None):
+    def __init__(self, client_id: str, session_id: str, address):
         self._conn = _Conn(socket.create_connection(address))
         self.engine = ClientEngine(
             client_id=client_id,
             session_id=session_id,
-            registry=registry or build_demo_registry(),
+            registry=build_demo_registry(),
             send=self._send,
         )
 

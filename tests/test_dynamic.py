@@ -7,9 +7,11 @@ import pytest
 
 import graphops
 from treegen import entry
+from linkstate.callbacks import FrameScheduler
 from linkstate.demo import Counter, build_demo_registry
 from linkstate.dynamic import ClassRegistry, LinkableDynamicObject, LinkableHashMap
 from linkstate.errors import (
+    Disposed,
     DuplicateClass,
     InvalidPermutation,
     NameRequired,
@@ -17,6 +19,7 @@ from linkstate.errors import (
     UnknownClass,
     UnknownName,
 )
+from linkstate.linkable import LinkableObject
 from linkstate.statetree import (
     apply_diff,
     diff,
@@ -118,6 +121,36 @@ def test_child_list_events_fire_per_add_and_remove():
     m.last_object_added = None
     m.remove_object("a")
     assert events == [("add", "a"), ("remove", "a")]
+
+
+def test_a_hash_map_keeps_the_registry_it_was_built_with():
+    registry = build_demo_registry()
+    assert LinkableHashMap(registry).registry is registry
+
+
+def test_dispose_disposes_the_entries_and_the_child_list_callbacks_once():
+    m = fresh_map()
+    obj = m.request_object("x", "ex.Counter")
+    m.dispose()
+    assert m.disposed and obj.disposed and m.child_list_callbacks.disposed
+    m.dispose()  # a second dispose is a no-op
+    with pytest.raises(Disposed):
+        m.get_names()
+
+
+def test_registering_under_a_parent_moves_the_child_list_callbacks_to_its_scheduler():
+    own, parents = FrameScheduler(), FrameScheduler()
+    parent = LinkableObject(parents)
+    m = LinkableHashMap(build_demo_registry(), own)
+    parent.register_linkable_child("map", m)
+    assert m.scheduler is parents and m.child_list_callbacks.scheduler is parents
+    seen = []
+    m.child_list_callbacks.add_grouped_callback(lambda: seen.append(m.get_names()))
+    m.request_object("x", "ex.Counter")
+    own.flush_frame()
+    assert seen == []
+    parents.flush_frame()
+    assert seen == [["x"]]
 
 
 def test_set_name_order_listed_first_rest_stable():

@@ -20,6 +20,7 @@ from linkstate.statetree import (
     decode,
     diff,
     encode,
+    state_equivalent,
     validate_node,
 )
 from treegen import entry
@@ -124,7 +125,16 @@ def test_variable_holding_an_entry_list_hands_out_canonical_copies():
 def test_duplicate_entry_names_are_rejected_everywhere():
     e = entry("a", "ex.Counter", {"count": 1})
     twice = [e, dict(e)]
-    for check in (validate_node, encode, lambda x: decode(json.dumps(x)), lambda x: LinkableVariable(default=x)):
+    checks = (
+        validate_node,
+        encode,
+        lambda x: decode(json.dumps(x)),
+        lambda x: LinkableVariable(default=x),
+        lambda x: diff(x, []),
+        lambda x: diff([], x),
+        lambda x: state_equivalent(x, x),
+    )
+    for check in checks:
         with pytest.raises(ValueError):
             check(twice)
         with pytest.raises(ValueError):

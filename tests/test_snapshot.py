@@ -224,10 +224,6 @@ PARTIAL_ENTRY_PAIRS = [
     ([{"objectName": "x"}], [{"objectName": "x", "className": ""}]),
     ([{"className": "c", "sessionState": 1}], [{"objectName": "", "className": "c", "sessionState": 1}]),
 ]
-# They may also repeat a name, which defeats matching by name (and which no
-# applied tree holds, so these pairs are only diffed).
-_TWICE = [{"objectName": "y", "className": "c"}, {"objectName": "y", "className": "c"}]
-REPEATED_NAME_PAIRS = [(_TWICE, json.loads(json.dumps(_TWICE))), (_TWICE, _TWICE[:1]), (_TWICE[:1], _TWICE)]
 
 
 def test_diff_is_empty_exactly_when_equivalent_and_round_trips():
@@ -239,11 +235,6 @@ def test_diff_is_empty_exactly_when_equivalent_and_round_trips():
         for remove_missing in (False, True):
             # applied entries always come out in the three-key form
             assert _plain_equivalent(_apply(to_plain(a), d, remove_missing), to_plain(b)), f"pair {i}"
-
-
-def test_entry_lists_with_a_repeated_name_diff_empty_exactly_when_equal():
-    for a, b in REPEATED_NAME_PAIRS:
-        assert (_diff_plain(a, b) == {}) == _plain_equivalent(a, b)
 
 
 def test_shared_subtrees_diff_like_copies():

@@ -1,6 +1,7 @@
 """Codec, equivalence, diff and patch for session-state value trees."""
 
 import json
+import logging
 import random
 
 import pytest
@@ -280,6 +281,15 @@ def test_diff_reorder_emits_order_marker():
         {"objectName": "a"},
         {"__order__": ["b", "a"]},
     ]
+
+
+def test_an_order_marker_that_repeats_a_name_is_ignored(caplog):
+    base = [entry("a", "ex.Counter", 1), entry("b", "ex.Counter", 2)]
+    d = [{"objectName": "a"}, {"objectName": "b"}, {"__order__": ["b", "b", "a"]}]
+    for remove_missing in (False, True):
+        with caplog.at_level(logging.WARNING):
+            assert apply_diff(base, d, remove_missing) == base
+        assert "ignoring malformed order marker" in caplog.text
 
 
 def test_diff_to_empty_entry_list_is_explicit_removal():

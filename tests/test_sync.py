@@ -278,6 +278,23 @@ class TestRelay:
         assert [m.server_seq for _, m in relay.handle(Message("Diff", "s", "a", 0, d))] == [2]
         assert encode(relay.session_state("s")) == encode(demoted)
 
+    def test_an_order_marker_that_repeats_a_name_is_ignored_and_a_late_joiner_converges(self, caplog):
+        relay = Relay()
+        start = self._counters(relay, "a", "b")
+        relay.handle(Message("Hello", "s", "peer"))
+        hostile = [{"objectName": "a"}, {"objectName": "b"}, {"__order__": ["b", "b", "a"]}]
+        with caplog.at_level(logging.WARNING):
+            out = relay.handle(decode_frame(encode_frame(Message("Diff", "s", "a", 0, hostile))))
+        assert "ignoring malformed order marker" in caplog.text
+        assert [(target, m.kind, m.server_seq) for target, m in out] == [("a", "Ack", 2), ("peer", "Diff", 2)]
+        assert [e["objectName"] for e in relay.session_state("s")] == ["a", "b"]
+        assert encode(relay.session_state("s")) == encode(start)
+        late = ClientEngine("late", "s", build_demo_registry(), send=lambda m: None)
+        for _, m in relay.handle(Message("Hello", "s", "late")):
+            late.on_message(decode_frame(encode_frame(m)), 0)
+        assert late.root.get_names() == ["a", "b"]
+        assert encode(late.root.get_session_state()) == encode(relay.session_state("s"))
+
     def test_diff_nested_deeper_than_the_recursion_limit_is_dropped(self):
         relay = Relay()
         relay.handle(Message("Hello", "s", "a"))
@@ -601,6 +618,18 @@ class TestClientEngine:
         assert encode(b.root.get_session_state()) == encode(counters[:1])
         b.flush(4)
         assert in_flight == [] and b.quiescent()
+
+    def test_an_order_marker_that_repeats_a_name_neither_repeats_nor_removes_an_entry(self):
+        sent = []
+        engine = self._two_counters(sent)
+        before = encode(engine.root.get_session_state())
+        hostile = [{"objectName": "c1"}, {"objectName": "c2"}, {"__order__": ["c2", "c2", "c1"]}]
+        engine.on_message(Message("Diff", "s", "peer", 1, hostile), 1)
+        assert [e["objectName"] for e in engine._published] == ["c1", "c2"]
+        assert engine.root.get_names() == ["c1", "c2"]
+        assert encode(engine.root.get_session_state()) == before
+        engine.flush(2)
+        assert sent == [] and engine.quiescent()  # no removal published
 
     def test_a_float_leaf_a_wire_payload_reaches_is_stored_canonical(self):
         sent = []
