@@ -38,35 +38,26 @@ def _read(path: str) -> str:
 
 
 def _render(node: Any, indent: str, out: list[str]) -> None:
-    if isinstance(node, dict):
-        if not node:
-            out.append(f"{indent}{{}}")
-            return
+    if isinstance(node, dict) and node:
         for key, value in node.items():
             if isinstance(value, (dict, list)) and value:
                 out.append(f"{indent}{key}:")
                 _render(value, indent + "  ", out)
             else:
                 out.append(f"{indent}{key}: {encode(value)}")
-        return
-    if isinstance(node, list):
-        if _is_entry_list(node):
-            for entry in node:
-                name = entry.get(OBJECT_NAME_KEY, "")
-                cls = entry.get(CLASS_NAME_KEY, "")
-                state = entry.get(SESSION_STATE_KEY)
-                if not cls and state is None:
-                    out.append(f"{indent}- {name} (reference)")
-                    continue
-                out.append(f"{indent}- {name}:{cls}")
-                if isinstance(state, (dict, list)) and state:
-                    _render(state, indent + "    ", out)
-                elif state is not None:
-                    out.append(f"{indent}    {encode(state)}")
-            return
+    elif _is_entry_list(node):
+        for entry in node:
+            name = entry.get(OBJECT_NAME_KEY, "")
+            cls = entry.get(CLASS_NAME_KEY, "")
+            state = entry.get(SESSION_STATE_KEY)
+            if not cls and state is None:
+                out.append(f"{indent}- {name} (reference)")
+                continue
+            out.append(f"{indent}- {name}:{cls}")
+            if state is not None:
+                _render(state, indent + "    ", out)
+    else:
         out.append(f"{indent}{encode(node)}")
-        return
-    out.append(f"{indent}{encode(node)}")
 
 
 def render_tree(node: Any) -> str:

@@ -410,9 +410,8 @@ class LinkableDynamicObject(LinkableObject):
 
     def _on_root_child_list(self) -> None:
         # Rebinding is identity-compared, so reacting to every child-list
-        # event is safe regardless of which entry the event was about.
-        if self._disposed or self._root_watch is None:
-            return
+        # event is safe regardless of which entry the event was about. Runs
+        # only while _root_watch is set: _clear removes this callback.
         old = self._global_target
         self._rebind_target(self._root_watch[0])
         if self._global_target is not old:

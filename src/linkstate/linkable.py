@@ -140,9 +140,8 @@ class LinkableObject:
         return False
 
     def _remove_child_object(self, child: "LinkableObject") -> None:
-        """Called when a registered child is disposed out from under us."""
-        if self._disposed:
-            return
+        """Called when a registered child is disposed out from under us;
+        never on a disposed parent, which no child lists any more."""
         for name, obj in list(self._children.items()):
             if obj is child:
                 del self._children[name]

@@ -29,10 +29,12 @@ their places has only its changed items parsed, and the value-level apply
 edit since `_published` (its snapshot is `_published`) reaches the new one
 (linkable._reach), which leaves its snapshot being `_published` again, so
 the next flush's diff is one identity check. A root with edits not yet
-published reaches the same parsed items applied over its own snapshot,
-which keeps them for the next flush: in place when the snapshot pairs with
-the mention list they were read over, else by name, so the payload is
-still parsed once. `{}` or any other payload changes neither, so a hostile
+published reaches the same parsed items applied over its own snapshot: in
+place when the snapshot pairs with the mention list they were read over,
+else by name, so the payload is still parsed once. That keeps the edits at
+sites the payload does not write for the next flush; an edit at a site it
+writes is overwritten and never sent (a known limitation,
+docs/protocol.md). `{}` or any other payload changes neither, so a hostile
 one cannot replace the `_published` shadow, and nor does an entry diff
 that fails to apply over either (only a foreign relay sends one: two
 creations of one name, say); it is dropped with a warning. `_published`
@@ -213,8 +215,9 @@ class ClientEngine:
         # An entry diff is parsed once, over _published; {} or any other
         # payload changes neither. A root with no edit since _published
         # reaches the new _published; one with unpublished edits reaches the
-        # same items applied over its own snapshot, which keeps them. A
-        # payload that fails to apply over either changes neither.
+        # same items applied over its own snapshot, which keeps those at
+        # sites the payload does not write. A payload that fails to apply
+        # over either changes neither.
         parsed = _entry_diff(msg.payload, self._published)
         if parsed is not None:
             snapshot = self.root._snapshot()

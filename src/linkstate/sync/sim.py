@@ -388,13 +388,13 @@ class _ScriptClient:
     """One scripted client on the driver's loop: its edits, its flush ticks
     and the settle rule. The network gives it an engine (connect)."""
 
-    def __init__(self, cid, loop, interval, duration, cap):
+    def __init__(self, cid, loop, script):
         self.cid = cid
         self.engine: ClientEngine | None = None
         self.loop = loop
-        self.interval = interval
-        self.duration = duration
-        self.cap = cap
+        self.interval = script["flushIntervalMs"]
+        self.duration = script["durationMs"]
+        self.cap = self.duration + script["settleCapMs"]
         self.tick_scheduled = False
         self.skipped_edits = 0
 
@@ -425,14 +425,15 @@ class _ScriptClient:
         self.ensure_tick(self.loop.now + self.interval)
 
 
-def _drive(script: dict, loop: _Loop, relay: Relay, connect: Callable[[_ScriptClient], ClientEngine], cap: int) -> dict:
+def _drive(script: dict, loop: _Loop, relay: Relay, connect: Callable[[_ScriptClient], ClientEngine]) -> dict:
     """Run a loaded script on loop, virtual or realtime alike: joins at 0,
     each edit at its atMs, flush ticks until every client settles or the
-    clock passes cap. connect(client) gives each client its engine on the
-    network that reaches relay. Returns end_report's part of the report."""
+    clock passes durationMs + settleCapMs. connect(client) gives each
+    client its engine on the network that reaches relay. Returns
+    end_report's part of the report."""
     clients = []
     for spec in script["clients"]:
-        client = _ScriptClient(spec["id"], loop, script["flushIntervalMs"], script["durationMs"], cap)
+        client = _ScriptClient(spec["id"], loop, script)
         client.engine = connect(client)
         clients.append(client)
     # joins first, then edits, then the flush heartbeats
@@ -492,7 +493,7 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
         )
         return engine
 
-    end = _drive(script, loop, relay, connect, script["durationMs"] + script["settleCapMs"])
+    end = _drive(script, loop, relay, connect)
     trace_hash = _sha256("\n".join(trace))
     report = {
         "mode": "virtual",

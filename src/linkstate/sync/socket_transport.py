@@ -230,13 +230,12 @@ class _WallLoop(_Loop):
         return self.now >= t
 
 
-def run_realtime(script, settle_ms: int = 2000) -> dict:
+def run_realtime(script) -> dict:
     """Run a scenario over loopback sockets on the wall clock.
 
     Timing here is best-effort; only the virtual-time simulator promises
     determinism. The report mirrors the simulator's shape minus the seed,
-    the virtual clock and the network counters. settle_ms takes the place
-    of the script's settleCapMs.
+    the virtual clock and the network counters.
     """
     script = load_script(script)
     server = RelayServer()
@@ -248,7 +247,7 @@ def run_realtime(script, settle_ms: int = 2000) -> dict:
         return sc.engine
 
     try:
-        end = _drive(script, loop, server.relay, connect, script["durationMs"] + settle_ms)
+        end = _drive(script, loop, server.relay, connect)
         return {"mode": "realtime", "session": script["session"], **end}
     finally:
         for sc, _ in loop.links:

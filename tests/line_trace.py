@@ -1,4 +1,5 @@
-"""List the lines of src/linkstate that the tests never run.
+"""List the lines of src/linkstate that the tests never run, and gate them
+against a committed allow-list.
 
 A line counts as runnable when the module's compiled code maps an
 instruction to it, and as reached when a trace event reports it while
@@ -7,24 +8,37 @@ pytest runs the tests. The trace is the standard library's sys.settrace
 needed. Python unsets a thread's trace function when that function raises,
 as it does when a test recurses to the recursion limit and the trace call
 is the one over it; the trace is armed again before each test, so one
-such test hides no later test's lines. Child processes (the `serve`
-command, the realtime CLI) are not traced.
+such test hides no later test's lines. Child processes are not traced;
+the tests run `serve` and the realtime `simulate` in process too, so only
+the `__main__` guard of `python -m linkstate.cli` stays out of reach.
+
+The allow-list (line_trace_allowed.json) names each line that no
+in-process test can reach: its file under src/linkstate, its source text
+with the indentation stripped (not its number, so that unrelated edits do
+not churn the list) and the reason. A source text that a file holds twice
+needs two entries to allow two unreached copies.
 
 Usage: python3 tests/line_trace.py [PYTEST ARGS ...]
 runs pytest (over tests/ when no argument is given) and prints
 `path:line  source` for each runnable line of src/linkstate that no test
-reached, then their count.
+reached, then their count, then each disagreement with the allow-list: an
+unreached line it does not list, or a listed line that is now reached or
+gone. Exits 1 on any disagreement, with pytest's code when pytest fails,
+else 0.
 """
 
+import json
 import sys
 import threading
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "linkstate"
+ALLOWED = Path(__file__).resolve().parent / "line_trace_allowed.json"
 
 
 def runnable_lines(path: Path) -> set[int]:
@@ -106,6 +120,28 @@ def run(pytest_args: list[str], root: Path) -> tuple[int, dict[Path, list[int]]]
     return int(code), trace.unreached()
 
 
+def gate(unreached: dict[Path, list[int]], allowed: list[dict], root: Path) -> list[str]:
+    """Where the unreached lines under root and the allow-list disagree,
+    one message each: an unreached line the list does not name, and a
+    listed line that is now reached or whose source text is gone."""
+    missed: dict[tuple[str, str], list[int]] = {}
+    for path, lines in unreached.items():
+        source = path.read_text(encoding="utf-8").splitlines()
+        for n in lines:
+            missed.setdefault((path.relative_to(root).as_posix(), source[n - 1].strip()), []).append(n)
+    listed = Counter((entry["file"], entry["source"]) for entry in allowed)
+    problems = []
+    for (file, text), lines in missed.items():
+        for n in lines[listed[file, text]:]:
+            problems.append(f"unreached and not allowed: {file}:{n}  {text}")
+    for (file, text), count in listed.items():
+        path = root / file
+        present = path.is_file() and text in {line.strip() for line in path.read_text(encoding="utf-8").splitlines()}
+        for _ in range(count - len(missed.get((file, text), []))):
+            problems.append(f"allowed but {'reached' if present else 'gone'}: {file}  {text}")
+    return problems
+
+
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(SRC.parent))
     code, unreached = run(argv or ["-q", "-p", "no:cacheprovider", str(REPO / "tests")], SRC)
@@ -114,7 +150,10 @@ def main(argv: list[str]) -> int:
         for n in lines:
             print(f"{path.relative_to(SRC)}:{n}  {source[n - 1].strip()}")
     print(f"{sum(map(len, unreached.values()))} unreached lines under {SRC.relative_to(REPO)}")
-    return code
+    problems = gate(unreached, json.loads(ALLOWED.read_text(encoding="utf-8")), SRC)
+    for problem in problems:
+        print(problem)
+    return code or int(bool(problems))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """CLI adapters: output shape, flag semantics, exit codes."""
 
 import json
+import socket
 
 import pytest
 
 from linkstate import encode
 from linkstate.cli import main
 from linkstate.history import HistoryLog
+from linkstate.sync.socket_transport import RelayServer
 
 from graphops import new_root
 
@@ -33,6 +35,27 @@ class TestInspect:
         assert 'title: "overview"' in out
         assert "- p1:ex.Plot" in out
         assert "- p2 (reference)" in out
+
+    @pytest.mark.parametrize(
+        "node, rendered",
+        [
+            ({}, "{}"),
+            (7, "7"),
+            ([1, "a"], '[1,"a"]'),
+            (
+                {"kids": [
+                    {"objectName": "n", "className": "ex.Number", "sessionState": 5},
+                    {"objectName": "e", "className": "ex.Empty", "sessionState": {}},
+                ]},
+                "kids:\n  - n:ex.Number\n      5\n  - e:ex.Empty\n      {}",
+            ),
+        ],
+    )
+    def test_rendering_of_empty_scalar_and_plain_nodes(self, node, rendered, tmp_path, capsys):
+        p = tmp_path / "node.json"
+        p.write_text(encode(node))
+        assert main(["inspect", str(p)]) == 0
+        assert capsys.readouterr().out == rendered + "\n"
 
     def test_canonical_roundtrip_byte_identical(self, state_file, capsys, tmp_path):
         assert main(["inspect", state_file, "--canonical"]) == 0
@@ -294,3 +317,22 @@ class TestSimulate:
     def test_unknown_scenario_name_exits_one(self, capsys):
         assert main(["simulate", "no-such-scenario"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_realtime_runs_a_bundled_scenario_over_loopback(self, capsys):
+        assert main(["simulate", "two-client-disjoint", "--realtime"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "realtime" and report["converged"] is True
+        assert {c["stateHash"] for c in report["clients"].values()} == {report["relay"]["stateHash"]}
+
+
+class TestServe:
+    def test_serve_reports_its_address_and_closes_on_interrupt(self, monkeypatch, capsys):
+        def interrupted(server):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RelayServer, "serve_forever", interrupted)
+        assert main(["serve", "--port", "0"]) == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("relay listening on 127.0.0.1:"), line
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", int(line.rsplit(":", 1)[1])), timeout=5).close()

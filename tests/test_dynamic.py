@@ -51,6 +51,15 @@ def test_registry_duplicate_and_unknown():
         reg.create("ex.Nope")
 
 
+def test_registry_refuses_an_empty_name_and_a_factory_of_no_linkable_object():
+    reg = ClassRegistry()
+    with pytest.raises(ValueError):
+        reg.register("", Counter)
+    reg.register("ex.Dict", dict)
+    with pytest.raises(TypeError):
+        reg.create("ex.Dict")
+
+
 # --- hash map basics --------------------------------------------------------------
 
 def test_request_object_creates_with_defaults():
@@ -94,6 +103,8 @@ def test_get_and_remove_unknown_name():
     m = fresh_map()
     with pytest.raises(UnknownName):
         m.get_object("ghost")
+    with pytest.raises(UnknownName):
+        m.get_class_name("ghost")
     with pytest.raises(UnknownName):
         m.remove_object("ghost")
 
@@ -347,6 +358,8 @@ def test_wrapper_global_requires_root():
     w = LinkableDynamicObject(build_demo_registry())
     with pytest.raises(NoRoot):
         w.request_global_object("x")
+    with pytest.raises(NameRequired):
+        w.request_global_object("")
 
 
 def test_wrapper_global_target_edits_bubble():
@@ -396,6 +409,23 @@ def test_wrapper_ignores_a_state_that_is_no_entry_list_with_one_warning(bad, cap
     assert len(caplog.records) == 1
 
 
+@pytest.mark.parametrize(
+    "unholdable",
+    [
+        [{"objectName": "shared", "className": "", "sessionState": None}],  # a reference, and no root
+        [{"objectName": "", "className": "ex.Nope", "sessionState": {}}],  # a class the registry lacks
+    ],
+)
+def test_wrapper_refuses_an_entry_it_cannot_hold_with_one_warning(unholdable, caplog):
+    w = LinkableDynamicObject(build_demo_registry())
+    w.request_local_object("ex.Counter").count.set_state(4)
+    before = w.get_session_state()
+    with caplog.at_level(logging.WARNING):
+        w.set_session_state(unholdable)
+    assert w.local_class == "ex.Counter" and w.get_session_state() == before
+    assert len(caplog.records) == 1
+
+
 def test_wrapper_dispose_detaches_root_watch():
     m = fresh_map()
     plot = m.request_object("p", "ex.Plot")
@@ -403,6 +433,8 @@ def test_wrapper_dispose_detaches_root_watch():
     m.remove_object("p")
     assert plot.source.disposed
     m.request_object("late", "ex.Counter")  # must not hit the disposed wrapper
+    plot.source.dispose()  # a second dispose does nothing
+    assert plot.source.disposed
 
 
 def test_wrapper_state_roundtrip_through_map():

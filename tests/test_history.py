@@ -96,8 +96,11 @@ class TestRecording:
         root = make_counter_root()
         log = attach_fresh(root)
         log.detach()
+        log.detach()  # detaching a detached log does nothing
         edit_count(root, "a", 5)
         assert log.steps == ()
+        with pytest.raises(ValueError, match="not attached"):
+            log.jump_to(0)
 
     def test_labels_tag_next_step_only(self):
         root = make_counter_root()
@@ -111,9 +114,11 @@ class TestRecording:
         root = make_counter_root()
         log = attach_fresh(root)
         log.capturing = False
+        assert log.capturing is False
         edit_count(root, "a", 9)
         assert log.steps == ()
         log.capturing = True
+        assert log.capturing is True
         edit_count(root, "a", 10)
         assert len(log.steps) == 1
         # the recorded step spans only the captured edit
@@ -540,6 +545,17 @@ class TestUnreadableLogs:
         assert encode(log.state_at(1)) == '[{"objectName":"x","className":"ex.Counter","sessionState":{"count":1}}]'
         with pytest.raises(ParseError):
             log.state_at(2)
+
+
+    def test_a_step_whose_backward_diff_cannot_be_applied_fails_alone(self):
+        x = '{"objectName":"x","className":"ex.Counter","sessionState":{"count":1}}'
+        y = '{"objectName":"y","className":"ex.Counter","sessionState":{"count":2}}'
+        steps = [
+            f'{{"forward":[{x}],"backward":[{{"objectName":"x"}},{y},{y}]}}',  # creates y twice
+            '{"forward":{},"backward":{}}',
+        ]
+        log = HistoryLog.import_json(f'{{"version":1,"baseline":[],"cursor":0,"steps":[{",".join(steps)}]}}')
+        assert log.verify() == [0]
 
 
 def unappliable_log() -> str:

@@ -53,6 +53,15 @@ def test_verifier_rejection_is_silent_and_flagged():
     assert v.get_state() == 7
 
 
+def test_a_value_that_is_no_state_tree_is_dropped_and_flagged():
+    v = LinkableVariable(default=1)
+    count = v.callbacks.trigger_counter
+    v.set_state(float("nan"))
+    assert v.get_state() == 1
+    assert v.last_verify_failed
+    assert v.callbacks.trigger_counter == count
+
+
 def test_bad_default_raises_at_construction():
     with pytest.raises(ValueError):
         LinkableVariable(default=-1, verifier=lambda x: x is None or x >= 0)
@@ -117,6 +126,23 @@ def test_duplicate_child_name_rejected():
     obj.register_linkable_child("x", LinkableNumber())
     with pytest.raises(DuplicateName):
         obj.register_linkable_child("x", LinkableNumber())
+
+
+def test_an_empty_child_name_is_rejected():
+    with pytest.raises(ValueError):
+        LinkableObject().register_linkable_child("", LinkableNumber())
+
+
+def test_a_child_shared_by_two_parents_closes_no_cycle():
+    top, a, b, shared = (LinkableObject() for _ in range(4))
+    top.register_linkable_child("a", a)
+    top.register_linkable_child("b", b)
+    a.register_linkable_child("s", shared)
+    b.register_linkable_child("s", shared)
+    holder = LinkableObject()
+    assert holder.register_linkable_child("top", top) is top  # the walk meets shared twice
+    with pytest.raises(CycleDetected):
+        shared.register_linkable_child("top", top)
 
 
 def test_cycle_detection():

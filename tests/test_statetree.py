@@ -308,8 +308,9 @@ def test_apply_empty_diff_is_noop():
         assert state_equivalent(apply_diff(value, {}), value)
 
 
-def test_apply_retains_unmentioned_mapping_keys():
-    assert apply_diff({"a": 1, "b": 2}, {"a": 9}) == {"a": 9, "b": 2}
+@pytest.mark.parametrize("remove_missing", [False, True])
+def test_apply_retains_unmentioned_mapping_keys(remove_missing):
+    assert apply_diff({"a": 1, "b": 2}, {"a": 9}, remove_missing=remove_missing) == {"a": 9, "b": 2}
 
 
 def test_apply_ignores_unknown_removals():
