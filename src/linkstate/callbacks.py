@@ -46,7 +46,9 @@ def _trace(kind: str, fn: Callable) -> None:
 
 
 class CallbackEntry:
-    """Registration handle. Holds the liveness and per-callback running flag."""
+    """Registration handle. Holds the liveness and per-callback running flag.
+    An entry is alive exactly while its collection lists it: remove_callback
+    and dispose take it out as they mark it dead."""
 
     __slots__ = ("fn", "alive", "running")
 
@@ -158,7 +160,7 @@ class CallbackCollection:
     def add_immediate_callback(self, fn: Callable, run_now: bool = False) -> CallbackEntry:
         self._check_live()
         assert threading.get_ident() == self._thread, "callback collection used across threads"
-        if any(e.alive and e.fn is fn for e in self._immediate):
+        if any(e.fn is fn for e in self._immediate):
             raise DuplicateCallback(f"{fn!r} is already an immediate callback here")
         entry = CallbackEntry(fn)
         self._immediate.append(entry)
@@ -177,7 +179,7 @@ class CallbackCollection:
         self._check_live()
         for bucket in (self._immediate, self._grouped):
             for e in bucket:
-                if e is handle and e.alive:
+                if e is handle:
                     e.alive = False
                     bucket.remove(e)
                     return
@@ -186,7 +188,7 @@ class CallbackCollection:
     # -- parents ----------------------------------------------------------------
 
     def _add_parent(self, parent: "CallbackCollection") -> None:
-        if parent is not self and all(p is not parent for p in self._parents):
+        if all(p is not parent for p in self._parents):
             self._parents.append(parent)
 
     def _remove_parent(self, parent: "CallbackCollection") -> None:
@@ -253,11 +255,10 @@ class CallbackCollection:
                     entry.fn()
                 finally:
                     entry.running = False
-        for entry in list(self._grouped):
-            if entry.alive:
-                self._scheduler.schedule(entry)
+        for entry in self._grouped:  # schedule() runs no callback: the list holds still
+            self._scheduler.schedule(entry)
         for parent in list(self._parents):
-            if parent.disposed or id(parent) in visited:
+            if id(parent) in visited:
                 continue
             if parent._delay > 0:
                 parent._pending = True

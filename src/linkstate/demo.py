@@ -14,14 +14,14 @@ from .linkable import LinkableNumber, LinkableObject, LinkableString, LinkableVa
 class Counter(LinkableObject):
     """A single number, the smallest useful session object."""
 
-    def __init__(self, scheduler=None):
-        super().__init__(scheduler)
+    def __init__(self):
+        super().__init__()
         self.count = self.register_linkable_child("count", LinkableNumber(default=0))
 
 
 class Label(LinkableObject):
-    def __init__(self, scheduler=None):
-        super().__init__(scheduler)
+    def __init__(self):
+        super().__init__()
         self.text = self.register_linkable_child("text", LinkableString(default=""))
         self.size = self.register_linkable_child("size", LinkableNumber(default=12))
 
@@ -29,8 +29,8 @@ class Label(LinkableObject):
 class Selection(LinkableObject):
     """A set of record keys, stored as a plain list value."""
 
-    def __init__(self, scheduler=None):
-        super().__init__(scheduler)
+    def __init__(self):
+        super().__init__()
         self.keys = self.register_linkable_child(
             "keys", LinkableVariable(default=[], verifier=_is_key_list)
         )
@@ -43,8 +43,8 @@ def _is_key_list(value):
 class Plot(LinkableObject):
     """Nests a fixed Label child plus a dynamic slot, local or global."""
 
-    def __init__(self, registry: ClassRegistry, scheduler=None):
-        super().__init__(scheduler)
+    def __init__(self, registry: ClassRegistry):
+        super().__init__()
         self.title = self.register_linkable_child("title", LinkableString(default=""))
         self.label = self.register_linkable_child("label", Label())
         self.source = self.register_linkable_child("source", LinkableDynamicObject(registry))

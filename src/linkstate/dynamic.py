@@ -65,10 +65,10 @@ log = logging.getLogger(__name__)
 
 def _shows(t: dict, b: dict) -> bool:
     """Whether the target entry t is the entry b a snapshot builds: b's name
-    and class, b's state object itself, and no other key."""
+    and class and b's state object itself. Every entry of a built list holds
+    these three keys and no other."""
     return (
-        len(t) == 3
-        and t[OBJECT_NAME_KEY] == b[OBJECT_NAME_KEY]
+        t[OBJECT_NAME_KEY] == b[OBJECT_NAME_KEY]
         and t[CLASS_NAME_KEY] == b[CLASS_NAME_KEY]
         and t[SESSION_STATE_KEY] is b[SESSION_STATE_KEY]
     )
@@ -222,7 +222,7 @@ class LinkableHashMap(LinkableObject):
         # the last snapshot, so diffs skip it with one identity check. When
         # only children changed (the map's own collection did not trigger:
         # no entry came, went or moved), the last list is copied and only
-        # the entries of those children are looked at. A noted collection
+        # the entries of those children are built again. A noted collection
         # without a slot belongs to a child already removed (a child added
         # since the last full build triggers the map itself).
         stale = self.callbacks._stale_children
@@ -235,8 +235,7 @@ class LinkableHashMap(LinkableObject):
                 e = entries[i]
                 name = e[OBJECT_NAME_KEY]
                 state = self._children[name]._snapshot()
-                if e[SESSION_STATE_KEY] is not state:
-                    entries[i] = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: e[CLASS_NAME_KEY], SESSION_STATE_KEY: state}
+                entries[i] = {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: e[CLASS_NAME_KEY], SESSION_STATE_KEY: state}
         else:
             last = {e[OBJECT_NAME_KEY]: e for e in self._last}
             entries = _EntryList()
@@ -421,7 +420,7 @@ class LinkableDynamicObject(LinkableObject):
         target = root._children.get(self._global_name)
         if target is self._global_target:
             return
-        if self._global_target is not None and not self._global_target.callbacks.disposed:
+        if self._global_target is not None:
             self._global_target.callbacks._remove_parent(self.callbacks)
         self._global_target = target
         if target is not None:
@@ -430,18 +429,14 @@ class LinkableDynamicObject(LinkableObject):
     def _clear(self) -> None:
         if self._local_class:
             self._local_class = ""
-            target = self._children.get(self._TARGET)
-            if target is not None and not target.disposed:
-                target.dispose()
-        if self._global_name:
-            if self._global_target is not None and not self._global_target.callbacks.disposed:
+            self._children[self._TARGET].dispose()
+        if self._global_name:  # set with _root_watch, by request_global_object
+            if self._global_target is not None:
                 self._global_target.callbacks._remove_parent(self.callbacks)
+            root, handle = self._root_watch
+            root.child_list_callbacks.remove_callback(handle)
             self._global_target = None
             self._global_name = ""
-        if self._root_watch is not None:
-            root, handle = self._root_watch
-            if not root.child_list_callbacks.disposed:
-                root.child_list_callbacks.remove_callback(handle)
             self._root_watch = None
 
     def _on_child_removed(self, name: str, child: LinkableObject) -> None:

@@ -124,8 +124,8 @@ class HistoryLog:
         self._recorder = None
         self._steps: list[HistoryStep] = []
         # _states[i]: the plain state after i steps, or _MISSING where none is
-        # kept; _states[0] is the baseline, None until the log has one.
-        self._states: list[Any] = [None]
+        # kept; _states[0] is the baseline, _MISSING until the log has one.
+        self._states: list[Any] = [_MISSING]
         self._cursor = 0
         # The plain snapshot of the root, never mutated. The root is on the
         # log while _last is the kept _states[_cursor]: the snapshot recorded
@@ -149,7 +149,7 @@ class HistoryLog:
 
     @property
     def baseline(self) -> StateNode:
-        return to_plain(self._states[0])
+        return to_plain(self._replay(0))
 
     @property
     def can_undo(self) -> bool:
@@ -178,13 +178,15 @@ class HistoryLog:
     # -- attachment -----------------------------------------------------------------
 
     def attach(self, root: LinkableObject) -> None:
-        """Start recording root. A log with imported content requires the
-        root's current state to match the state at the log's cursor."""
+        """Start recording root. A new log takes the root's state as its
+        baseline; a log that has one (imported, or attached before, even a
+        null one) requires the root's current state to match the state at
+        the log's cursor."""
         if self._root is not None:
             raise AlreadyAttached("this log already records a root")
         root._check_live()
         current = root._snapshot()
-        if self._states[0] is None and not self._steps:
+        if self._states[0] is _MISSING:
             self._states = [current]
         else:
             at_cursor = self._replay(self._cursor)
@@ -211,7 +213,9 @@ class HistoryLog:
     # -- recording -----------------------------------------------------------------
 
     def _record(self) -> None:
-        if self._root is None or self._root.disposed or not self._capturing:
+        # Runs only while attached to a live root: detach removes this
+        # callback and the root's dispose kills it.
+        if not self._capturing:
             return
         current = self._root._snapshot()
         forward, backward = _diff_both(self._last, current)
@@ -310,6 +314,8 @@ class HistoryLog:
         steps after it applied."""
         if not 0 <= index <= len(self._steps):
             raise IndexOutOfRange(f"step index {index} outside [0, {len(self._steps)}]")
+        if self._states[0] is _MISSING:
+            raise ValueError("history log has no baseline until it first attaches")
         start = index
         while self._states[start] is _MISSING:
             start -= 1
@@ -328,7 +334,7 @@ class HistoryLog:
     def export_json(self) -> str:
         payload = {
             "version": FORMAT_VERSION,
-            "baseline": self._states[0],
+            "baseline": self._replay(0),
             "cursor": self._cursor,
             "steps": [
                 {

@@ -327,9 +327,8 @@ class LinkableVariable(LinkableObject):
         return super()._refuse(why)
 
     def dispose(self) -> None:
-        if not self._disposed:
-            self._value = None
-            super().dispose()
+        self._value = None
+        super().dispose()
 
 
 class LinkableString(LinkableVariable):

@@ -41,7 +41,7 @@ class Link:
         if a is b:
             raise SelfLink("an object cannot be linked to itself")
         for link in getattr(a, "_active_links", []):
-            if link.active and link.connects(a, b):
+            if link.connects(a, b):
                 raise DuplicateLink("these endpoints are already linked")
         self._endpoints = (a, b)
         self._callbacks: list[tuple[CallbackCollection, CallbackEntry]] = []
@@ -73,7 +73,7 @@ class Link:
 
     def _copy(self, copy: Callable[[], None]) -> None:
         a, b = self._endpoints
-        if not self.active or self._copying or a.disposed or b.disposed:
+        if self._copying or a.disposed or b.disposed:
             return
         self._copying = True
         try:

@@ -359,7 +359,7 @@ def _read_in_place(text: str, start: int, end: int, base: Any) -> _InPlaceDiff |
     it answers, the value equals that parse's. It only splits: whether the
     items it parsed make an in-place diff is _entry_diff's to decide."""
     m = _mentions(base) if type(base) is _EntryList else None
-    if m is None or not text.startswith("[", start):
+    if m is None:
         return None
     t, b = _mention_text(m)
     n = len(m)

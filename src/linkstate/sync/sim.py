@@ -338,7 +338,8 @@ def end_report(relay: Relay, session: str, clients: list[tuple[str, ClientEngine
     realtime runs alike: overall convergence, the relay's sequence number
     and state hash, one entry per client (given as id, engine and skipped
     edits) and the diff from the relay's state to each client's that
-    differs."""
+    differs. A client that never joined has not converged, whatever its
+    state, and is a divergence only where its state differs."""
     if session in relay.session_ids():
         relay_state = relay.session_state(session)
         relay_seq = relay.session_seq(session)
@@ -357,7 +358,7 @@ def end_report(relay: Relay, session: str, clients: list[tuple[str, ClientEngine
         if not same:
             divergences[cid] = diff(relay_state, state)
         report_clients[cid] = {
-            "converged": same,
+            "converged": engine.joined and same,
             "stateHash": _sha256(text),
             "lastServerSeq": engine.last_server_seq,
             "skippedEdits": skipped,
@@ -472,10 +473,9 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
     to_client: dict[str, _Pipe] = {}
 
     def relay_receive(msg: Message) -> None:
+        # every target is a scripted client, connected with both its pipes
         for target, out, frame in encode_fanout(relay.handle(msg)):
-            pipe = to_client.get(target)
-            if pipe is not None:
-                pipe.send(out, frame)
+            to_client[target].send(out, frame)
 
     def connect(client: _ScriptClient) -> ClientEngine:
         cid = client.cid

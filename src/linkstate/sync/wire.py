@@ -100,10 +100,10 @@ def _read_against(text: str, reference: Reference) -> dict | None:
         data = parse_json(text[:i] + "}")
     except (ValueError, RecursionError):
         return None
-    # With no member before it, the payload key could not follow a ",". A
-    # payload key in the envelope as well loses to this one, as in the whole
-    # parse.
-    if not (isinstance(data, dict) and data) or not isinstance(data.get("sessionId"), str):
+    # The parse is an object, the only JSON value that ends in "}". With no
+    # member before it, the payload key could not follow a ",". A payload
+    # key in the envelope as well loses to this one, as in the whole parse.
+    if not data or not isinstance(data.get("sessionId"), str):
         return None
     payload = _read_in_place(text, j, len(text) - 1, reference(data["sessionId"]))
     if payload is None:

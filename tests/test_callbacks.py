@@ -1,5 +1,8 @@
 """Callback collections: ordering, delay/resume, grouping, bubbling, guards."""
 
+import functools
+import threading
+
 import pytest
 
 from linkstate.callbacks import CallbackCollection, FrameScheduler
@@ -290,6 +293,31 @@ def test_trace_lines_on_stderr(monkeypatch, capsys):
     cc.trigger()
     err = capsys.readouterr().err
     assert "linkstate-trace: immediate" in err and "traced" in err
+
+
+def test_a_trace_line_names_a_callable_without_a_qualified_name_by_its_repr(monkeypatch, capsys):
+    monkeypatch.setenv("LINKSTATE_TRACE", "1")
+    cc = CallbackCollection()
+    cc.add_immediate_callback(functools.partial(int, "7"))
+    cc.trigger()
+    assert "linkstate-trace: immediate functools.partial(<class 'int'>, '7')" in capsys.readouterr().err
+
+
+def test_a_collection_used_from_another_thread_fails_its_assertion():
+    cc = CallbackCollection()
+    failures = []
+
+    def use():
+        for op in (lambda: cc.add_immediate_callback(lambda: None), cc.trigger):
+            try:
+                op()
+            except AssertionError as e:
+                failures.append(str(e))
+
+    t = threading.Thread(target=use)
+    t.start()
+    t.join()
+    assert failures == ["callback collection used across threads"] * 2
 
 
 def test_invocation_order_is_deterministic_across_runs():

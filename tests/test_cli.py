@@ -8,6 +8,7 @@ import pytest
 from linkstate import encode
 from linkstate.cli import main
 from linkstate.history import HistoryLog
+from linkstate.sync import socket_transport
 from linkstate.sync.socket_transport import RelayServer
 
 from graphops import new_root
@@ -48,6 +49,11 @@ class TestInspect:
                     {"objectName": "e", "className": "ex.Empty", "sessionState": {}},
                 ]},
                 "kids:\n  - n:ex.Number\n      5\n  - e:ex.Empty\n      {}",
+            ),
+            ({"a": {}, "b": []}, "a: {}\nb: []"),
+            (
+                [{"objectName": "r", "sessionState": 1}, {"objectName": "n", "className": "ex.N"}],
+                "- r:\n    1\n- n:ex.N",
             ),
         ],
     )
@@ -317,6 +323,20 @@ class TestSimulate:
     def test_unknown_scenario_name_exits_one(self, capsys):
         assert main(["simulate", "no-such-scenario"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_a_run_that_does_not_converge_exits_one(self, tmp_path, capsys):
+        # the only client's Hello is dropped at seed 1, so it never joins
+        script = tmp_path / "solo.json"
+        script.write_text(
+            '{"session":"s","durationMs":1,"settleCapMs":1,"net":{"dropClientToRelay":0.5},"clients":[{"id":"solo"}]}'
+        )
+        assert main(["simulate", str(script), "--seed", "1"]) == 1
+        assert json.loads(capsys.readouterr().out)["converged"] is False
+
+    def test_a_realtime_run_that_does_not_converge_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(socket_transport, "run_realtime", lambda text: {"mode": "realtime", "converged": False})
+        assert main(["simulate", "two-client-disjoint", "--realtime"]) == 1
+        assert json.loads(capsys.readouterr().out) == {"mode": "realtime", "converged": False}
 
     def test_realtime_runs_a_bundled_scenario_over_loopback(self, capsys):
         assert main(["simulate", "two-client-disjoint", "--realtime"]) == 0

@@ -60,7 +60,49 @@ def test_registry_refuses_an_empty_name_and_a_factory_of_no_linkable_object():
         reg.create("ex.Dict")
 
 
+def test_registry_refuses_a_class_name_that_is_no_string():
+    with pytest.raises(ValueError):
+        ClassRegistry().register(5, Counter)
+
+
+def test_names_that_are_no_strings_are_refused():
+    m = fresh_map()
+    with pytest.raises(NameRequired):
+        m.request_object(5, "ex.Counter")
+    plot = m.request_object("p", "ex.Plot")
+    with pytest.raises(NameRequired):
+        plot.source.request_global_object(5)
+
+
+def test_a_selection_holds_a_list_of_keys_or_none():
+    sel = fresh_map().request_object("s", "ex.Selection")
+    for bad in ("k", [1]):
+        sel.keys.set_state(bad)
+        assert sel.keys.last_verify_failed and sel.keys.get_state() == []
+    sel.keys.set_state(None)
+    assert sel.keys.get_state() is None and not sel.keys.last_verify_failed
+
+
 # --- hash map basics --------------------------------------------------------------
+
+def test_an_entry_without_a_state_is_created_with_its_defaults():
+    m = fresh_map()
+    m.set_session_state([{"objectName": "c", "className": "ex.Counter"}])
+    assert m.get_session_state() == [entry("c", "ex.Counter", {"count": 0})]
+
+
+def test_an_entry_a_callback_removes_while_a_state_is_applied_stays_removed():
+    # by name: the order put last leaves out the entry that went
+    m = fresh_map()
+    a = m.request_object("a", "ex.Counter")
+    a.count.callbacks.add_immediate_callback(lambda: "b" in m.get_names() and m.remove_object("b"))
+    m.set_session_state([entry("b", "ex.Counter", {"count": 1}), entry("a", "ex.Counter", {"count": 2})])
+    assert m.get_names() == ["a"]
+    # paired: the entry of a class the map cannot hold is gone already
+    m.request_object("b", "ex.Counter")
+    m.set_session_state([entry("a", "ex.Counter", {"count": 3}), entry("b", "ex.Unknown", {})])
+    assert m.get_names() == ["a"]
+
 
 def test_request_object_creates_with_defaults():
     m = fresh_map()
@@ -360,6 +402,26 @@ def test_wrapper_global_requires_root():
         w.request_global_object("x")
     with pytest.raises(NameRequired):
         w.request_global_object("")
+
+
+def test_wrapper_global_requires_a_hash_map_at_the_top():
+    plot = LinkableObject().register_linkable_child("p", build_demo_registry().create("ex.Plot"))
+    with pytest.raises(NoRoot):
+        plot.source.request_global_object("x")
+
+
+def test_a_wrapper_keeps_its_local_target_when_a_child_registered_by_hand_goes():
+    w = LinkableDynamicObject(build_demo_registry())
+    target = w.request_local_object("ex.Counter")
+    w.register_linkable_child("extra", Counter()).dispose()
+    assert w.local_class == "ex.Counter" and w.get_object() is target
+
+
+def test_a_wrapper_entry_with_neither_name_nor_class_holds_nothing():
+    # an empty class key is an item that creates an entry: a nameless reference
+    plot = fresh_map().request_object("p", "ex.Plot")
+    plot.source.set_session_state([{"objectName": "", "className": ""}])
+    assert plot.source.get_session_state() == [] and plot.source.get_object() is None
 
 
 def test_wrapper_global_target_edits_bubble():

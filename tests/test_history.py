@@ -125,6 +125,52 @@ class TestRecording:
         log.undo()
         assert root.get_object("a").count.get_state() == 9
 
+    def test_turning_capture_on_while_on_keeps_an_edit_not_yet_recorded(self):
+        root = make_counter_root()
+        log = attach_fresh(root)
+        root.get_object("a").count.set_state(1)
+        log.capturing = True
+        root.scheduler.flush_frame()
+        assert len(log.steps) == 1
+
+    def test_capture_resumes_on_a_detached_log_and_over_a_disposed_root(self):
+        detached = HistoryLog()
+        detached.capturing = False
+        detached.capturing = True
+        root = make_counter_root()
+        log = attach_fresh(root)
+        log.capturing = False
+        root.dispose()
+        log.capturing = True
+        assert log.capturing is True and log.steps == ()
+
+    def test_an_undo_merges_its_step_into_a_root_whose_entries_changed_while_paused(self):
+        # The root's entry list is a new one of the same length, so the step's
+        # backward diff, built against the recorded list, is read whole.
+        root = make_counter_root()
+        root.request_object("b", "ex.Counter")
+        root.scheduler.flush_frame()
+        log = attach_fresh(root)
+        edit_count(root, "a", 1)
+        log.capturing = False
+        root.remove_object("b")
+        root.request_object("c", "ex.Counter")
+        root.scheduler.flush_frame()
+        log.capturing = True
+        log.undo()
+        assert root.get_object("a").count.get_state() == 0
+
+    def test_a_log_over_a_disposed_root_refuses_to_navigate_and_detaches(self):
+        root = make_counter_root()
+        log = attach_fresh(root)
+        edit_count(root, "a", 1)
+        root.dispose()
+        with pytest.raises(ValueError, match="not attached to a live root"):
+            log.undo()
+        log.detach()
+        log.detach()  # a detached log detaches again as a no-op
+        assert log.cursor == 1
+
 
 class TestNavigation:
     def test_undo_redo_restore_exact_states(self):
@@ -274,6 +320,35 @@ class TestPersistence:
         stranger.scheduler.flush_frame()
         with pytest.raises(ValueError):
             imported.attach(stranger)
+
+    @pytest.mark.parametrize("baseline", ["null", "[]"])
+    def test_an_imported_log_without_steps_refuses_a_root_that_does_not_hold_its_baseline(self, baseline):
+        # A null baseline is a state like any other, not "no baseline yet".
+        imported = HistoryLog.import_json(f'{{"version":1,"baseline":{baseline},"cursor":0,"steps":[]}}')
+        with pytest.raises(ValueError, match="root state does not match"):
+            imported.attach(make_counter_root())
+        assert encode(imported.baseline) == baseline
+
+    def test_a_log_that_never_attached_has_no_baseline_to_read_or_export(self):
+        log = HistoryLog()
+        for read in (lambda: log.baseline, lambda: log.state_at(0), log.export_json):
+            with pytest.raises(ValueError, match="no baseline"):
+                read()
+        assert log.verify() == []
+
+    def test_a_log_reattached_to_another_root_keeps_its_baseline(self):
+        root = make_counter_root()
+        log = attach_fresh(root)
+        log.detach()
+        with pytest.raises(ValueError, match="root state does not match"):
+            log.attach(new_root())
+        log.attach(root)
+        assert encode(log.baseline) == encode(root.get_session_state())
+
+    @pytest.mark.parametrize("steps", ["{}", '[1]', '[{"backward":{}}]'])
+    def test_steps_that_are_no_list_of_diff_pairs_are_a_parse_error(self, steps):
+        with pytest.raises(ParseError):
+            HistoryLog.import_json(f'{{"version":1,"baseline":null,"cursor":0,"steps":{steps}}}')
 
     def test_version_and_shape_errors(self):
         with pytest.raises(ParseError):

@@ -133,6 +133,23 @@ def test_an_empty_child_name_is_rejected():
         LinkableObject().register_linkable_child("", LinkableNumber())
 
 
+def test_a_child_name_that_is_no_string_is_rejected():
+    with pytest.raises(ValueError):
+        LinkableObject().register_linkable_child(5, LinkableNumber())
+
+
+def test_a_child_registered_under_two_names_of_one_parent_bubbles_once_and_is_disposed_once():
+    obj = LinkableObject()
+    v = obj.register_linkable_child("x", LinkableNumber(default=1))
+    obj.register_linkable_child("y", v)
+    before = obj.callbacks.trigger_counter
+    v.set_state(2)
+    assert obj.callbacks.trigger_counter == before + 1
+    assert obj.get_session_state() == {"x": 2, "y": 2}
+    obj.dispose()
+    assert v.disposed and v._parents == []
+
+
 def test_a_child_shared_by_two_parents_closes_no_cycle():
     top, a, b, shared = (LinkableObject() for _ in range(4))
     top.register_linkable_child("a", a)

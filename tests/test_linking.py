@@ -72,6 +72,16 @@ def test_self_and_duplicate_links_rejected():
         link_session_state(b, a)
 
 
+def test_one_object_links_to_two_others():
+    a = LinkableNumber(default=1)
+    b = LinkableNumber()
+    c = LinkableNumber()
+    link_session_state(a, b)
+    link_session_state(a, c)
+    c.set_state(3)
+    assert (a.get_state(), b.get_state()) == (3, 3)
+
+
 def test_relink_after_unlink():
     a = LinkableNumber(default=1)
     b = LinkableNumber(default=2)

@@ -35,6 +35,13 @@ class TestInterning:
         with pytest.raises(EmptyComponent):
             mgr.get_qkey("Town", "")
 
+    def test_components_that_are_no_strings_rejected(self):
+        mgr = KeyManager()
+        with pytest.raises(EmptyComponent):
+            mgr.get_qkey(1, "Lowell")
+        with pytest.raises(EmptyComponent):
+            mgr.get_qkey("Town", None)
+
     def test_key_by_id_roundtrip(self):
         mgr = KeyManager()
         k = mgr.get_qkey("Town", "Boston")
@@ -186,6 +193,14 @@ class TestCsvLoading:
         assert col.entries[mgr.get_qkey("Town", "Fall River").intern_id] == 3.5
         assert col.entries[mgr.get_qkey("Town", "Boston").intern_id] == "a,b"
         assert col.entries[mgr.get_qkey("Town", "Quincy").intern_id] is None
+
+    def test_a_row_short_of_a_column_reads_that_cell_empty(self, tmp_path):
+        # the first row has no name cell, the second no extra cell
+        p = tmp_path / "short.csv"
+        p.write_text("pop,name,extra\n5\n6,Boston\n")
+        mgr = KeyManager()
+        col = load_csv_column(mgr, str(p), "name", "extra", "Town")
+        assert col.entries == {mgr.get_qkey("Town", "Boston").intern_id: None}
 
     def test_empty_key_rows_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"

@@ -110,6 +110,10 @@ REFUSALS = [
     (_op("global", path="x", name="y"), "client 'a': op 'global' needs 'path' as a list of names"),
     (_op("global", path=["x"]), "client 'a': op 'global' needs a non-empty string 'name'"),
     (_op("clear", name="x"), "client 'a': op 'clear' needs 'path' as a list of names"),
+    (_net(dropClientToRelay=-0.1), "dropClientToRelay must be a probability in [0, 1)"),
+    (_net(dropClientToRelay="0.5"), "dropClientToRelay must be a probability in [0, 1)"),
+    (_net(latencyMs=[1, "2"]), "latencyMs range must be [lo, hi] with 0 <= lo <= hi"),
+    (_net(dropRelayToClientWindows=[5]), "each drop window must be [startMs, endMs] with start < end"),
 ]
 
 
@@ -251,6 +255,23 @@ def test_the_ops_table_lists_the_loaders_ops_and_their_fields():
 
 
 # -- edits a replica skips -------------------------------------------------------------
+
+
+def test_a_client_that_never_joined_has_not_converged():
+    # At seed 1 the only client's Hello is dropped, and the run ends before it
+    # is sent again: the client holds the relay's empty state but never joined.
+    script = {
+        "session": "s",
+        "durationMs": 1,
+        "settleCapMs": 1,
+        "net": {"dropClientToRelay": 0.5},
+        "clients": [{"id": "solo"}],
+    }
+    report = run_simulation(script, seed=1).report
+    assert report["network"]["framesDelivered"] == 0
+    assert report["clients"]["solo"]["stateHash"] == report["relay"]["stateHash"]
+    assert report["converged"] is False and report["clients"]["solo"]["converged"] is False
+    assert report["divergences"] == {}
 
 
 def test_every_edit_whose_target_is_gone_is_skipped_and_counted():

@@ -292,6 +292,26 @@ def test_an_order_marker_that_repeats_a_name_is_ignored(caplog):
         assert "ignoring malformed order marker" in caplog.text
 
 
+def test_an_order_marker_that_names_no_strings_is_ignored(caplog):
+    base = [entry("a", "ex.Counter", 1), entry("b", "ex.Counter", 2)]
+    with caplog.at_level(logging.WARNING):
+        assert apply_diff(base, [{"objectName": "b"}, {"objectName": "a"}, {"__order__": [1, 0]}]) == base[::-1]
+    assert "ignoring malformed order marker" in caplog.text
+
+
+@pytest.mark.parametrize("mention_first", [False, True])
+def test_a_removal_wins_over_a_mention_of_its_entry(mention_first):
+    base = [entry("a", "ex.Counter", 1), entry("b", "ex.Counter", 2)]
+    items = [{"objectName": "a", "__removed__": True}, {"objectName": "a"}]
+    d = (items[::-1] if mention_first else items) + [{"objectName": "b"}]
+    assert apply_diff(base, d) == [entry("b", "ex.Counter", 2)]
+
+
+def test_a_removal_onto_no_entry_list_removes_nothing_it_creates():
+    d = [entry("x", "ex.Counter", 1), {"objectName": "y", "__removed__": True}]
+    assert apply_diff(None, d) == [entry("x", "ex.Counter", 1)]
+
+
 def test_diff_to_empty_entry_list_is_explicit_removal():
     old = [entry("a", "ex.Counter", 1)]
     d = diff(old, [])

@@ -86,6 +86,9 @@ class TestWire:
             ('"Diff"', "must be a JSON object"),
             ('{"kind":"Diff","sessionId":1,"senderId":"a"}', "must be strings"),
             ('{"kind":"Diff","sessionId":"s","senderId":null}', "must be strings"),
+            ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":true}', "non-negative integer"),
+            ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":1.5}', "non-negative integer"),
+            ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":"1"}', "non-negative integer"),
         ],
     )
     def test_a_body_that_is_no_message_is_malformed(self, body, reason):
@@ -257,6 +260,7 @@ class TestRelay:
             [{"objectName": "x", "__removed__": True}] * 2,
             [{"objectName": "x", "__removed__": True}, {"objectName": "x"}],
             [{"objectName": "x", "__removed__": True}] + [{"objectName": "x", "className": "", "sessionState": None}] * 2,
+            [{"objectName": "x", "__removed__": True}, {"objectName": "x", "className": "ex.Counter", "__removed__": True}],
         ],
     )
     def test_a_root_diff_that_names_an_entry_twice_is_dropped(self, items):
@@ -319,6 +323,7 @@ class TestRelay:
         relay = Relay()
         assert relay.handle(Message("Welcome", "s", "a")) == []
         assert relay.handle(Message("Diff", "", "a")) == []
+        assert relay.handle(Message("Hello", "s", "")) == []
         assert relay.session_ids() == []
 
     def test_sessions_isolated(self):
@@ -701,6 +706,20 @@ class TestClientEngine:
         # the stream goes on
         engine.on_message(Message("Diff", "s", "peer", 2, [welcome[0] | {"sessionState": {"count": 3}}]), 2)
         assert engine.last_server_seq == 2 and engine.root.get_object("c").count.get_state() == 3
+
+    def test_a_buffered_diff_read_against_a_list_that_changed_before_it_applies(self):
+        engine = ClientEngine("x", "s", build_demo_registry(), send=lambda m: None)
+        a, b = ({"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("a", "b"))
+        engine.on_message(Message("Welcome", "s", "server", 0, [a, b]), 0)
+        # seq 2 comes first: b's count, read in place against the list [a, b]
+        later = decode_frame(encode_frame(Message("Diff", "s", "peer", 2, [{"objectName": "a"}, b | {"sessionState": {"count": 2}}])), engine.read_base)
+        engine.on_message(later, 1)
+        assert engine.last_server_seq == 0
+        # seq 1 removes a and creates c: a new list of the same length
+        c = {"objectName": "c", "className": "ex.Counter", "sessionState": {"count": 1}}
+        engine.on_message(Message("Diff", "s", "peer", 1, [{"objectName": "a", "__removed__": True}, {"objectName": "b"}, c]), 2)
+        assert engine.last_server_seq == 2
+        assert encode(engine.root.get_session_state()) == encode([b | {"sessionState": {"count": 2}}, c])
 
     def test_a_message_of_an_unexpected_kind_is_dropped_with_a_warning(self, caplog):
         sent = []

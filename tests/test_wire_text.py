@@ -290,6 +290,7 @@ class _Name(str):
         ("s", "a", _Seq.ONE),
         ("s", "a", 1.0),
         (3, None, 4),
+        ("s", None, 4),
     ],
 )
 def test_an_envelope_is_what_the_encoder_writes(session_id, sender_id, server_seq):
