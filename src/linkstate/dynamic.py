@@ -327,8 +327,8 @@ class LinkableDynamicObject(LinkableObject):
 
     _TARGET = "target"  # internal child key in local mode
 
-    def __init__(self, registry: ClassRegistry, scheduler: FrameScheduler | None = None):
-        super().__init__(scheduler)
+    def __init__(self, registry: ClassRegistry):
+        super().__init__()
         self._registry = registry
         self._local_class = ""
         self._global_name = ""

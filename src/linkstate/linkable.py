@@ -255,13 +255,8 @@ class LinkableVariable(LinkableObject):
     it is its own snapshot.
     """
 
-    def __init__(
-        self,
-        default: StateNode = None,
-        verifier: Callable[[StateNode], bool] | None = None,
-        scheduler: FrameScheduler | None = None,
-    ):
-        super().__init__(scheduler)
+    def __init__(self, default: StateNode = None, verifier: Callable[[StateNode], bool] | None = None):
+        super().__init__()
         self._verifier = verifier
         self._last_verify_failed = False
         value = to_plain(default)  # raises on anything that is not a state tree

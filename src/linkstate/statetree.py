@@ -65,19 +65,26 @@ entry, maybe with a removal marker) or an order marker alone; a full entry
 list is one too. One shape check (``_shaped``) serves an entry and an item,
 whose key set only adds the removal marker. An order marker that is no list
 of distinct names is ignored. ``_entry_diff`` is the diff's one reader, and
-``_entry_item`` parses each item: a bare ``{"objectName": n}`` mention
-becomes just n. The value-level apply (``_apply_entry_diff``) takes what it
-read, and a live container reaches the result. Almost every diff names a
-built base's entries in the base's own places, one item each: given that
-base, the reader finds the items that differ from its mention list in one
-C-level pass (``operator.ne``, or an identity pass over a diff read against
-that list) and parses only those, each once, and returns them with the
-mention list they were read over. The apply replaces only their entries in
-a base that pairs with that list, and spells them out by name over any
-other base, so a client parses an inbound diff once for its shadow and its
-root. A changed item that is a removal, names another entry, is an order
-marker or is malformed hands the whole diff to the full parse and the match
-by name (``_apply_entry_diff_by_name``). Any other list is no entry diff: a
+``_entry_item`` checks each item: a bare ``{"objectName": n}`` mention
+becomes just n, and any other item is the dict it arrived as, with no
+parsed copy. Each item rule is written once here and read from the dict
+where it applies: a removal (``_is_removal``, as in the mapping merge), a
+state (``_carries_state``: a reference-shaped item is a pure mention), a
+class change (``_updated_entry``) and a creation (``_new_entry``). No other
+module reads an item's keys: the relay asks ``_names_each_entry_once``
+whether a diff names an entry twice. The value-level apply
+(``_apply_entry_diff``) takes what the reader returned, and a live
+container reaches the result. Almost every diff names a built base's
+entries in the base's own places, one item each: given that base, the
+reader finds the items that differ from its mention list in one C-level
+pass (``operator.ne``, or an identity pass over a diff read against that
+list) and checks only those, each once, and returns them with the mention
+list they were read over. The apply replaces only their entries in a base
+that pairs with that list, and spells them out by name over any other
+base, so a client reads an inbound diff once for its shadow and its root.
+A changed item that is a removal, names another entry, is an order marker
+or is malformed hands the whole diff to the full read and the match by
+name (``_apply_entry_diff_by_name``). Any other list is no entry diff: a
 value apply replaces with it, the relay drops it as malformed at the root,
 and a live container ignores it.
 
@@ -99,7 +106,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 from json.encoder import encode_basestring
 from operator import is_not, ne
@@ -678,47 +684,70 @@ def _apply(base: Any, d: Any, remove_missing: bool) -> Any:
     return d
 
 
-@dataclass
-class EntryItem:
-    """Normalized form of one entry list diff/state item. A named pure
-    mention, the common item, is its name alone (a str), with no EntryItem."""
-
-    name: str = ""
-    removed: bool = False
-    has_class_key: bool = False
-    class_name: str = ""
-    has_state: bool = False
-    state: Any = None
-
-
-def _entry_item(x: Any) -> EntryItem | str | None:
+def _entry_item(x: Any) -> dict | str | None:
     """One item of an entry list or entry diff, or None if x is none. An
     item is an entry (a dict of the reserved keys with string name and class,
-    one of them present), maybe with a removal marker; its state is a subtree
-    of x, not a copy. A bare {"objectName": name} with a non-empty name comes
-    out as the name. A reference-shaped item (empty className, null or
-    absent state) is a pure mention: has_state is False."""
-    if not isinstance(x, dict):
-        return None
-    name = x.get(OBJECT_NAME_KEY, "")
-    if len(x) == 1 and type(name) is str and name:
+    one of them present), maybe with a removal marker, and comes out as x
+    itself: its rules are read from it where they apply (_is_removal,
+    _carries_state, _updated_entry, _new_entry). A bare {"objectName": name}
+    with a non-empty name comes out as the name."""
+    name = x.get(OBJECT_NAME_KEY) if isinstance(x, dict) and len(x) == 1 else None
+    if type(name) is str and name:
         return name
-    if not _shaped(x, _DIFF_ITEM_KEYS):
-        return None
-    cls = x.get(CLASS_NAME_KEY, "")
-    st = x.get(SESSION_STATE_KEY)
-    has_state = SESSION_STATE_KEY in x and not (cls == "" and st is None)
-    removed = x.get(REMOVED_MARKER) is True  # then nothing else is read
-    return EntryItem(name, removed, CLASS_NAME_KEY in x, cls, has_state, st)
+    return x if _shaped(x, _DIFF_ITEM_KEYS) else None
 
 
-def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
-    """The one parse of a whole entry list or entry diff: its items
-    (_entry_item) and its order marker, if any, or None if d holds any
-    element that is neither an item nor an order marker alone. A marker
+def _carries_state(it: dict) -> bool:
+    """Whether the item it carries a state: a reference-shaped item (empty
+    className, null or absent state) is a pure mention."""
+    return SESSION_STATE_KEY in it and not (it[SESSION_STATE_KEY] is None and not it.get(CLASS_NAME_KEY))
+
+
+def _names_each_entry_once(items: list[dict | str]) -> bool:
+    """No two items of an entry diff read whole (_entry_diff) name one
+    entry, but for a removal followed by one re-creation (the demotion to a
+    reference that _diff_matched writes)."""
+    seen: dict[str, dict | str] = {}  # the last item that named each entry
+    for it in items:
+        name = it if type(it) is str else it.get(OBJECT_NAME_KEY, "")
+        prev = seen.get(name) if name else None  # an anonymous item names no entry
+        # A name is no dict: CLASS_NAME_KEY in it would test a substring.
+        if prev is not None and not (
+            _is_removal(prev) and type(it) is not str and CLASS_NAME_KEY in it and not _is_removal(it)
+        ):
+            return False
+        seen[name] = it
+    return True
+
+
+def _entry_diff(d: Any, base: Any) -> tuple[list | dict, list | None] | None:
+    """The items (_entry_item) and order marker of d, or None if d is not an
+    entry diff: a non-empty list of items and order markers alone. A marker
     whose value is not a list of distinct names is ignored with a
-    diagnostic: a repeated name would repeat its entry."""
-    items: list[EntryItem | str] = []
+    diagnostic: a repeated name would repeat its entry. Over a built base
+    whose entries d names in their own places, one item each, with no
+    removal (the common diff), only the items that are not their entry's
+    bare mention are read, each once: one C-level pass against base's
+    mention list m finds them, and they come back as {position: item} with
+    m in the order's place (the in-place read, which _apply_entry_diff
+    applies)."""
+    if not (isinstance(d, list) and d):
+        return None
+    m = _mentions(base) if type(base) is _EntryList and len(d) == len(base) else None
+    if m is not None:
+        # Every other item equals the bare mention of base's entry at its
+        # place, which the full parse reads as that entry's name: a no-op.
+        # A diff built or read against m holds m's own dicts there.
+        changed = {}
+        differs = is_not if type(d) is _InPlaceDiff and d.mentions is m else ne
+        for i in compress(range(len(d)), map(differs, d, m)):
+            it = _entry_item(d[i])
+            if not isinstance(it, dict) or _is_removal(it) or it.get(OBJECT_NAME_KEY) != m[i][OBJECT_NAME_KEY]:
+                break  # not an item of its own entry: read the whole diff
+            changed[i] = it
+        else:
+            return changed, m
+    items: list[dict | str] = []
     order: list | None = None
     for x in d:
         it = _entry_item(x)
@@ -735,47 +764,22 @@ def _entry_items(d: list) -> tuple[list[EntryItem | str], list | None] | None:
     return items, order
 
 
-def _entry_diff(d: Any, base: Any = None) -> tuple[list | dict, list | None] | None:
-    """The items and order marker of d, or None if d is not an entry diff
-    (a non-empty list that _entry_items reads). Over a built base whose
-    entries d names in their own places, one item each, with no removal
-    (the common diff), only the items that are not their entry's bare
-    mention are read, each once: one C-level pass against base's mention
-    list m finds them, and they come back as {position: item} with m in the
-    order's place (the in-place read, which _apply_entry_diff applies)."""
-    if not (isinstance(d, list) and d):
-        return None
-    m = _mentions(base) if type(base) is _EntryList and len(d) == len(base) else None
-    if m is not None:
-        # Every other item equals the bare mention of base's entry at its
-        # place, which the full parse reads as that entry's name: a no-op.
-        # A diff built or read against m holds m's own dicts there.
-        changed = {}
-        differs = is_not if type(d) is _InPlaceDiff and d.mentions is m else ne
-        for i in compress(range(len(d)), map(differs, d, m)):
-            it = _entry_item(d[i])
-            if type(it) is not EntryItem or it.removed or it.name != m[i][OBJECT_NAME_KEY]:
-                break  # not an item of its own entry: read the whole diff
-            changed[i] = it
-        else:
-            return changed, m
-    return _entry_items(d)
-
-
-def _new_entry(it: EntryItem | str) -> dict:
+def _new_entry(it: dict | str) -> dict:
     if type(it) is str:
         return {OBJECT_NAME_KEY: it, CLASS_NAME_KEY: "", SESSION_STATE_KEY: None}
-    state = _apply({}, it.state, False) if it.has_state else None
-    return {OBJECT_NAME_KEY: it.name, CLASS_NAME_KEY: it.class_name, SESSION_STATE_KEY: state}
+    state = _apply({}, it[SESSION_STATE_KEY], False) if _carries_state(it) else None
+    name, cls = it.get(OBJECT_NAME_KEY, ""), it.get(CLASS_NAME_KEY, "")
+    return {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: cls, SESSION_STATE_KEY: state}
 
 
-def _updated_entry(e: dict, it: EntryItem, remove_missing: bool) -> dict:
+def _updated_entry(e: dict, it: dict, remove_missing: bool) -> dict:
     """The entry e after the item it that names it: a new entry if it gives
     another class, e with its state patched if it carries one, else e."""
-    if it.has_class_key and it.class_name and it.class_name != e.get(CLASS_NAME_KEY, ""):
+    cls = it.get(CLASS_NAME_KEY)
+    if cls and cls != e.get(CLASS_NAME_KEY, ""):
         return _new_entry(it)
-    if it.has_state:
-        return {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it.state, remove_missing)}
+    if _carries_state(it):
+        return {**e, SESSION_STATE_KEY: _apply(e.get(SESSION_STATE_KEY), it[SESSION_STATE_KEY], remove_missing)}
     return e
 
 
@@ -795,9 +799,7 @@ def _apply_entry_diff(base: Any, items: list | dict, order: list | None, remove_
     return _apply_entry_diff_by_name(base, items, order, remove_missing)
 
 
-def _apply_entry_diff_by_name(
-    base: Any, items: list[EntryItem | str], order: list | None, remove_missing: bool
-) -> list:
+def _apply_entry_diff_by_name(base: Any, items: list[dict | str], order: list | None, remove_missing: bool) -> list:
     # A base that is neither an entry list nor empty gives the entries the
     # items name. Otherwise a new list of the survivors in their final
     # order: entries the items change are new dicts, created ones are
@@ -805,7 +807,7 @@ def _apply_entry_diff_by_name(
     # at its word; any other list has each entry's shape checked.
     trusted = type(base) is _EntryList
     if not trusted and not (isinstance(base, list) and all(map(_entry_shaped, base))):
-        out = [_new_entry(it) for it in items if type(it) is str or not it.removed]
+        out = [_new_entry(it) for it in items if not _is_removal(it)]
         if not _names_unique(out):
             raise ValueError("duplicate entry names in an entry list")
         return _EntryList(out)
@@ -816,9 +818,8 @@ def _apply_entry_diff_by_name(
         anon_slots = [i for i, e in enumerate(base) if not e.get(OBJECT_NAME_KEY, "")]
     entries = list(base)
     # Anonymous mentions claim the leading slots, anonymous removals the tail.
-    n_anon_mentions = (
-        sum(1 for it in items if type(it) is not str and not it.name and not it.removed) if anon_slots else 0
-    )
+    anon = [it for it in items if type(it) is not str and not it.get(OBJECT_NAME_KEY)] if anon_slots else []
+    n_anon_mentions = len(anon) - sum(map(_is_removal, anon))
 
     removed_idx: set[int] = set()
     mentioned: dict[int, None] = {}  # insertion-ordered set: mention order
@@ -832,9 +833,10 @@ def _apply_entry_diff_by_name(
             if t is not None and t not in removed_idx:
                 mentioned[t] = None
             continue
-        if it.removed:
-            if it.name:
-                t = by_name.get(it.name)
+        name = it.get(OBJECT_NAME_KEY, "")
+        if _is_removal(it):
+            if name:
+                t = by_name.get(name)
             else:
                 slot = n_anon_mentions + anon_removed_i
                 anon_removed_i += 1
@@ -842,8 +844,8 @@ def _apply_entry_diff_by_name(
             if t is not None:
                 removed_idx.add(t)
             continue
-        if it.name:
-            t = by_name.get(it.name)
+        if name:
+            t = by_name.get(name)
             if t is not None and t in removed_idx:
                 t = None  # removal earlier in this diff tombstones the name
         else:
@@ -852,7 +854,7 @@ def _apply_entry_diff_by_name(
         if t is None:
             # Creation needs the className key (possibly empty: a reference
             # entry). A bare mention of an unknown entry is skipped.
-            if it.has_class_key:
+            if CLASS_NAME_KEY in it:
                 entries.append(_new_entry(it))
                 mentioned[len(entries) - 1] = None
             continue

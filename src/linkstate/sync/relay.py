@@ -16,11 +16,11 @@ the new state is a copy with their entries replaced, sharing the mention
 list. On the wire such a diff is decoded against the state (read_base), so
 its unchanged items already are the mention list's dicts, and the fan-out
 that forwards it is written from the mention list's text. Any other diff
-is parsed once and applied by name, and is refused as malformed if two of
+is read once and applied by name, and is refused as malformed if two of
 its items name one entry (but for the removal and re-creation of a
-demotion): the relay's state could take it, but a client that has removed
-the entry, its removal not yet applied, would create the entry from each
-item.
+demotion; statetree._names_each_entry_once reads the items): the relay's
+state could take it, but a client that has removed the entry, its removal
+not yet applied, would create the entry from each item.
 """
 
 from __future__ import annotations
@@ -30,27 +30,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import MalformedMessage
-from ..statetree import EntryItem, StateNode, _apply_entry_diff, _entry_diff
+from ..statetree import StateNode, _apply_entry_diff, _entry_diff, _names_each_entry_once
 from .wire import Message
 
 log = logging.getLogger(__name__)
-
-
-def _names_each_entry_once(items: list[EntryItem | str]) -> bool:
-    """No two items of a root diff name one entry, but for a removal followed
-    by one re-creation (the demotion to a reference that
-    statetree._diff_matched writes). A client whose shadow lacks the entry
-    would create it from each item, and its apply would fail."""
-    seen: dict[str, EntryItem | str] = {}  # the last item that named each entry
-    for it in items:
-        name = it if type(it) is str else it.name
-        prev = seen.get(name) if name else None  # an anonymous item names no entry
-        if prev is not None and not (
-            type(prev) is EntryItem and prev.removed and type(it) is EntryItem and it.has_class_key and not it.removed
-        ):
-            return False
-        seen[name] = it
-    return True
 
 
 @dataclass

@@ -224,8 +224,9 @@ class TestReplay:
         assert "error:" in capsys.readouterr().err
 
     def test_out_of_range_index(self, tmp_path, capsys):
-        p, _ = _history_file(tmp_path)
+        p, log = _history_file(tmp_path)
         assert main(["replay", str(p), "--to", "99"]) == 1
+        assert capsys.readouterr().err == f"error: step index 99 outside [0, {len(log.steps)}]\n"
 
 
 class TestJoin:

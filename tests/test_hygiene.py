@@ -1,6 +1,8 @@
 """Source hygiene under src/linkstate: no module imports a name it never
-uses, no attribute stored on self goes unread, and no private function,
-method, module-level constant, sentinel or class goes unreferenced. The
+uses, no attribute stored on self goes unread, no private function,
+method, module-level constant, sentinel or class goes unreferenced, and no
+parameter default of a module-level private function is one that every
+call in src/linkstate overrides or that no call there overrides. The
 import check covers tests/ too.
 
 Package __init__ modules are exempt from the import check: their imports are
@@ -208,6 +210,68 @@ def test_the_checks_see_an_unread_field_and_an_unreferenced_private_function():
     )
     assert list(_unread_fields(tree, _read_attributes([tree]))) == [("dead", 3)]
     assert list(_unreferenced_private_functions(tree, list(_references([tree])))) == [("_recursive", 7)]
+
+
+def _named(node):
+    """The name a Name or an Attribute node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _idle_defaults(trees):
+    """(function, parameter, line) for each parameter default of a private
+    module-level function in trees that every call in trees overrides, or
+    that no call there overrides. A function named anywhere but as the
+    callee of a call (passed as a value, say) has callers the check cannot
+    see, and is left out; so is a call that spreads *args or **kwargs."""
+    functions = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(node.name):
+                functions[node.name] = node
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls = {name: [] for name in functions}
+    callees = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and _named(node.func) in calls:
+            calls[_named(node.func)].append(node)
+            callees.add(id(node.func))
+    named_otherwise = {_named(node) for node in nodes if id(node) not in callees}
+    for name, fn in functions.items():
+        spread = any(isinstance(a, ast.Starred) for c in calls[name] for a in c.args) or any(
+            k.arg is None for c in calls[name] for k in c.keywords
+        )
+        if name in named_otherwise or not calls[name] or spread:
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        defaulted = positional[len(positional) - len(fn.args.defaults) :]
+        defaulted += [a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        for arg in defaulted:
+            passed = [
+                any(k.arg == arg.arg for k in c.keywords) or (arg in positional and positional.index(arg) < len(c.args))
+                for c in calls[name]
+            ]
+            if all(passed) or not any(passed):
+                yield name, arg.arg, arg.lineno
+
+
+def test_no_private_function_has_a_default_that_every_call_or_no_call_overrides():
+    src = _parsed(SRC)
+    idle = [f"{name}({arg}=) line {line}" for name, arg, line in _idle_defaults([tree for _, tree in src])]
+    assert not idle, f"parameter defaults every call or no call overrides: {', '.join(idle)}"
+
+
+def test_the_check_sees_a_default_every_call_or_no_call_overrides():
+    tree = ast.parse(
+        "def _all(a, b=1):\n    return a\n"
+        "def _none(a, b=1, *, c=2):\n    return a\n"
+        "def _mixed(a, b=1):\n    return a\n"
+        "def _passed_around(a, b=1):\n    return a\n"
+        "_all(1, 2)\n_all(1, b=3)\n"
+        "_none(1)\n_none(2)\n"
+        "_mixed(1)\n_mixed(1, 2)\n"
+        "_passed_around(1)\nmap(_passed_around, [])\n"
+    )
+    assert list(_idle_defaults([tree])) == [("_all", "b", 1), ("_none", "b", 3), ("_none", "c", 3)]
 
 
 def test_the_line_counter_counts_code_not_comments_layout_or_docstrings():

@@ -295,7 +295,7 @@ def test_apply_by_position_equals_apply_by_name():
         in_place += parsed is not None and parsed[1] is _mentions(base) is not None
         for remove_missing in (False, True):
             got = _outcome(base, _apply_entry_diff, parsed, remove_missing)
-            assert got == _outcome(base, _apply_entry_diff_by_name, _entry_diff(d), remove_missing), f"case {i}"
+            assert got == _outcome(base, _apply_entry_diff_by_name, _entry_diff(d, None), remove_missing), f"case {i}"
             if parsed is not None:  # the value apply reads in place too
                 value_apply = lambda b, *args: statetree._apply(b, d, args[-1])  # noqa: E731
                 assert _outcome(base, value_apply, parsed, remove_missing) == got, f"case {i}"

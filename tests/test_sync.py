@@ -261,6 +261,9 @@ class TestRelay:
             [{"objectName": "x", "__removed__": True}, {"objectName": "x"}],
             [{"objectName": "x", "__removed__": True}] + [{"objectName": "x", "className": "", "sessionState": None}] * 2,
             [{"objectName": "x", "__removed__": True}, {"objectName": "x", "className": "ex.Counter", "__removed__": True}],
+            [{"objectName": "x", "__removed__": True}, {"objectName": "x", "sessionState": {"count": 1}}],
+            # a name that holds "className" is still a bare mention
+            [{"objectName": "a className", "__removed__": True}, {"objectName": "a className"}],
         ],
     )
     def test_a_root_diff_that_names_an_entry_twice_is_dropped(self, items):
@@ -271,6 +274,65 @@ class TestRelay:
         assert relay.handle(Message("Diff", "s", "a", 0, payload)) == []
         assert relay.session_state("s") is state
         assert relay.session_seq("s") == 1
+
+    @pytest.mark.parametrize(
+        "item, x",
+        [
+            # "__removed__": false is no removal
+            (
+                {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}, "__removed__": False},
+                {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}},
+            ),
+            # a reference-shaped item over an existing entry is a pure mention
+            ({"objectName": "x", "className": "", "sessionState": None}, None),
+            ({"objectName": "x", "className": ""}, None),
+            # an empty class with a state patches the entry it names
+            (
+                {"objectName": "x", "className": "", "sessionState": {"count": 2}},
+                {"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 2}},
+            ),
+            # a class-only item naming an unknown entry creates it with a null state
+            (
+                [{"objectName": "x"}, {"objectName": "y", "className": "ex.Label"}],
+                {"objectName": "y", "className": "ex.Label", "sessionState": None},
+            ),
+            # a state-only item naming an unknown entry is skipped
+            ([{"objectName": "x"}, {"objectName": "y", "sessionState": {"count": 1}}], None),
+            # a removal followed by a re-creation under another class
+            (
+                [{"objectName": "x", "__removed__": True}, {"objectName": "x", "className": "ex.Label", "sessionState": {"size": 1}}],
+                {"objectName": "x", "className": "ex.Label", "sessionState": {"size": 1}},
+            ),
+        ],
+        ids=[
+            "removed-false",
+            "reference",
+            "reference-without-state",
+            "empty-class-with-state",
+            "class-only-creation",
+            "state-only-unknown",
+            "removal-then-recreation",
+        ],
+    )
+    def test_each_item_rule_holds_in_the_value_apply_and_at_the_relay(self, item, x):
+        # x is the entry the items leave in x's place, or the entry they
+        # append, or None when the state stays as it was.
+        items = item if isinstance(item, list) else [item]
+        start = [{"objectName": n, "className": "ex.Counter", "sessionState": {"count": 0}} for n in ("c0", "x")]
+        if x is None:
+            expected = start
+        elif x["objectName"] == "x":
+            expected = [start[0], x]
+        else:
+            expected = start + [x]
+        # read in place at the relay (one item per entry, in its own place)
+        # and by name (a no-op order marker makes the diff longer)
+        for payload in ([{"objectName": "c0"}] + items, [{"objectName": "c0"}] + items + [{"__order__": ["c0", "x"]}]):
+            assert apply_diff(start, payload) == expected, payload
+            relay = Relay()
+            self._counters(relay, "c0", "x")
+            assert [m.server_seq for _, m in relay.handle(Message("Diff", "s", "a", 0, payload))] == [2], payload
+            assert encode(relay.session_state("s")) == encode(expected), payload
 
     def test_a_demotion_names_its_entry_twice_and_applies(self):
         relay = Relay()
