@@ -306,8 +306,8 @@ class LinkableHashMap(LinkableObject):
         self._children[name]._reach(e.get(SESSION_STATE_KEY))
 
     def _shows_child(self, e: dict, name: str) -> bool:
-        child = self._children[name]
-        return _shows(e, {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: self._classes[name], SESSION_STATE_KEY: _cached(child)})
+        state = _cached(self._children[name])
+        return _shows(e, {OBJECT_NAME_KEY: name, CLASS_NAME_KEY: self._classes[name], SESSION_STATE_KEY: state})
 
     def dispose(self) -> None:
         if self._disposed:

@@ -40,10 +40,11 @@ join the log's persistent lineage). A root on the log, not edited since it
 last landed, reaches the kept state at the new cursor (linkable._reach):
 walking only the subtrees whose snapshot is not the kept one, it makes the
 kept subtrees its cached snapshots, so no diff is computed or parsed. Any
-other root merges the step's diff, dropping the entries it does not name.
-A known limitation: of the edits such a root absorbed off the log, the
-values the step does not touch and the removals are kept, but a creation
-is dropped.
+other root merges the step's diff (remove_missing=False): a step names
+every entry that survives it, so a root on the log lands where the step
+goes, and of the edits a root absorbed off the log, the values the step
+does not touch, the removals and the creations are kept. Replay (state_at,
+jump_to, verify) applies steps with remove_missing=True.
 jump_to reaches the state at its index, kept or replayed, in one walk.
 After attach, any navigation or a capture resume a root whose snapshot is
 equivalent to the kept state reaches it too, which triggers nothing; a leaf
@@ -249,12 +250,12 @@ class HistoryLog:
     def _step_to(self, root: LinkableObject, index: int, step_diff: Any) -> None:
         # A root still at the kept state it last landed on reaches the kept
         # state at index; any other (off the log, or edited since) merges
-        # the step's diff, which drops an entry created off the log.
+        # the step's diff, which keeps an entry created off the log.
         kept = self._states[index]
         if kept is not _MISSING and root._snapshot() is self._last is self._states[self._cursor]:
             root._reach(kept)
         else:
-            root.set_session_state(step_diff, remove_missing=True)
+            root.set_session_state(step_diff, remove_missing=False)
         self._cursor = index
         self._track(root)
 

@@ -25,6 +25,14 @@ list whose walk finds no change. A history record needs both diffs of a
 snapshot pair; ``_diff_both`` gives them from one walk when the two entry
 lists pair up by position.
 
+Matching. One rule decides which entry of one entry list is which entry
+of another: equal keys (``_keys``). A named entry's key is its name and
+the k-th anonymous entry's is ``("", k)``, so the k-th anonymous entries
+of two lists match. The by-name diff matches with one dict over the old
+list's keys, the by-name apply looks each item up by the same keys (an
+anonymous item takes the next anonymous key, mentions first, removals
+after them), and names are unique when no two keys are equal.
+
 Trusted and untrusted entry lists. The entry lists a snapshot builds
 (linkable, dynamic) and the ones ``_apply`` builds are of the private list
 subclass ``_EntryList``, which vouches for their shape: every item is an
@@ -106,7 +114,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, repeat
 from json.encoder import encode_basestring
 from operator import is_not, ne
 from typing import Any, Callable
@@ -489,8 +497,8 @@ def _diff_plain(a: Any, b: Any) -> Any:
 
 
 def _diff_entry_list(a: list, b: list) -> Any:
-    # Named entries match by name; the k-th anonymous entry of a matches the
-    # k-th anonymous entry of b. Returns {} when the lists are equivalent.
+    # Entries match by key (_keys): by name, and the k-th anonymous entry
+    # of a matches the k-th of b. Returns {} when the lists are equivalent.
     # The common case, two built lists with the same names in the same order,
     # pairs entry i with entry i: one C-level pass finds the pairs that are
     # not identical, and only those are diffed.
@@ -554,42 +562,21 @@ def _diff_in_place(m: _Mentions, a: list, b: list, at: list[int], copy: Callable
 
 
 def _diff_entry_list_by_name(a: list, b: list) -> Any:
-    # Removal markers come first (targeting the tail anonymous slots), then
-    # one item per new entry in new order, then an order marker if the
-    # surviving entries moved.
-    a_order = [e.get(OBJECT_NAME_KEY, "") for e in a]
-    b_order = [e.get(OBJECT_NAME_KEY, "") for e in b]
-    a_names = {}
-    a_anon = []
-    for i, n in enumerate(a_order):
-        if n:
-            a_names[n] = i
-        else:
-            a_anon.append(i)
-    out: list = []
-    matched_a = set()
-    partners = []  # index into a (or None) for each entry of b
-    anon_used = 0
-    for n in b_order:
-        if n:
-            p = a_names.get(n)
-        elif anon_used < len(a_anon):
-            p = a_anon[anon_used]
-            anon_used += 1
-        else:
-            p = None
-        partners.append(p)
-        if p is not None:
-            matched_a.add(p)
-    for i, n in enumerate(a_order):
-        if i not in matched_a:
-            out.append({OBJECT_NAME_KEY: n, REMOVED_MARKER: True})
-    old_surviving = [a_order[i] for i in sorted(matched_a)]
-    new_surviving = [n for n, p in zip(b_order, partners) if p is not None]
-    reordered = old_surviving != new_surviving
-    changed = reordered or bool(out)
-
-    for e, n, p in zip(b, b_order, partners):
+    # Entries match by key (_keys): removal markers for the entries of a
+    # that b lacks come first, then one item per entry of b in b's order,
+    # then an order marker if the survivors moved.
+    at = dict(zip(_keys(a), count()))
+    keys = _keys(b)
+    kept = set(keys)
+    out: list = [
+        {OBJECT_NAME_KEY: e.get(OBJECT_NAME_KEY, ""), REMOVED_MARKER: True} for k, e in zip(at, a) if k not in kept
+    ]
+    partners = list(map(at.get, keys))  # index into a (or None) for each entry of b
+    survivors = [p for p in partners if p is not None]
+    moved = survivors != sorted(survivors)
+    changed = moved or bool(out)
+    for e, p in zip(b, partners):
+        n = e.get(OBJECT_NAME_KEY, "")
         if p is None:
             # Created: full entry.
             cls = e.get(CLASS_NAME_KEY, "")
@@ -599,11 +586,10 @@ def _diff_entry_list_by_name(a: list, b: list) -> Any:
             out.append({OBJECT_NAME_KEY: n})
         else:
             changed = _diff_matched(out, a[p], e, n) or changed
-
     # The marker is name-based, so it can only be written when every entry is
     # named; anonymous order is carried by mention order alone.
-    if reordered and all(b_order):
-        out.append({ORDER_MARKER: b_order})
+    if moved and all(type(k) is str for k in keys):
+        out.append({ORDER_MARKER: keys})
     return out if changed else {}
 
 
@@ -630,10 +616,18 @@ def _diff_matched(out: list, old: dict, e: dict, n: str) -> bool:
     return True
 
 
+def _keys(entries: list) -> list:
+    """Each entry's match key: its name, or ("", k) for the k-th anonymous
+    entry. Two lists' entries with equal keys are one entry: named ones
+    match by name, and the k-th anonymous entries match."""
+    anonymous = count()
+    return [e.get(OBJECT_NAME_KEY, "") or ("", next(anonymous)) for e in entries]
+
+
 def _names_unique(entries: list) -> bool:
-    """No non-empty objectName repeats among the entries."""
-    names = [n for e in entries if (n := e.get(OBJECT_NAME_KEY, ""))]
-    return len(names) == len(set(names))
+    """No non-empty objectName repeats among the entries: no two keys are equal."""
+    keys = _keys(entries)
+    return len(keys) == len(set(keys))
 
 
 # --- apply --------------------------------------------------------------------
@@ -811,71 +805,50 @@ def _apply_entry_diff_by_name(base: Any, items: list[dict | str], order: list | 
         if not _names_unique(out):
             raise ValueError("duplicate entry names in an entry list")
         return _EntryList(out)
-    by_name = {e.get(OBJECT_NAME_KEY, ""): i for i, e in enumerate(base)}
-    anon_slots: list[int] = []
-    if "" in by_name:
-        del by_name[""]
-        anon_slots = [i for i, e in enumerate(base) if not e.get(OBJECT_NAME_KEY, "")]
+    at = dict(zip(_keys(base), count()))
     entries = list(base)
-    # Anonymous mentions claim the leading slots, anonymous removals the tail.
-    anon = [it for it in items if type(it) is not str and not it.get(OBJECT_NAME_KEY)] if anon_slots else []
-    n_anon_mentions = len(anon) - sum(map(_is_removal, anon))
-
-    removed_idx: set[int] = set()
+    # An anonymous item takes the next anonymous key: mentions in turn, and
+    # removals the keys after the last mention's.
+    anonymous = [it for it in items if type(it) is not str and not it.get(OBJECT_NAME_KEY)]
+    mentions, removals = count(), count(len(anonymous) - sum(map(_is_removal, anonymous)))
+    removed: set[int] = set()
     mentioned: dict[int, None] = {}  # insertion-ordered set: mention order
-    anon_mention_i = 0
-    anon_removed_i = 0
-
     for it in items:
         if type(it) is str:
-            # A named pure mention: it moves its entry, if there is one.
-            t = by_name.get(it)
-            if t is not None and t not in removed_idx:
+            # A named pure mention moves its entry, if there is one.
+            t = at.get(it)
+            if t is not None and t not in removed:
                 mentioned[t] = None
             continue
-        name = it.get(OBJECT_NAME_KEY, "")
-        if _is_removal(it):
-            if name:
-                t = by_name.get(name)
-            else:
-                slot = n_anon_mentions + anon_removed_i
-                anon_removed_i += 1
-                t = anon_slots[slot] if slot < len(anon_slots) else None
+        gone = _is_removal(it)
+        t = at.get(it.get(OBJECT_NAME_KEY) or ("", next(removals if gone else mentions)))
+        if gone:
             if t is not None:
-                removed_idx.add(t)
-            continue
-        if name:
-            t = by_name.get(name)
-            if t is not None and t in removed_idx:
-                t = None  # removal earlier in this diff tombstones the name
-        else:
-            t = anon_slots[anon_mention_i] if anon_mention_i < len(anon_slots) else None
-            anon_mention_i += 1
-        if t is None:
-            # Creation needs the className key (possibly empty: a reference
-            # entry). A bare mention of an unknown entry is skipped.
-            if CLASS_NAME_KEY in it:
-                entries.append(_new_entry(it))
-                mentioned[len(entries) - 1] = None
-            continue
-        entries[t] = _updated_entry(entries[t], it, remove_missing)
-        mentioned[t] = None
+                removed.add(t)
+        elif t is not None and t not in removed:
+            entries[t] = _updated_entry(entries[t], it, remove_missing)
+            mentioned[t] = None
+        elif CLASS_NAME_KEY in it:
+            # Created (a removal earlier in this diff tombstones the name):
+            # needs the className key, possibly empty for a reference entry.
+            # A bare mention of an unknown entry is skipped.
+            entries.append(_new_entry(it))
+            mentioned[len(entries) - 1] = None
 
     if order is not None:
-        survivors = [i for i in range(len(entries)) if i not in removed_idx]
-        by_final_name = {entries[i][OBJECT_NAME_KEY]: i for i in survivors if entries[i].get(OBJECT_NAME_KEY, "")}
-        head = [by_final_name[n] for n in order if n in by_final_name]
+        final_at = {k: i for i, k in enumerate(_keys(entries)) if i not in removed}
+        head = [final_at[n] for n in order if n in final_at]
         in_head = set(head)
-        final = head + [i for i in survivors if i not in in_head]
+        final = head + [i for i in range(len(entries)) if i not in removed and i not in in_head]
         if remove_missing:
             final = [i for i in final if i in mentioned]
     else:
         # Mentioned survivors in mention order, then the unmentioned ones
         # unless they are dropped; a diff that mentions every survivor (the
         # common case) needs no second pass.
-        final = [i for i in mentioned if i not in removed_idx] if removed_idx else list(mentioned)
-        if not remove_missing and len(final) + len(removed_idx) < len(entries):
-            final += [i for i in range(len(entries)) if i not in mentioned and i not in removed_idx]
+        final = [i for i in mentioned if i not in removed] if removed else list(mentioned)
+        if not remove_missing and len(final) + len(removed) < len(entries):
+            final += [i for i in range(len(entries)) if i not in mentioned and i not in removed]
 
     out = [entries[i] for i in final]
     # A built base holds no repeated name, an order marker names each entry

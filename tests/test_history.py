@@ -160,11 +160,6 @@ class TestRecording:
         log.undo()
         assert root.get_object("a").count.get_state() == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an undo over a root off the log merges its step with remove_missing=True, which drops an entry "
-        "created while capture was paused (a known limitation, docs/history-format.md)",
-    )
     def test_an_undo_over_a_root_off_the_log_keeps_an_entry_created_while_paused(self):
         root = make_counter_root()
         root.request_object("b", "ex.Counter")

@@ -2,8 +2,10 @@
 uses, no attribute stored on self goes unread, no private function,
 method, module-level constant, sentinel or class goes unreferenced, and no
 parameter default of a module-level private function is one that every
-call in src/linkstate overrides or that no call there overrides. The
-import check covers tests/ too.
+call in src/linkstate overrides or that no call there overrides, and no
+line of src/linkstate is longer than 120 characters, so that the code-line
+count cannot fall by packing statements onto one line. The import check
+covers tests/ too.
 
 Package __init__ modules are exempt from the import check: their imports are
 the re-exports. The code-line counter (code_lines.py) is checked here too.
@@ -292,3 +294,25 @@ def test_the_line_counter_counts_code_not_comments_layout_or_docstrings():
         "        b)\n"  # 8
     )
     assert code_lines(source) == 8
+
+
+MAX_LINE = 120
+
+
+def _long_lines(source):
+    """(line number, length) of each line of source longer than MAX_LINE characters."""
+    return [(i, len(line)) for i, line in enumerate(source.splitlines(), 1) if len(line) > MAX_LINE]
+
+
+def test_no_source_line_is_longer_than_120_characters():
+    long = [
+        f"{path.relative_to(SRC)}:{i} ({n} characters)"
+        for path in sorted(SRC.rglob("*.py"))
+        for i, n in _long_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert not long, f"lines longer than {MAX_LINE} characters: {', '.join(long)}"
+
+
+def test_the_check_sees_a_line_longer_than_120_characters():
+    source = "x = 1\n" + "y = " + "1" * 116 + "\n" + "z = " + "2" * 117 + "\n"
+    assert _long_lines(source) == [(3, 121)]
