@@ -19,6 +19,7 @@ from .statetree import (
     CLASS_NAME_KEY,
     OBJECT_NAME_KEY,
     SESSION_STATE_KEY,
+    _canonical,
     _is_entry_list,
     apply_diff,
     decode,
@@ -26,7 +27,6 @@ from .statetree import (
     encode,
     encode_diff,
     diff,
-    to_plain,
 )
 
 
@@ -62,7 +62,7 @@ def _render(node: Any, indent: str, out: list[str]) -> None:
 
 def render_tree(node: Any) -> str:
     lines: list[str] = []
-    _render(to_plain(node), "", lines)
+    _render(_canonical(node), "", lines)
     return "\n".join(lines)
 
 

@@ -82,6 +82,7 @@ from .linkable import LinkableObject
 from .statetree import (
     StateNode,
     _apply,
+    _canonical,
     _EntryList,
     _is_entry_list,
     _diff_both,
@@ -99,8 +100,8 @@ _MISSING = object()
 
 
 def _built(node: Any) -> Any:
-    """The checked canonical tree node (to_plain's copy) with its entry
-    lists made built lists, which to_plain's checks vouch for: a baseline
+    """The checked canonical tree node (statetree._canonical) copied with
+    its entry lists made built lists, which those checks vouch for: a baseline
     read from JSON is then a state like any snapshot, which replay reads in
     place and a live root adopts."""
     if isinstance(node, dict):
@@ -371,7 +372,7 @@ class HistoryLog:
         if not 0 <= cursor <= len(steps_data):
             raise ParseError(f"cursor {cursor} outside [0, {len(steps_data)}]")
         try:
-            baseline = _built(to_plain(data.get("baseline")))
+            baseline = _built(_canonical(data.get("baseline")))
         except ValueError as e:  # an entry list that repeats a name
             raise ParseError(f"malformed history baseline: {e}") from e
         log = cls(clock_ms)

@@ -34,10 +34,12 @@ _reach_parts: its refusal of a target of the wrong type, its walk, and
 whether the target now shows. A composite reaches each child the target has
 a key for and leaves the others alone (unknown keys are ignored: forward
 compatibility); the hash map and the wrapper are in dynamic. A variable, the
-leaf, reaches on its own: it checks the target's canonical copy with its
-verifier, triggers only when the value changes, keeps the target object
-itself where it is canonical, and fills its slot with its value even where
-that is not the target. Caches fill bottom-up with the target's own
+leaf, reaches on its own: a str, int, bool or None target is its own
+canonical value, and any other is checked (statetree._canonical) and
+kept itself where it is canonical, copied only where it is not. The
+verifier reads that value; the variable triggers only when the value
+changes, and fills its slot with its value even where that is not the
+target. Caches fill bottom-up with the target's own
 objects, so a reached tree's snapshot is its target: the history hands the
 root the state it keeps at the cursor, the sync client the state it
 shares and a link the other endpoint's snapshot, and the next diff or copy
@@ -55,7 +57,7 @@ from typing import Any, Callable
 
 from .callbacks import STALE, CallbackCollection, FrameScheduler
 from .errors import CycleDetected, Disposed, DuplicateName, TypeMismatch
-from .statetree import StateNode, _apply, _plain_equivalent, encode_diff, to_plain
+from .statetree import _LEAF, StateNode, _apply, _canonical, _plain_equivalent, to_plain
 
 log = logging.getLogger(__name__)
 
@@ -251,8 +253,9 @@ class LinkableVariable(LinkableObject):
     non-finite number or a repeated entry name), is dropped silently: the
     old value stays, last_verify_failed flips on, and a diagnostic is
     logged. Callbacks trigger only when the stored value actually changes.
-    The value is kept canonical (statetree.to_plain) and never mutated, so
-    it is its own snapshot.
+    The value is kept canonical (statetree._canonical) and never mutated,
+    so it is its own snapshot; a default is copied (statetree.to_plain) and
+    verified as that copy, as a set value is.
     """
 
     def __init__(self, default: StateNode = None, verifier: Callable[[StateNode], bool] | None = None):
@@ -260,7 +263,7 @@ class LinkableVariable(LinkableObject):
         self._verifier = verifier
         self._last_verify_failed = False
         value = to_plain(default)  # raises on anything that is not a state tree
-        if not self._accepts(default):
+        if not self._accepts(value):  # the value a set_state would verify
             raise ValueError(f"default value {default!r} fails the verifier")
         self._value = value
 
@@ -295,21 +298,19 @@ class LinkableVariable(LinkableObject):
         return self._value
 
     def _reach(self, target: Any) -> bool:
-        # The target is checked through its canonical copy and kept itself
-        # where it is canonical already, so the snapshot can be the target.
-        # An equivalent value (maybe keyed in another order) replaces the
-        # old one without a trigger; the caches above keep a state equal
-        # to it until the parent fills its own slot.
+        # The target is kept itself where it is canonical already (a leaf
+        # always is), so the snapshot can be the target; any other is
+        # copied. An equivalent value (maybe keyed in another order)
+        # replaces the old one without a trigger; the caches above keep a
+        # state equal to it until the parent fills its own slot.
         old = value = self._value
         if old is not target:
             try:
-                value = to_plain(target)
+                value = target if type(target) in _LEAF else _canonical(target)
             except (TypeError, ValueError) as e:
                 return self._refuse(f"dropping invalid state: {e}")
             if not self._accepts(value):
                 return self._refuse(f"verifier rejected {value!r}")
-            if value is not target and encode_diff(value) == encode_diff(target):
-                value = target
         self._value = value
         self._last_verify_failed = False
         if old is not value and not _plain_equivalent(old, value):

@@ -5,7 +5,13 @@ a dict with string keys. A non-empty list whose items are all entries (dicts
 with only the keys objectName, className and sessionState, and a name or a
 class) is an entry list: an ordered list of dynamically created objects,
 whose non-empty names are unique. Canonical trees write integral floats as
-ints and every entry in the three-key form; ``to_plain`` makes that copy.
+ints and every entry in the three-key form; ``to_plain`` makes that copy,
+and its walk is the one check that decides what is wrong with a tree. A
+tree that is canonical already needs no copy to be checked, compared or
+written: ``_is_canonical`` is one walk that copies nothing, and where it
+holds, ``encode``, ``decode``, ``validate_node``, ``state_equivalent`` and a
+variable's reach read the tree as it is (``_canonical``). Only what is
+handed out, or must share nothing, is copied.
 Values are treated as immutable; every public API hands out fresh copies.
 Nothing here mutates a tree it is given: the private ``_apply``
 returns a new version of its base that shares every subtree the diff does
@@ -41,7 +47,8 @@ state and a client's ``_published`` shadow are all such lists, so a diff
 or an apply over them checks no entry's shape and no name's uniqueness.
 Input from outside (``decode``, ``parse_json``, the public ``diff`` and
 ``apply_diff`` arguments, wire payloads) is always plain lists and gets
-every check, and every public result is a plain copy (``to_plain``).
+every check, and every public result is plain and fresh: a copy
+(``to_plain``), or ``decode``'s own parse.
 
 Mention lists. A built list whose entries are all named has one mention
 list, ``[{"objectName": n}, ...]``, built on first use and shared by every
@@ -114,9 +121,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring
-from operator import is_not, ne
+from operator import is_, is_not, itemgetter, ne
 from typing import Any, Callable
 
 from .errors import ParseError
@@ -129,7 +136,8 @@ StateNode = Any
 OBJECT_NAME_KEY = "objectName"
 CLASS_NAME_KEY = "className"
 SESSION_STATE_KEY = "sessionState"
-RESERVED_ENTRY_KEYS = frozenset((OBJECT_NAME_KEY, CLASS_NAME_KEY, SESSION_STATE_KEY))
+_ENTRY_KEYS = (OBJECT_NAME_KEY, CLASS_NAME_KEY, SESSION_STATE_KEY)  # an entry's keys in canonical order
+RESERVED_ENTRY_KEYS = frozenset(_ENTRY_KEYS)
 
 REMOVED_MARKER = "__removed__"
 ORDER_MARKER = "__order__"
@@ -141,19 +149,22 @@ def validate_node(node: StateNode) -> None:
     """Raise TypeError/ValueError if node is not a well-formed state tree.
 
     Numbers must be finite (NaN/Inf have no JSON encoding here), mapping keys
-    must be strings, and non-empty entry names in an entry list unique.
+    must be strings, and non-empty entry names in an entry list unique. A
+    canonical tree (_is_canonical) passes at once; any other is checked by
+    its copy (to_plain), which raises the error.
     """
-    to_plain(node)
+    _canonical(node)
 
 
 def to_plain(node: StateNode) -> Any:
     """Canonical copy of a state tree, sharing nothing with it: integral
     floats become ints and entry lists come out in the three-key form, with
     keys in reserved order, as plain lists. It checks the tree as it walks
-    it (validate_node is this check alone): TypeError on a non-str mapping
-    key or anything that is not a state node, ValueError on a non-finite
-    number or a repeated entry name, the first bad node in walk order
-    deciding."""
+    it, and is the one code that decides what is wrong with one: TypeError
+    on a non-str mapping key or anything that is not a state node,
+    ValueError on a non-finite number or a repeated entry name, the first
+    bad node in walk order deciding. A str, int, bool or None value is
+    copied as itself, with no call."""
     # Mappings first: they are the most common container in a snapshot. An
     # explicit loop checks each key before its value, and beats a dict
     # comprehension here.
@@ -162,7 +173,7 @@ def to_plain(node: StateNode) -> Any:
         for k, v in node.items():
             if not isinstance(k, str):
                 raise TypeError(f"mapping key must be str, got {type(k).__name__}")
-            out[k] = to_plain(v)
+            out[k] = v if type(v) in _LEAF else to_plain(v)
         return out
     if node is None or isinstance(node, (str, int)):  # bool is an int
         return node
@@ -186,8 +197,61 @@ def to_plain(node: StateNode) -> Any:
                 }
                 for e in node
             ]
-        return [to_plain(x) for x in node]
+        return [x if type(x) in _LEAF else to_plain(x) for x in node]
     raise TypeError(f"not a state node: {type(node).__name__}")
+
+
+_LEAF = frozenset((str, int, bool, type(None)))  # the types to_plain gives back as they are
+
+
+def _is_canonical(node: Any, depth: int = 100) -> bool:
+    """Whether to_plain(node) would give node back (a plain list for a
+    built one): exact dicts, lists, str, int, bool and None, floats that
+    are finite and not integral (-0.0 is), str keys, and in an entry list
+    entries of the three keys in canonical order whose names are unique (a
+    built list, _EntryList, vouches for that). Makes no copy and never
+    decides an error: where it answers False, to_plain copies the tree and
+    raises what is wrong with it. A tree nested deeper than depth levels
+    gets False, so the walk stops well inside the recursion limit, and
+    to_plain decides it."""
+    t = type(node)
+    if t is dict and depth:
+        for k, v in node.items():
+            if type(k) is not str or type(v) not in _LEAF and not _is_canonical(v, depth - 1):
+                return False
+        return True
+    if (t is list or t is _EntryList) and depth:
+        if not node:
+            return True
+        if _in_entry_form(node):
+            if t is list and not _names_unique(node):
+                return False
+            node = map(itemgetter(SESSION_STATE_KEY), node)  # the entries' states
+        elif _is_entry_list(node):
+            return False  # an entry that lacks a key, or has them in another order
+        return all(type(x) in _LEAF or _is_canonical(x, depth - 1) for x in node)
+    if t is float:
+        return math.isfinite(node) and not node.is_integer()
+    return t in _LEAF
+
+
+def _in_entry_form(entries: list) -> bool:
+    """Whether every item is an entry as to_plain writes one: an exact dict
+    of the three keys in canonical order, with an exact str name and
+    class. C-level passes over the list, each only after the one before
+    held, so none can raise."""
+    if not all(map(is_, map(type, entries), repeat(dict))):
+        return False
+    return all(map(_ENTRY_KEYS.__eq__, map(tuple, entries))) and all(
+        map(is_, map(type, chain.from_iterable(map(itemgetter(OBJECT_NAME_KEY, CLASS_NAME_KEY), entries))), repeat(str))
+    )
+
+
+def _canonical(node: Any) -> Any:
+    """node itself where it is canonical (_is_canonical), else its checked
+    copy (to_plain, which raises on a tree that is no state tree). For
+    callers that only read the result: it may share everything with node."""
+    return node if _is_canonical(node) else to_plain(node)
 
 
 class _EntryList(list):
@@ -327,23 +391,25 @@ def parse_json(text: str | bytes) -> Any:
 def encode(node: StateNode) -> str:
     """Canonical compact JSON encoding. Key order is preserved (it is part of
     the state), entries always carry all three reserved keys, and integral
-    floats are written as integers. One canonical walk (to_plain) checks the
-    tree as it copies it."""
-    return encode_diff(to_plain(node))
+    floats are written as integers. A canonical tree, such as a fresh
+    get_session_state(), is checked (_is_canonical) and written as it is;
+    any other is written from its checked copy (to_plain)."""
+    return encode_diff(_canonical(node))
 
 
 def decode(text: str) -> StateNode:
-    """Inverse of encode: the canonical copy (to_plain) of decode_diff's
-    parse. Raises ParseError on malformed JSON and ValueError on NaN/Infinity
-    literals, out-of-range numbers and anything to_plain refuses."""
-    return to_plain(decode_diff(text))
+    """Inverse of encode: decode_diff's parse, which is fresh, itself where
+    it is canonical already, else its canonical copy (to_plain). Raises
+    ParseError on malformed JSON and ValueError on NaN/Infinity literals,
+    out-of-range numbers and anything to_plain refuses."""
+    return _canonical(decode_diff(text))
 
 
 def encode_diff(d: Any) -> str:
     """The canonical compact text of any plain JSON value (a diff tree, a
     wire message, a report): no whitespace, non-ASCII written as is, key
     order kept, NaN and the infinities refused. encode is this over the
-    canonical copy (to_plain). One encoder, built once, serves every call.
+    canonical tree (_canonical). One encoder, built once, serves every call.
     An in-place diff (_InPlaceDiff) with few changed items is spliced: each
     run of its mention list's own dicts is a slice of the list's text, and
     only the other items go through the encoder. The text is the same."""
@@ -431,8 +497,9 @@ def decode_diff(text: str) -> Any:
 def state_equivalent(a: StateNode, b: StateNode) -> bool:
     """Structural equivalence: Mapping key order is ignored, entry order in an
     entry list is significant, numbers compare exactly (but 5 == 5.0),
-    and bool never equals a number."""
-    return _plain_equivalent(to_plain(a), to_plain(b))
+    and bool never equals a number. Each side is compared as it is where
+    it is canonical (_canonical), so comparing copies none."""
+    return _plain_equivalent(_canonical(a), _canonical(b))
 
 
 def _plain_equivalent(a: Any, b: Any) -> bool:

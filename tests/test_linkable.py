@@ -67,6 +67,23 @@ def test_bad_default_raises_at_construction():
         LinkableVariable(default=-1, verifier=lambda x: x is None or x >= 0)
 
 
+def test_a_default_is_verified_as_the_value_a_set_would_store():
+    # The verifier reads the canonical value at construction, as it does
+    # for set_state: 5.0 is stored as 5 either way.
+    ints = lambda x: type(x) is int  # noqa: E731
+    v = LinkableNumber(default=5.0, verifier=ints)
+    assert type(v.get_state()) is int and v.get_state() == 5
+    w = LinkableNumber(default=1, verifier=ints)
+    w.set_state(5.0)
+    assert not w.last_verify_failed and type(w.get_state()) is int
+    floats = lambda x: type(x) is float  # noqa: E731
+    with pytest.raises(ValueError):
+        LinkableNumber(default=5.0, verifier=floats)
+    f = LinkableNumber(default=0.5, verifier=floats)
+    f.set_state(5.0)
+    assert f.last_verify_failed and f.get_state() == 0.5
+
+
 def test_typed_variables():
     s = LinkableString(default="hi")
     s.set_state(42)
