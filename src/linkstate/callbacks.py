@@ -148,9 +148,6 @@ class CallbackCollection:
     def scheduler(self) -> FrameScheduler:
         return self._scheduler
 
-    def _set_scheduler(self, scheduler: FrameScheduler) -> None:
-        self._scheduler = scheduler
-
     def _check_live(self) -> None:
         if self._disposed:
             raise Disposed("operation on a disposed callback collection")

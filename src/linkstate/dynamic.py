@@ -133,8 +133,9 @@ class LinkableHashMap(LinkableObject):
     def registry(self) -> ClassRegistry:
         return self._registry
 
-    def _extra_collections(self) -> list[CallbackCollection]:
-        return [self.child_list_callbacks]
+    def _adopt_scheduler(self, scheduler: FrameScheduler) -> None:
+        self.child_list_callbacks._scheduler = scheduler
+        super()._adopt_scheduler(scheduler)
 
     # -- entry access ---------------------------------------------------------
 
@@ -170,16 +171,15 @@ class LinkableHashMap(LinkableObject):
         obj = self._registry.create(class_name)  # may raise UnknownClass
         self.callbacks.delay()
         try:
-            position = None
-            if existing is not None:
-                position = list(self._children).index(name)
-                existing.dispose()
-            self.register_linkable_child(name, obj)
-            if position is not None:
+            if existing is None:
+                self.register_linkable_child(name, obj)
+            else:
                 order = list(self._children)
-                order.remove(name)
-                order.insert(position, name)
-                self._children = {n: self._children[n] for n in order}
+                existing.dispose()
+                self.register_linkable_child(name, obj)
+                # name back in its place; an entry a child-list callback
+                # removed meanwhile stays out, one it added stays last
+                self._children = {n: self._children[n] for n in order if n in self._children} | self._children
             self._classes[name] = class_name
         finally:
             self.callbacks.resume()

@@ -162,14 +162,9 @@ class LinkableObject:
         # the parent's scheduler so frame flushes stay coherent.
         if self.callbacks.scheduler is scheduler:
             return
-        self.callbacks._set_scheduler(scheduler)
-        for extra in self._extra_collections():
-            extra._set_scheduler(scheduler)
+        self.callbacks._scheduler = scheduler
         for child in self._children.values():
             child._adopt_scheduler(scheduler)
-
-    def _extra_collections(self) -> list[CallbackCollection]:
-        return []
 
     # -- session state ----------------------------------------------------------------
 

@@ -164,20 +164,29 @@ def to_plain(node: StateNode) -> Any:
     on a non-str mapping key or anything that is not a state node,
     ValueError on a non-finite number or a repeated entry name, the first
     bad node in walk order deciding. A str, int, bool or None value is
-    copied as itself, with no call."""
+    copied as itself, with no call; a str, int or float subclass value or
+    str subclass key comes out as its exact value, and none of its own
+    methods runs."""
     # Mappings first: they are the most common container in a snapshot. An
     # explicit loop checks each key before its value, and beats a dict
     # comprehension here.
     if isinstance(node, dict):
         out = {}
         for k, v in node.items():
-            if not isinstance(k, str):
-                raise TypeError(f"mapping key must be str, got {type(k).__name__}")
+            if type(k) is not str:
+                if not isinstance(k, str):
+                    raise TypeError(f"mapping key must be str, got {type(k).__name__}")
+                k = str.__str__(k)
             out[k] = v if type(v) in _LEAF else to_plain(v)
         return out
-    if node is None or isinstance(node, (str, int)):  # bool is an int
+    if type(node) in _LEAF:
         return node
+    if isinstance(node, str):
+        return str.__str__(node)
+    if isinstance(node, int):  # bool, which is a leaf, has no subclasses
+        return int.__index__(node)
     if isinstance(node, float):
+        node = float.__float__(node)
         # Integral floats become ints so 5.0 and 5 are one canonical value;
         # NaN and the infinities are not integral.
         if node.is_integer():

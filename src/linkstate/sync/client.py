@@ -171,24 +171,17 @@ class ClientEngine:
     def on_message(self, msg: Message, now_ms: int) -> None:
         if msg.session_id != self.session_id:
             log.warning("%s: message for foreign session %r dropped", self.client_id, msg.session_id)
-            return
-        if msg.kind in ("Welcome", "FullState"):
+        elif msg.kind in ("Welcome", "FullState"):
             self._full_reset(msg)
             self._drain_buffer(now_ms)
-            return
-        if msg.kind in ("Diff", "Ack"):
-            if msg.server_seq <= self.last_server_seq:
-                self.stats["staleDrops"] += 1
-                return
-            if msg.server_seq == self.last_server_seq + 1:
-                self._apply_ordered(msg)
-                self._drain_buffer(now_ms)
-            else:
-                self._buffer[msg.server_seq] = msg
-                if self._gap_since_ms is None:
-                    self._gap_since_ms = now_ms
-            return
-        log.warning("%s: unexpected %s message dropped", self.client_id, msg.kind)
+        elif msg.kind not in ("Diff", "Ack"):
+            log.warning("%s: unexpected %s message dropped", self.client_id, msg.kind)
+        elif msg.server_seq <= self.last_server_seq:
+            self.stats["staleDrops"] += 1
+        else:
+            # in order or not, a Diff or Ack is applied from the buffer
+            self._buffer[msg.server_seq] = msg
+            self._drain_buffer(now_ms)
 
     def _drain_buffer(self, now_ms: int) -> None:
         while self.last_server_seq + 1 in self._buffer:

@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class _Session:
-    session_id: str
     state: StateNode = field(default_factory=list)  # root hash maps serialize to entry lists
     server_seq: int = 0
     members: dict[str, None] = field(default_factory=dict)  # insertion-ordered set
@@ -84,7 +83,7 @@ class Relay:
             raise MalformedMessage(f"clients may not send {msg.kind!r}")
         session = self._sessions.get(msg.session_id)
         if session is None:
-            session = self._sessions[msg.session_id] = _Session(msg.session_id)
+            session = self._sessions[msg.session_id] = _Session()
 
         if msg.kind == "Hello":
             # First contact gets Welcome; later Hellos are resync requests.
@@ -92,7 +91,7 @@ class Relay:
             session.members[msg.sender_id] = None
             reply = Message(
                 kind="FullState" if rejoin else "Welcome",
-                session_id=session.session_id,
+                session_id=msg.session_id,
                 sender_id="server",
                 server_seq=session.server_seq,
                 payload=session.state,
@@ -117,6 +116,6 @@ class Relay:
         session.applied.append((session.server_seq, msg.sender_id, msg.payload))
         # One Diff message for every other member, so a transport encodes
         # its body once.
-        fanout = Message("Diff", session.session_id, msg.sender_id, session.server_seq, msg.payload)
-        ack = Message("Ack", session.session_id, msg.sender_id, session.server_seq, msg.payload)
+        fanout = Message("Diff", msg.session_id, msg.sender_id, session.server_seq, msg.payload)
+        ack = Message("Ack", msg.session_id, msg.sender_id, session.server_seq, msg.payload)
         return [(member, ack if member == msg.sender_id else fanout) for member in session.members]

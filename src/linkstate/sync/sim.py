@@ -34,7 +34,7 @@ from ..linkable import LinkableObject, LinkableVariable
 from ..statetree import diff, encode, encode_diff, parse_json, state_equivalent, validate_node
 from .client import ClientEngine
 from .relay import Relay
-from .wire import Message, decode_frame, encode_fanout, encode_frame
+from .wire import Message, Reference, decode_frame, encode_fanout, encode_frame
 
 # -- script loading ---------------------------------------------------------------
 
@@ -196,7 +196,7 @@ def _load_edit(cid: str, raw: Any) -> dict:
     return edit
 
 
-# -- event loop and pipes ----------------------------------------------------------
+# -- event loop --------------------------------------------------------------------
 
 
 class _Loop:
@@ -222,50 +222,6 @@ class _Loop:
         heap is looked at again."""
         self.now = t
         return True
-
-
-class _Pipe:
-    """One direction of one link: latency, ordering policy, optional drops.
-    A frame that arrives is decoded against the receiver's reference
-    (wire.decode_frame) and delivered."""
-
-    def __init__(self, loop, rng, net, label, deliver, reference, drop_check, trace, counters):
-        self.loop = loop
-        self.rng = rng
-        self.latency = net["latencyMs"]
-        self.fifo = net["order"] == "fifo"
-        self.label = label
-        self.deliver = deliver
-        self.reference = reference
-        self.drop_check = drop_check
-        self.trace = trace
-        self.counters = counters
-        self._last_arrival = 0
-
-    def send(self, msg: Message, frame: bytes | None = None) -> None:
-        """Send msg; frame, when given, is its encoding (encode_frame(msg))."""
-        if frame is None:
-            frame = encode_frame(msg)
-        self.counters["framesSent"] += 1
-        if self.drop_check(self.loop.now):
-            self.counters["framesDropped"] += 1
-            self.trace.append(
-                f"t={self.loop.now} {self.label} {msg.kind} seq={msg.server_seq} bytes={len(frame)} DROP"
-            )
-            return
-        delay = self.rng.randint(*self.latency) if isinstance(self.latency, list) else self.latency
-        arrival = self.loop.now + delay
-        if self.fifo:
-            arrival = max(arrival, self._last_arrival)
-            self._last_arrival = arrival
-        self.trace.append(
-            f"t={self.loop.now} {self.label} {msg.kind} seq={msg.server_seq} bytes={len(frame)} eta={arrival}"
-        )
-        self.loop.at(arrival, lambda: self._arrive(frame))
-
-    def _arrive(self, frame: bytes) -> None:
-        self.counters["framesDelivered"] += 1
-        self.deliver(decode_frame(frame, self.reference))
 
 
 # -- scripted edits ----------------------------------------------------------------
@@ -470,27 +426,55 @@ def run_simulation(script: Any, seed: int = 0) -> SimResult:
     def r2c_drop(now: int) -> bool:
         return any(start <= now < end for start, end in windows)
 
-    to_client: dict[str, _Pipe] = {}
+    latency = net["latencyMs"]
+    fifo = net["order"] == "fifo"
+    last_arrival: dict[str, int] = {}  # by pipe label
+
+    def pipe(label: str, deliver: Callable[[Message], None], reference: Reference, drop: Callable[[int], bool]):
+        """One direction of one link, as its send(msg, frame): latency, the
+        ordering policy and drops. frame, when given, is encode_frame(msg).
+        A frame that arrives is decoded against the receiver's reference
+        (wire.decode_frame) and delivered."""
+
+        def send(msg: Message, frame: bytes | None = None) -> None:
+            if frame is None:
+                frame = encode_frame(msg)
+            counters["framesSent"] += 1
+            sent = f"t={loop.now} {label} {msg.kind} seq={msg.server_seq} bytes={len(frame)}"
+            if drop(loop.now):
+                counters["framesDropped"] += 1
+                trace.append(sent + " DROP")
+                return
+            arrival = loop.now + (rng.randint(*latency) if isinstance(latency, list) else latency)
+            if fifo:
+                arrival = last_arrival[label] = max(arrival, last_arrival.get(label, 0))
+            trace.append(f"{sent} eta={arrival}")
+            loop.at(arrival, lambda: arrive(frame))
+
+        def arrive(frame: bytes) -> None:
+            counters["framesDelivered"] += 1
+            deliver(decode_frame(frame, reference))
+
+        return send
+
+    to_client: dict[str, Callable[[Message, bytes], None]] = {}
 
     def relay_receive(msg: Message) -> None:
         # every target is a scripted client, connected with both its pipes
         for target, out, frame in encode_fanout(relay.handle(msg)):
-            to_client[target].send(out, frame)
+            to_client[target](out, frame)
 
     def connect(client: _ScriptClient) -> ClientEngine:
         cid = client.cid
-        up = _Pipe(loop, rng, net, f"{cid}->relay", relay_receive, relay.read_base, c2r_drop, trace, counters)
         engine = ClientEngine(
             client_id=cid,
             session_id=session,
             registry=build_demo_registry(),
-            send=up.send,
+            send=pipe(f"{cid}->relay", relay_receive, relay.read_base, c2r_drop),
             ack_timeout_ms=net["ackTimeoutMs"],
             gap_timeout_ms=net["gapTimeoutMs"],
         )
-        to_client[cid] = _Pipe(
-            loop, rng, net, f"relay->{cid}", client.on_frame, engine.read_base, r2c_drop, trace, counters
-        )
+        to_client[cid] = pipe(f"relay->{cid}", client.on_frame, engine.read_base, r2c_drop)
         return engine
 
     end = _drive(script, loop, relay, connect)

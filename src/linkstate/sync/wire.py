@@ -48,24 +48,30 @@ class Message:
     payload: Any = None
 
 
+def _check_envelope(kind: Any, session_id: Any, sender_id: Any, server_seq: Any) -> None:
+    """The envelope rule, for the encoder and the decoder alike: a known
+    kind, string ids and a non-negative integer serverSeq that is no bool.
+    Raises MalformedMessage at the first field that breaks it."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise MalformedMessage(f"unknown message kind {kind!r}")
+    if not isinstance(session_id, str) or not isinstance(sender_id, str):
+        raise MalformedMessage("sessionId and senderId must be strings")
+    if not isinstance(server_seq, int) or isinstance(server_seq, bool) or server_seq < 0:
+        raise MalformedMessage("serverSeq must be a non-negative integer")
+
+
 def encode_frame(msg: Message, payload_text: str | None = None) -> bytes:
-    """The frame of msg. payload_text, when given, is encode_diff(msg.payload)
-    already made; the frame's bytes are the same either way."""
-    if msg.kind not in KINDS:
-        raise MalformedMessage(f"unknown message kind {msg.kind!r}")
+    """The frame of msg; MalformedMessage if its envelope breaks the rule
+    decode_body reads it by (_check_envelope). payload_text, when given, is
+    encode_diff(msg.payload) already made; the frame's bytes are the same
+    either way."""
+    _check_envelope(msg.kind, msg.session_id, msg.sender_id, msg.server_seq)
     if payload_text is None:
         payload_text = encode_diff(msg.payload)
-    sid, sender, seq = msg.session_id, msg.sender_id, msg.server_seq
-    if type(sid) is str and type(sender) is str and type(seq) is int:
-        # The fields formatted as the encoder writes them.
-        head = (
-            f'{_ENVELOPE_HEAD[msg.kind]}{encode_basestring(sid)},"senderId":{encode_basestring(sender)},'
-            f'"serverSeq":{seq}'
-        )
-    else:
-        # payload is the last key, so the envelope with a null one ends in `,"payload":null}`
-        head = encode_diff({"kind": msg.kind, "sessionId": sid, "senderId": sender, "serverSeq": seq, "payload": None})
-        head = head[: -len(_PAYLOAD_KEY) - 5]
+    # The fields as the encoder writes them: encode_basestring and
+    # int.__repr__ write a str or int subclass as its value.
+    sid, sender = encode_basestring(msg.session_id), encode_basestring(msg.sender_id)
+    head = f'{_ENVELOPE_HEAD[msg.kind]}{sid},"senderId":{sender},"serverSeq":{int.__repr__(msg.server_seq)}'
     body = (head + _PAYLOAD_KEY + payload_text + "}").encode("utf-8")
     return _LENGTH.pack(len(body)) + body
 
@@ -128,17 +134,9 @@ def decode_body(body: bytes, reference: Reference | None = None) -> Message:
         raise MalformedMessage(f"undecodable frame body: {e}") from e
     if not isinstance(data, dict):
         raise MalformedMessage("frame body must be a JSON object")
-    kind = data.get("kind")
-    session_id = data.get("sessionId")
-    sender_id = data.get("senderId")
-    server_seq = data.get("serverSeq", 0)
-    if kind not in KINDS:
-        raise MalformedMessage(f"unknown message kind {kind!r}")
-    if not isinstance(session_id, str) or not isinstance(sender_id, str):
-        raise MalformedMessage("sessionId and senderId must be strings")
-    if not isinstance(server_seq, int) or isinstance(server_seq, bool) or server_seq < 0:
-        raise MalformedMessage("serverSeq must be a non-negative integer")
-    return Message(kind, session_id, sender_id, server_seq, data.get("payload"))
+    envelope = data.get("kind"), data.get("sessionId"), data.get("senderId"), data.get("serverSeq", 0)
+    _check_envelope(*envelope)
+    return Message(*envelope, data.get("payload"))
 
 
 def decode_frame(frame: bytes, reference: Reference | None = None) -> Message:

@@ -13,7 +13,9 @@ instruction before the jump, which computes the tested value, so
 test merge into one. The value a condition took is the tested value's
 truth (`true`, `false`), or for a jump on None whether it was `None`.
 The trace records which way each jump went from the next instruction its
-frame runs: the jump's fall-through or its target. A condition on a
+frame runs: the jump's fall-through or its target. A jump with an
+EXTENDED_ARG prefix is looked up at the prefix, where its opcode event
+fires. A condition on a
 reached line that was seen fewer than two ways is undecided; a condition
 on an unreached line is left to that line.
 
@@ -119,7 +121,7 @@ def conditions(path: Path) -> tuple[dict[tuple, dict[int, tuple]], list[Conditio
     for code in _codes(path):
         jumps = {}
         instructions = list(dis.get_instructions(code))
-        before = None
+        before = prefix = None  # prefix: the offset of the EXTENDED_ARGs before ins
         for ins, after in zip(instructions, instructions[1:]):
             if "JUMP" in ins.opname and "IF" in ins.opname and before.opname not in _EXIT_TESTS:
                 at = before.positions
@@ -130,9 +132,12 @@ def conditions(path: Path) -> tuple[dict[tuple, dict[int, tuple]], list[Conditio
                     if key not in merged:
                         merged[key] = Condition(path, at.lineno, _segment(source, *at), values)
                     taken = int(("NOT_NONE" not in ins.opname) if none else ("TRUE" in ins.opname))
-                    jumps[ins.offset] = (after.offset, ins.argval, merged[key].seen, 1 - taken)
+                    start = ins.offset if prefix is None else prefix
+                    jumps[start] = (after.offset, ins.argval, merged[key].seen, 1 - taken)
             if ins.opname != "EXTENDED_ARG":
-                before = ins
+                before, prefix = ins, None
+            elif prefix is None:
+                prefix = ins.offset
         tables[path, code.co_qualname, tuple(code.co_positions())] = jumps
     return tables, [merged[key] for key in sorted(merged)]  # in source order
 

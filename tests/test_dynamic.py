@@ -133,6 +133,22 @@ def test_request_object_class_change_recreates_in_place():
     assert m.get_class_name("b") == "ex.Label"
 
 
+def test_a_class_change_keeps_its_place_when_a_child_list_callback_edits_the_map():
+    m = fresh_map()
+    for n in ("a", "b", "c", "d"):
+        m.request_object(n, "ex.Counter")
+
+    def on_child_list():
+        if m.last_object_removed[0] == "c" and "a" in m.get_names():
+            m.remove_object("a")
+            m.request_object("e", "ex.Counter")
+
+    m.child_list_callbacks.add_immediate_callback(on_child_list)
+    m.request_object("c", "ex.Label")
+    assert m.get_names() == m.child_names() == ["b", "c", "d", "e"]
+    assert m.get_class_name("c") == "ex.Label"
+
+
 def test_request_object_requires_name_and_known_class():
     m = fresh_map()
     with pytest.raises(NameRequired):

@@ -412,15 +412,22 @@ FRAMES_SHA256 = "898cf17001bd9e4c3b692573e1932fdb68298606bd49827a909e13ad9c7a223
 
 
 def test_simulated_frames_match_the_recorded_digest(monkeypatch):
+    # A pipe sends each frame as it is encoded: a client's by encode_frame,
+    # the relay's as encode_fanout yields it.
     frames = hashlib.sha256()
-    real_send = sim._Pipe.send
 
-    def send(self, msg, frame=None):
-        frame = wire.encode_frame(msg) if frame is None else frame
+    def encode_frame(msg):
+        frame = wire.encode_frame(msg)
         frames.update(frame)
-        real_send(self, msg, frame)
+        return frame
 
-    monkeypatch.setattr(sim._Pipe, "send", send)
+    def encode_fanout(outbound):
+        for target, msg, frame in wire.encode_fanout(outbound):
+            frames.update(frame)
+            yield target, msg, frame
+
+    monkeypatch.setattr(sim, "encode_frame", encode_frame)
+    monkeypatch.setattr(sim, "encode_fanout", encode_fanout)
     for name in SCENARIOS:
         script = (importlib.resources.files("linkstate") / "scenarios" / f"{name}.json").read_text(encoding="utf-8")
         for seed in (1, 2, 3):

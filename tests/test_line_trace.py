@@ -2,8 +2,9 @@
 reports exactly the runnable lines no test ran, also after a test that
 recursed to the limit and so made Python unset the trace, and the
 conditions decided only one way, with a `while` test's two compiled
-copies as one condition and no condition for `except` matching or a
-`with` exit; its gate fails wherever those and the allow-list disagree."""
+copies as one condition, no condition for `except` matching or a `with`
+exit, and a jump with an EXTENDED_ARG prefix seen as it went; its gate
+fails wherever those and the allow-list disagree."""
 
 import sys
 
@@ -81,24 +82,29 @@ def test_guarded():
 '''
 
 
-@pytest.fixture(scope="module")
-def toy_trace(tmp_path_factory):
-    """The toy module's path, the trace's pytest exit code, its unreached
+def _trace(tmp_path, toy_source, tests_source):
+    """A toy module toy_traced of toy_source traced over the tests in
+    tests_source: its path, the trace's pytest exit code, its unreached
     lines and the conditions on its reached lines."""
-    tmp_path = tmp_path_factory.mktemp("toy")
     package = tmp_path / "pkg"
     package.mkdir()
     toy = package / "toy_traced.py"
-    toy.write_text(TOY)
+    toy.write_text(toy_source)
     tests = tmp_path / "test_toy_traced.py"
-    tests.write_text(TOY_TESTS)
+    tests.write_text(tests_source)
     sys.path.insert(0, str(package))
     try:
         code, unreached, conds = run(["-q", "-p", "no:cacheprovider", "--rootdir", str(tmp_path), str(tests)], package)
     finally:
         sys.path.remove(str(package))
         sys.modules.pop("toy_traced", None)
+        sys.modules.pop("test_toy_traced", None)
     return toy, code, unreached, conds
+
+
+@pytest.fixture(scope="module")
+def toy_trace(tmp_path_factory):
+    return _trace(tmp_path_factory.mktemp("toy"), TOY, TOY_TESTS)
 
 
 def test_the_trace_reports_only_the_lines_no_test_ran_even_after_a_recursion_to_the_limit(toy_trace):
@@ -173,3 +179,13 @@ def test_the_gate_fails_on_a_listed_condition_that_is_gone(toy_trace):
     conditions = (("if x:", "x", "true"), ("y = a or b", "b", "true"))
     problems = _gate(toy_trace, _allowed("return 2", "if x:", "return 4", conditions=conditions))
     assert problems == ["allowed but gone: toy_traced.py  y = a or b  [b] true"]
+
+
+def test_a_condition_whose_jump_has_an_extended_arg_prefix_is_seen_both_ways(tmp_path):
+    # the jump over 120 statements needs an EXTENDED_ARG prefix, where its
+    # opcode event fires
+    toy = "def long_if(x):\n    n = 0\n    if x:\n" + "        n += 1\n" * 120 + "    return n\n"
+    tests = "import toy_traced\n\n\ndef test_long_if():\n    assert toy_traced.long_if(0) == 0\n    assert toy_traced.long_if(1) == 120\n"
+    _, code, unreached, conds = _trace(tmp_path, toy, tests)
+    assert code == 0 and unreached == {}
+    assert [(c.line, c.segment, c.seen_as()) for c in conds] == [(3, "x", "both ways")]

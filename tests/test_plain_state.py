@@ -13,7 +13,7 @@ import pytest
 
 import graphops
 from linkstate import history
-from linkstate.linkable import LinkableVariable
+from linkstate.linkable import LinkableString, LinkableVariable
 from linkstate.statetree import (
     RESERVED_ENTRY_KEYS,
     apply_diff,
@@ -120,6 +120,31 @@ def test_variable_holding_an_entry_list_hands_out_canonical_copies():
     assert v.get_state() is not v.get_state()
     v.set_state(5.0)
     assert v.get_state() == 5 and type(v.get_state()) is int
+
+
+class _Str(str):
+    def __str__(self):
+        return "overridden"
+
+
+class _Int(int):
+    def __index__(self):
+        return 99
+
+
+class _Float(float):
+    def __float__(self):
+        return 9.0
+
+
+def test_subclass_values_and_keys_come_back_as_their_exact_values():
+    v = LinkableString("a")
+    v.set_state(_Str("x"))
+    assert type(v.get_state()) is str and v.get_state() == "x"
+    v = LinkableVariable(default={})
+    v.set_state({_Str("k"): [_Str("x"), _Int(3), _Float(2.5), _Float(2.0)], "n": _Int(4)})
+    _assert_plain_json(v.get_state(), "subclasses")
+    assert v.get_state() == {"k": ["x", 3, 2.5, 2], "n": 4}
 
 
 def test_duplicate_entry_names_are_rejected_everywhere():

@@ -84,6 +84,7 @@ class TestWire:
         [
             ("[1]", "must be a JSON object"),
             ('"Diff"', "must be a JSON object"),
+            ('{"kind":["Diff"],"sessionId":"s","senderId":"a"}', "unknown message kind"),
             ('{"kind":"Diff","sessionId":1,"senderId":"a"}', "must be strings"),
             ('{"kind":"Diff","sessionId":"s","senderId":null}', "must be strings"),
             ('{"kind":"Diff","sessionId":"s","senderId":"a","serverSeq":true}', "non-negative integer"),
@@ -401,14 +402,14 @@ class TestRelay:
     def test_a_session_is_built_once_not_per_message(self, monkeypatch):
         built = []
         session_class = relay_module._Session
-        monkeypatch.setattr(relay_module, "_Session", lambda sid: built.append(sid) or session_class(sid))
+        monkeypatch.setattr(relay_module, "_Session", lambda: built.append(session_class()) or built[-1])
         relay = Relay()
         relay.handle(Message("Hello", "s", "a"))
         d = [{"objectName": "x", "className": "ex.Counter", "sessionState": {"count": 1}}]
         relay.handle(Message("Diff", "s", "a", 0, d))
         relay.handle(Message("Diff", "s", "a", 1, {}))
-        assert built == ["s"]
-        assert relay.session_seq("s") == 2
+        assert len(built) == 1
+        assert relay.session_seq("s") == 2 and built[0].server_seq == 2
 
 
 class _Harness:
@@ -550,6 +551,34 @@ class TestClientEngine:
         engine.flush(170)
         assert engine.quiescent()
         assert [m.kind for m in sent] == ["Hello"]  # nothing re-published
+
+    def test_out_of_order_diffs_wait_in_the_buffer_and_the_gap_is_timed_from_the_first(self):
+        sent = []
+        engine = ClientEngine("x", "s", build_demo_registry(), send=sent.append, gap_timeout_ms=100)
+
+        def counter(n):
+            return [{"objectName": "c", "className": "ex.Counter", "sessionState": {"count": n}}]
+
+        def receive(seq, now):
+            engine.on_message(Message("Diff", "s", "peer", seq, counter(seq)), now)
+            stats = engine.stats
+            counts = (stats["recvDiffs"], stats["staleDrops"], stats["resyncs"])
+            value = engine.root.get_object("c").count.get_state()
+            return engine.last_server_seq, sorted(engine._buffer), engine._gap_since_ms, counts, value
+
+        engine.on_message(Message("Welcome", "s", "server", 0, counter(0)), 0)
+        assert receive(3, 0) == (0, [3], 0, (0, 0, 0), 0)
+        assert receive(4, 50) == (0, [3, 4], 0, (0, 0, 0), 0)
+        assert receive(3, 60) == (0, [3, 4], 0, (0, 0, 0), 0)  # a second copy waits as one
+        assert receive(1, 80) == (1, [3, 4], 0, (1, 0, 0), 1)  # 2 is still missing: the timer keeps its start
+        engine.flush(99)
+        assert sent == []
+        engine.flush(100)
+        assert [m.kind for m in sent] == ["Hello"] and engine._gap_since_ms == 100
+        assert engine.stats["resyncs"] == 1
+        assert receive(1, 110) == (1, [3, 4], 100, (1, 1, 1), 1)
+        assert receive(2, 120) == (4, [], None, (4, 1, 1), 4)
+        assert [m.kind for m in sent] == ["Hello"]
 
     def test_retransmit_until_acked(self):
         sent = []
@@ -927,11 +956,11 @@ class TestSimulation:
     @pytest.mark.xfail(
         strict=True,
         reason="a remote write overwrites an unpublished local write to the same site, which is never sent; "
-        "ROADMAP item 3: keep the local value at sites with unacked local writes",
+        "ROADMAP item 16: rebase unpublished local edits over each inbound diff",
     )
     def test_a_local_write_made_before_a_remote_write_to_its_site_arrives_is_published(self):
         script = {
-            "session": "s",
+            "session": "demo",
             "flushIntervalMs": 10,
             "net": {"latencyMs": 8},
             "clients": [

@@ -294,12 +294,20 @@ class _Name(str):
     ],
 )
 def test_an_envelope_is_what_the_encoder_writes(session_id, sender_id, server_seq):
+    # encode_frame writes what decode_body reads back, and refuses what it refuses
     payload = [{"objectName": "x"}]
     for kind in sorted(wire.KINDS):
         msg = Message(kind, session_id, sender_id, server_seq, payload)
         fields = {"kind": kind, "sessionId": session_id, "senderId": sender_id, "serverSeq": server_seq}
         body = statetree._ENCODER.encode({**fields, "payload": payload}).encode("utf-8")
+        try:
+            decoded = wire.decode_body(body)
+        except MalformedMessage as e:
+            with pytest.raises(MalformedMessage, match=re.escape(str(e))):
+                encode_frame(msg)
+            continue
         assert encode_frame(msg) == len(body).to_bytes(4, "big") + body
+        assert decoded == msg
 
 
 # -- both transports read against the receiver's base --------------------------------------
